@@ -1,5 +1,5 @@
-//! Placement verifiers (`IPA101`–`IPA105`): the diagnostic-producing
-//! replacement for the old bare-bool `Placement::is_valid_for`.
+//! Placement verifiers (`IPA101`–`IPA105`): every check reports a
+//! diagnostic explaining *why* a placement is invalid.
 
 use impact_ir::BYTES_PER_INSTR;
 
@@ -9,7 +9,7 @@ use crate::pass::{Context, Pass};
 /// `IPA101` — every block of the program must have an address.
 ///
 /// Also catches shape mismatches (a placement assembled for a different
-/// program), which the old bool check folded into the same `false`.
+/// program).
 pub struct PlacementCoverage;
 
 impl Pass for PlacementCoverage {

@@ -118,39 +118,24 @@ impl TwoLevel {
 }
 
 impl AccessSink for TwoLevel {
-    fn access(&mut self, addr: u64) {
-        let before = self.l1.raw_words_fetched();
-        self.l1.access(addr);
-        let fetched_words = self.l1.raw_words_fetched() - before;
-        if fetched_words > 0 {
-            // The L1 fill streams word-by-word over the inter-cache bus;
-            // the L2 observes the word addresses of the filled region
-            // (which starts at the L1 block base for full-block fills).
-            let l1_block = self.l1.config().block_bytes;
-            let base = addr / l1_block * l1_block;
-            self.l2.access_run(base, fetched_words);
-        }
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
-        if !matches!(self.l1.config().fill, crate::FillPolicy::FullBlock) {
-            // Sectored/partial fills burst from the block base at *each*
-            // missed word of the run; only the word path reproduces that
-            // L2 address stream.
-            for w in 0..words {
-                self.access(addr + w * WORD_BYTES);
-            }
-            return;
-        }
-        // Full-block fill: at most one fill per L1 line, always the whole
-        // block from its base, so the L2 stream per line segment is
-        // exactly one run.
+        // The L1 fill streams word-by-word over the inter-cache bus; the
+        // L2 observes the word addresses of the filled region from the
+        // L1 block base. A full-block fill happens at most once per L1
+        // line, so each line segment of the run is one L1 run. Sectored
+        // and partial fills burst from the block base at *each* missed
+        // word, so those segments are single words.
         let l1_block = self.l1.config().block_bytes;
+        let words_per_block = l1_block / WORD_BYTES;
+        let full_block = matches!(self.l1.config().fill, crate::FillPolicy::FullBlock);
         let mut a = addr;
         let mut remaining = words;
         while remaining > 0 {
-            let in_block = (a % l1_block) / WORD_BYTES;
-            let n = remaining.min(l1_block / WORD_BYTES - in_block);
+            let n = if full_block {
+                remaining.min(words_per_block - (a % l1_block) / WORD_BYTES)
+            } else {
+                1
+            };
             let before = self.l1.raw_words_fetched();
             self.l1.access_run(a, n);
             let fetched_words = self.l1.raw_words_fetched() - before;

@@ -1,16 +1,15 @@
 //! Single-pass multi-configuration simulation: one shared tag-probe
 //! loop driving per-config state lanes.
 //!
-//! A [`crate::CacheBank`] walks the whole access stream once *per
-//! cache*: every run is re-decomposed into line spans for every
-//! configuration. But configurations sharing a block size share span
-//! boundaries exactly — the decomposition depends only on `block_bytes`
-//! — so a [`MultiLane`] groups its caches by block geometry, splits
-//! each run into spans **once per group**, and feeds the shared span to
-//! every lane of the group. Each lane keeps its own tags, valid bits,
-//! recency stamps, and statistics; only the address arithmetic is
-//! shared, so per-lane results are bit-identical to `N` independent
-//! single-config passes (property-tested in `tests/lanes_equiv.rs`).
+//! Configurations sharing a block size share span boundaries exactly —
+//! the decomposition of a run into line spans depends only on
+//! `block_bytes` — so a [`MultiLane`] groups its caches by block
+//! geometry, splits each run into spans **once per group**, and feeds
+//! the shared span to every lane of the group. Each lane keeps its own
+//! tags, valid bits, recency stamps, and statistics; only the address
+//! arithmetic is shared, so per-lane results are bit-identical to `N`
+//! independent single-config passes (property-tested against the
+//! reference model in `tests/lanes_equiv.rs`).
 //!
 //! This is the Mattson-era one-pass-many-configs idea applied to our
 //! run-batched representation: with a captured
@@ -33,9 +32,10 @@ struct LaneGroup {
     lanes: Vec<Cache>,
 }
 
-/// A bank of caches simulated in a single pass with a shared
-/// span-decomposition loop — the drop-in faster sibling of
-/// [`crate::CacheBank`] for plain [`Cache`] configurations.
+/// A bank of caches fed by a single access stream: regenerating a
+/// multi-million-instruction trace for every configuration of a sweep
+/// is wasteful, so a `MultiLane` simulates the whole sweep in one pass
+/// with a shared span-decomposition loop.
 ///
 /// # Example
 ///
@@ -140,11 +140,6 @@ impl MultiLane {
 }
 
 impl AccessSink for MultiLane {
-    fn access(&mut self, addr: u64) {
-        // One word is one span for every geometry.
-        self.access_run(addr, 1);
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         for g in &mut self.groups {
             let mut a = addr;
@@ -189,18 +184,6 @@ mod tests {
         let solo_stats: Vec<CacheStats> = solo.iter_mut().map(Cache::take_stats).collect();
         assert_eq!(lanes.stats(), solo_stats, "snapshot agrees");
         assert_eq!(lanes.take_stats(), solo_stats, "finalized agrees");
-    }
-
-    #[test]
-    fn single_word_access_matches_run_of_one() {
-        let cfg = CacheConfig::direct_mapped(1024, 64);
-        let mut a = MultiLane::new([cfg]);
-        let mut b = MultiLane::new([cfg]);
-        for addr in [0u64, 4, 64, 4096, 64, 0] {
-            a.access(addr);
-            b.access_run(addr, 1);
-        }
-        assert_eq!(a.take_stats(), b.take_stats());
     }
 
     #[test]

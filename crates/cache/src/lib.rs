@@ -23,11 +23,9 @@
 //!
 //! // The paper's headline configuration: 2 KB direct-mapped, 64 B blocks.
 //! let mut cache = Cache::new(CacheConfig::direct_mapped(2048, 64));
-//! // A tiny loop: 32 instructions fetched 100 times.
+//! // A tiny loop: 32 instructions fetched 100 times, one run per pass.
 //! for _ in 0..100 {
-//!     for i in 0..32 {
-//!         cache.access(i * 4);
-//!     }
+//!     cache.access_run(0, 32);
 //! }
 //! let stats = cache.stats();
 //! assert_eq!(stats.misses, 2); // two blocks, each missed once
@@ -40,7 +38,6 @@
 mod config;
 mod hierarchy;
 mod lanes;
-mod multi;
 pub mod opt;
 pub mod paging;
 mod prefetch;
@@ -53,7 +50,6 @@ mod victim;
 pub use config::{Associativity, CacheConfig, ConfigError, FillPolicy, Replacement};
 pub use hierarchy::{HierarchyLatency, TwoLevel};
 pub use lanes::MultiLane;
-pub use multi::CacheBank;
 pub use prefetch::NextLinePrefetcher;
 pub use sim::{AccessSink, Cache, FnSink};
 pub use stats::CacheStats;

@@ -222,10 +222,6 @@ impl PagingSim {
 }
 
 impl AccessSink for PagingSim {
-    fn access(&mut self, addr: u64) {
-        self.access_segment(addr, 1);
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         // Split at transfer-unit boundaries (sector, or whole page
         // without sectoring): within a unit only the first word can
@@ -306,21 +302,13 @@ impl WorkingSetTracker {
 }
 
 impl AccessSink for WorkingSetTracker {
-    fn access(&mut self, addr: u64) {
-        self.clock += 1;
-        self.last_access.insert(addr / self.page_bytes, self.clock);
-        if self.clock.is_multiple_of((self.window / 4).max(1)) {
-            self.sample();
-        }
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         // Per-page segments: all words of a segment touch one page, so a
         // single map insert with the segment's final clock suffices. Any
         // sample point inside the segment sees the page as referenced
         // either way (its last access is within the window by
         // construction), so samples are taken at the same clocks with the
-        // same values as the word-by-word path.
+        // same values however the stream is split.
         let words_per_page = self.page_bytes / WORD_BYTES;
         let every = (self.window / 4).max(1);
         let mut a = addr;

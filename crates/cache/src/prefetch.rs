@@ -74,8 +74,10 @@ impl NextLinePrefetcher {
     }
 }
 
-impl AccessSink for NextLinePrefetcher {
-    fn access(&mut self, addr: u64) {
+impl NextLinePrefetcher {
+    /// The first demand access to a line within a run: it settles the
+    /// line's `pending` membership and fires the tagged trigger.
+    fn first_touch(&mut self, addr: u64) {
         let block_bytes = self.cache.config().block_bytes;
         let line = addr / block_bytes;
 
@@ -102,13 +104,14 @@ impl AccessSink for NextLinePrefetcher {
             }
         }
     }
+}
 
+impl AccessSink for NextLinePrefetcher {
     fn access_run(&mut self, addr: u64, words: u64) {
         // Per line, only the first access can change the prefetcher's own
-        // state: it settles the line's `pending` membership and fires the
-        // tagged trigger. Later words of the same line see `last_trigger
-        // == Some(line)` and an already-settled pending set, so they
-        // reduce to plain cache accesses and batch as one run.
+        // state. Later words of the same line see `last_trigger ==
+        // Some(line)` and an already-settled pending set, so they reduce
+        // to plain cache accesses and batch as one run.
         let block_bytes = self.cache.config().block_bytes;
         let words_per_block = block_bytes / crate::WORD_BYTES;
         let mut a = addr;
@@ -116,7 +119,7 @@ impl AccessSink for NextLinePrefetcher {
         while remaining > 0 {
             let in_block = (a % block_bytes) / crate::WORD_BYTES;
             let n = remaining.min(words_per_block - in_block);
-            self.access(a);
+            self.first_touch(a);
             if n > 1 {
                 self.cache.access_run(a + crate::WORD_BYTES, n - 1);
             }

@@ -9,30 +9,27 @@ use crate::WORD_BYTES;
 /// The dynamic trace generator drives sinks directly, so multi-million
 /// access simulations never materialize the trace.
 pub trait AccessSink {
-    /// Observe one 4-byte instruction fetch at `addr`.
-    fn access(&mut self, addr: u64);
-
     /// Observe `words` consecutive fetches at `addr`, `addr + 4`, ...,
     /// `addr + 4 * (words - 1)` — one *run* of sequential execution.
     ///
-    /// Fetch streams are overwhelmingly sequential (that is the very
-    /// property trace placement optimizes for), so batching the stream
-    /// at run granularity lets sinks amortize per-access work across a
-    /// whole cache line. The default implementation unrolls the run into
-    /// [`AccessSink::access`] calls, so every sink accepts runs; sinks
-    /// with a native batch path override this with something faster that
-    /// is **bit-identical** to the unrolled loop.
-    fn access_run(&mut self, addr: u64, words: u64) {
-        for i in 0..words {
-            self.access(addr + i * WORD_BYTES);
-        }
+    /// This is every sink's one kernel. Fetch streams are overwhelmingly
+    /// sequential (that is the very property trace placement optimizes
+    /// for), so sinks take whole runs and amortize per-access work
+    /// across a cache line. A sink's result must not depend on how a
+    /// stream is split into runs: the per-word definition it must match
+    /// is the reference model in `crates/cache/tests/reference`.
+    fn access_run(&mut self, addr: u64, words: u64);
+
+    /// Observe one 4-byte instruction fetch at `addr`: a run of one.
+    #[inline]
+    fn access(&mut self, addr: u64) {
+        self.access_run(addr, 1);
     }
 }
 
 /// Adapts a closure to [`AccessSink`].
 ///
-/// Runs arrive unrolled word-by-word through the default
-/// [`AccessSink::access_run`], so a `FnSink` observes exactly the
+/// Runs are unrolled word by word, so a `FnSink` observes exactly the
 /// per-address stream regardless of how the producer batches.
 pub struct FnSink<F: FnMut(u64)>(
     /// The closure every fetch address is forwarded to.
@@ -40,8 +37,10 @@ pub struct FnSink<F: FnMut(u64)>(
 );
 
 impl<F: FnMut(u64)> AccessSink for FnSink<F> {
-    fn access(&mut self, addr: u64) {
-        (self.0)(addr);
+    fn access_run(&mut self, addr: u64, words: u64) {
+        for i in 0..words {
+            (self.0)(addr + i * WORD_BYTES);
+        }
     }
 }
 
@@ -61,7 +60,7 @@ const EMPTY: u64 = u64::MAX;
 /// A simulated instruction cache.
 ///
 /// Supports every organization in the paper's evaluation; see
-/// [`CacheConfig`]. Drive it through [`AccessSink::access`] and read
+/// [`CacheConfig`]. Drive it through [`AccessSink::access_run`] and read
 /// results with [`Cache::stats`].
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -181,9 +180,9 @@ impl Cache {
     ///
     /// Two caches with equal fingerprints hold identical victim contents
     /// and will behave identically on any future access stream. Exposed
-    /// so equivalence tests can assert that the batched
-    /// [`AccessSink::access_run`] path leaves *exactly* the state the
-    /// word-by-word path does.
+    /// so equivalence tests can assert that a stream leaves *exactly*
+    /// the same state however it is split into runs, and that lane banks
+    /// and artifact replay match a direct stream.
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -221,74 +220,35 @@ impl Cache {
         }
     }
 
-    /// Handles one demand access; returns `(missed, words_fetched)`.
-    fn lookup(&mut self, addr: u64) -> (bool, u64) {
-        self.probe(addr, true)
-    }
-
-    /// Handles one access; returns `(missed, words_fetched)`.
-    ///
-    /// `demand` controls recency: only demand accesses refresh a resident
-    /// block's LRU stamp. Prefetch probes must be recency-neutral on hits,
-    /// or a probed block is promoted as if the program had touched it and
-    /// the victim choice skews toward genuinely hot blocks.
-    fn probe(&mut self, addr: u64, demand: bool) -> (bool, u64) {
-        let block_addr = addr >> self.block_shift;
-        let set = (block_addr & self.set_mask) as usize;
-        let tag = block_addr >> self.set_shift;
-        let word_in_block = (addr & self.block_mask) >> WORD_SHIFT;
-
-        self.stamp += 1;
-        let base = set * self.ways_per_set;
-        let ways = &mut self.ways[base..base + self.ways_per_set];
-
-        // Tag match?
-        if let Some(way) = ways.iter_mut().find(|w| w.tag == tag) {
-            if demand && matches!(self.config.replacement, crate::Replacement::Lru) {
-                way.lru = self.stamp;
-            }
-            if way.valid & (1 << word_in_block) != 0 {
-                return (false, 0);
-            }
-            // Word miss on a resident block (sectored / partial fills).
-            let fetched = Self::fill(way, self.config.fill, word_in_block, self.words_per_block);
-            return (true, fetched);
-        }
-
-        // Block miss: pick a victim per the replacement policy (an empty
-        // way always wins — its stamp is 0).
-        let victim = match self.config.replacement {
+    /// Index of the way a block miss in `ways` evicts, decided with the
+    /// missing access's `stamp`. An empty way always wins (its stamp is
+    /// 0, and `Random` takes the first one).
+    #[inline]
+    fn victim(ways: &[Way], replacement: crate::Replacement, stamp: u64) -> usize {
+        match replacement {
             // LRU refreshes stamps on hits, FIFO only at insertion; the
             // victim choice is identical given the stamps.
-            crate::Replacement::Lru | crate::Replacement::Fifo => ways
-                .iter_mut()
-                .min_by_key(|w| if w.tag == EMPTY { 0 } else { w.lru })
-                .expect("caches have at least one way"),
+            crate::Replacement::Lru | crate::Replacement::Fifo => {
+                ways.iter()
+                    .enumerate()
+                    .min_by_key(|(_, w)| if w.tag == EMPTY { 0 } else { w.lru })
+                    .expect("caches have at least one way")
+                    .0
+            }
             crate::Replacement::Random => {
                 if let Some(empty) = ways.iter().position(|w| w.tag == EMPTY) {
-                    &mut ways[empty]
+                    empty
                 } else {
                     // xorshift on the running stamp: deterministic per
                     // access sequence, well-spread across ways.
-                    let mut x = self.stamp ^ 0x9e37_79b9_7f4a_7c15;
+                    let mut x = stamp ^ 0x9e37_79b9_7f4a_7c15;
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    let idx = (x % self.ways_per_set as u64) as usize;
-                    &mut ways[idx]
+                    (x % ways.len() as u64) as usize
                 }
             }
-        };
-        victim.tag = tag;
-        victim.valid = 0;
-        victim.lru = self.stamp;
-        let fetched = Self::fill(
-            victim,
-            self.config.fill,
-            word_in_block,
-            self.words_per_block,
-        );
-        (true, fetched)
+        }
     }
 
     /// Fetches the words the fill policy dictates; returns words fetched.
@@ -329,12 +289,42 @@ impl Cache {
     /// run is recorded, and a probe that hits a resident block leaves
     /// its recency untouched. Returns `(was_absent, words_fetched)`.
     ///
-    /// Used by prefetchers layered on top of the cache; demand traffic
-    /// should go through [`AccessSink::access`].
+    /// Recency neutrality matters: were a probe to refresh a resident
+    /// block, it would be promoted as if the program had touched it and
+    /// the victim choice would skew toward genuinely hot blocks. Used by
+    /// prefetchers layered on top of the cache; demand traffic goes
+    /// through [`AccessSink::access_run`].
     pub fn prefetch_fill(&mut self, addr: u64) -> (bool, u64) {
-        let (missed, fetched) = self.probe(addr, false);
+        let block_addr = addr >> self.block_shift;
+        let set = (block_addr & self.set_mask) as usize;
+        let tag = block_addr >> self.set_shift;
+        let word_in_block = (addr & self.block_mask) >> WORD_SHIFT;
+
+        self.stamp += 1;
+        let base = set * self.ways_per_set;
+        let ways = &mut self.ways[base..base + self.ways_per_set];
+        let i = match ways.iter().position(|w| w.tag == tag) {
+            Some(i) if ways[i].valid & (1 << word_in_block) != 0 => return (false, 0),
+            // Word miss on a resident block (sectored / partial fills).
+            Some(i) => i,
+            None => {
+                let i = Self::victim(ways, self.config.replacement, self.stamp);
+                ways[i] = Way {
+                    tag,
+                    valid: 0,
+                    lru: self.stamp,
+                };
+                i
+            }
+        };
+        let fetched = Self::fill(
+            &mut ways[i],
+            self.config.fill,
+            word_in_block,
+            self.words_per_block,
+        );
         self.stats.words_fetched += fetched;
-        (missed, fetched)
+        (true, fetched)
     }
 }
 
@@ -376,9 +366,9 @@ impl Cache {
     /// Batched demand accesses to `n` consecutive words of **one** cache
     /// line, general organization: one tag probe (and at most one victim
     /// choice) per line, then a valid-bitmap walk that replays the
-    /// scalar fill policy exactly — including `stamp` evolution, so
-    /// LRU/FIFO victim order and `Replacement::Random` draws are
-    /// unchanged.
+    /// per-word fill policy exactly — including `stamp` evolution, so
+    /// LRU/FIFO victim order and `Replacement::Random` draws do not
+    /// depend on how the stream is split into runs.
     fn line_run_general(&mut self, addr: u64, w0: u64, n: u64) {
         let block_addr = addr >> self.block_shift;
         let set = (block_addr & self.set_mask) as usize;
@@ -406,28 +396,9 @@ impl Cache {
             i
         } else {
             // Block miss on the first word of the span: the victim is
-            // chosen with that access's stamp, exactly as in `probe`.
+            // chosen with that access's stamp.
             let stamp1 = s0 + 1;
-            let i = match self.config.replacement {
-                crate::Replacement::Lru | crate::Replacement::Fifo => {
-                    ways.iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| if w.tag == EMPTY { 0 } else { w.lru })
-                        .expect("caches have at least one way")
-                        .0
-                }
-                crate::Replacement::Random => {
-                    if let Some(empty) = ways.iter().position(|w| w.tag == EMPTY) {
-                        empty
-                    } else {
-                        let mut x = stamp1 ^ 0x9e37_79b9_7f4a_7c15;
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        (x % ways_per_set as u64) as usize
-                    }
-                }
-            };
+            let i = Self::victim(ways, self.config.replacement, stamp1);
             ways[i] = Way {
                 tag,
                 valid: 0,
@@ -448,7 +419,7 @@ impl Cache {
             return;
         }
         // Walk the span's valid bits: hit stretches are observed in one
-        // step, each invalid word replays the scalar fill.
+        // step, each invalid word replays the per-word fill.
         let mut w = w0;
         while w < end {
             if way.valid & (1 << w) != 0 {
@@ -477,6 +448,7 @@ impl Cache {
     ///
     /// Callers must guarantee `w0 == (addr % block_bytes) / 4` and
     /// `w0 + n <= words_per_block` for *this* cache's geometry.
+    #[inline]
     pub(crate) fn line_run(&mut self, addr: u64, w0: u64, n: u64) {
         debug_assert_eq!(w0, (addr & self.block_mask) >> WORD_SHIFT);
         debug_assert!(w0 + n <= self.words_per_block);
@@ -494,27 +466,13 @@ impl Cache {
 }
 
 impl AccessSink for Cache {
-    fn access(&mut self, addr: u64) {
-        let (missed, fetched) = self.lookup(addr);
-        self.stats.accesses += 1;
-        if missed {
-            self.stats.misses += 1;
-            self.stats.words_fetched += fetched;
-        }
-        self.tracker.observe(addr, missed, &mut self.stats);
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         let mut a = addr;
         let mut remaining = words;
         while remaining > 0 {
             let w0 = (a & self.block_mask) >> WORD_SHIFT;
             let n = remaining.min(self.words_per_block - w0);
-            if self.fast_path {
-                self.line_run_fast(a, n);
-            } else {
-                self.line_run_general(a, w0, n);
-            }
+            self.line_run(a, w0, n);
             a += n * WORD_BYTES;
             remaining -= n;
         }

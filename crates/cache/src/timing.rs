@@ -101,8 +101,9 @@ impl TimingModel {
     }
 }
 
-impl AccessSink for TimingModel {
-    fn access(&mut self, addr: u64) {
+impl TimingModel {
+    /// Accounts one instruction fetch at `addr`.
+    fn fetch(&mut self, addr: u64) {
         let sequential = self.prev_addr == Some(addr.wrapping_sub(WORD_BYTES));
         self.prev_addr = Some(addr);
 
@@ -113,17 +114,16 @@ impl AccessSink for TimingModel {
             self.cycle = self.fill_done;
         }
 
-        let before = self.cache.stats();
+        let misses = self.cache.raw_misses();
+        let words = self.cache.raw_words_fetched();
         self.cache.access(addr);
-        let after = self.cache.stats();
-        let missed = after.misses > before.misses;
-        let fetched = after.words_fetched - before.words_fetched;
+        let missed = self.cache.raw_misses() > misses;
+        let fetched = self.cache.raw_words_fetched() - words;
 
         // The fetch itself.
         self.cycle += 1;
 
         if missed {
-            let words_per_block = self.cache.config().words_per_block();
             let word_in_block = (addr % self.cache.config().block_bytes) / WORD_BYTES;
             // Position of the missed word in the delivery order.
             let wait_words = if self.config.load_forwarding {
@@ -145,7 +145,16 @@ impl AccessSink for TimingModel {
             // The remaining words keep arriving while execution resumes.
             let remaining = fetched.saturating_sub(wait_words.min(fetched));
             self.fill_done = self.cycle + remaining;
-            let _ = words_per_block;
+        }
+    }
+}
+
+impl AccessSink for TimingModel {
+    fn access_run(&mut self, addr: u64, words: u64) {
+        // Stalls depend on each fetch's position in the repair stream,
+        // so cycles are accounted word by word.
+        for i in 0..words {
+            self.fetch(addr + i * WORD_BYTES);
         }
     }
 }

@@ -100,10 +100,9 @@ impl VictimCache {
             .expect("buffer is non-empty");
         *lru = (block, self.stamp);
     }
-}
 
-impl AccessSink for VictimCache {
-    fn access(&mut self, addr: u64) {
+    /// The first access of a run to a line: the only one that can miss.
+    fn first_touch(&mut self, addr: u64) {
         self.stamp += 1;
         self.stats.accesses += 1;
         let block = addr / self.config.block_bytes;
@@ -136,7 +135,9 @@ impl AccessSink for VictimCache {
             self.push_victim(evicted_block);
         }
     }
+}
 
+impl AccessSink for VictimCache {
     fn access_run(&mut self, addr: u64, words: u64) {
         // Whole-block fills only: after the first access of a line the
         // block is resident, so the remaining words of the segment are
@@ -147,7 +148,7 @@ impl AccessSink for VictimCache {
         while remaining > 0 {
             let in_block = (a % block_bytes) / WORD_BYTES;
             let n = remaining.min(block_bytes / WORD_BYTES - in_block);
-            self.access(a);
+            self.first_touch(a);
             self.stamp += n - 1;
             self.stats.accesses += n - 1;
             a += n * WORD_BYTES;

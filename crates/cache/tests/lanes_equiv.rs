@@ -1,13 +1,17 @@
-//! Property tests pinning [`MultiLane`] to N independent passes.
+//! Property tests pinning [`MultiLane`] to the per-word reference model
+//! and to N independent passes.
 //!
 //! The shared span-decomposition loop is a pure performance change:
-//! driving one `MultiLane` over a run stream must produce identical
-//! [`CacheStats`] *and* identical internal cache state (tags, valid
-//! bitmaps, recency stamps) as driving every configuration through its
-//! own [`Cache`] in a separate pass. The grid covers every
+//! driving one `MultiLane` over a run stream must produce exactly the
+//! [`CacheStats`] the independent [`ReferenceCache`] computes for each
+//! configuration, *and* leave identical internal cache state (tags,
+//! valid bitmaps, recency stamps) to driving every configuration
+//! through its own [`Cache`] in a separate pass. The grid covers every
 //! (fill policy × associativity × replacement) combination plus mixed
 //! block geometries, so shared-span grouping is exercised both within
 //! one geometry group and across several.
+
+mod reference;
 
 use impact_cache::{
     AccessSink, Associativity, Cache, CacheConfig, CacheStats, FillPolicy, MultiLane, Replacement,
@@ -15,6 +19,7 @@ use impact_cache::{
 };
 use impact_support::check;
 use impact_support::rng::Rng;
+use reference::ReferenceCache;
 
 /// Every (fill × associativity × replacement) combination at the paper's
 /// 1 KB / 64 B geometry.
@@ -61,16 +66,19 @@ fn gen_runs(rng: &mut Rng) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// N independent single-config passes: the reference result.
+/// Per-config reference statistics, plus the state N independent
+/// single-config passes leave.
 fn drive_independent(configs: &[CacheConfig], runs: &[(u64, u64)]) -> (Vec<CacheStats>, Vec<u64>) {
     let mut stats = Vec::new();
     let mut states = Vec::new();
     for &config in configs {
+        let mut oracle = ReferenceCache::new(config);
         let mut cache = Cache::new(config);
         for &(start, words) in runs {
+            oracle.access_run(start, words);
             cache.access_run(start, words);
         }
-        stats.push(cache.take_stats());
+        stats.push(oracle.stats());
         states.push(cache.state_fingerprint());
     }
     (stats, states)
@@ -86,7 +94,7 @@ fn drive_lanes(configs: &[CacheConfig], runs: &[(u64, u64)]) -> (Vec<CacheStats>
 }
 
 #[test]
-fn multi_lane_is_bit_identical_to_independent_passes_across_config_grid() {
+fn multi_lane_matches_reference_across_config_grid() {
     // The whole grid in ONE MultiLane: every organization rides the same
     // shared spans, and each must come out exactly as if it ran alone.
     let grid = config_grid();
@@ -114,26 +122,5 @@ fn multi_lane_handles_mixed_block_geometries() {
         let (lane_stats, lane_states) = drive_lanes(&configs, runs);
         assert_eq!(solo_stats, lane_stats, "stats diverged");
         assert_eq!(solo_states, lane_states, "cache state diverged");
-    });
-}
-
-#[test]
-fn multi_lane_matches_cache_bank() {
-    // The drop-in claim: MultiLane and CacheBank are interchangeable.
-    let configs = [
-        CacheConfig::direct_mapped(512, 64),
-        CacheConfig::direct_mapped(2048, 64),
-        CacheConfig::direct_mapped(1024, 32)
-            .with_associativity(Associativity::Full)
-            .with_replacement(Replacement::Random),
-    ];
-    check::forall(64, gen_runs, |runs| {
-        let mut bank = impact_cache::CacheBank::new(configs);
-        let mut lanes = MultiLane::new(configs);
-        for &(start, words) in runs {
-            bank.access_run(start, words);
-            lanes.access_run(start, words);
-        }
-        assert_eq!(bank.take_stats(), lanes.take_stats());
     });
 }

@@ -1,18 +1,23 @@
-//! Property tests pinning `access_run` to the scalar `access` path.
+//! Property tests pinning every sink's `access_run` kernel to the
+//! per-word definition.
 //!
-//! The run-batched path is a pure performance change: for every cache
-//! organization the paper evaluates, feeding the same fetch stream as
-//! runs must produce identical [`CacheStats`] *and* identical internal
-//! state (tags, valid bitmaps, recency stamps) as feeding it word by
-//! word. The configuration grid below covers every
-//! (fill policy × associativity × replacement) combination, so both the
-//! direct-mapped fast path and the general per-line path are exercised.
+//! [`Cache`] is checked against the independent [`ReferenceCache`]: for
+//! every (fill policy × associativity × replacement) combination the
+//! paper evaluates, feeding a fetch stream as runs must produce exactly
+//! the statistics the per-word model does. Both the direct-mapped fast
+//! path and the general per-line path are exercised. Every sink is also
+//! checked for split invariance: a stream sent one word per call must
+//! leave the same observable state as the same stream sent as runs.
+
+mod reference;
 
 use impact_cache::{
-    AccessSink, Associativity, Cache, CacheConfig, CacheStats, FillPolicy, Replacement, WORD_BYTES,
+    AccessSink, Associativity, Cache, CacheConfig, CacheStats, FillPolicy, FnSink, Replacement,
+    WORD_BYTES,
 };
 use impact_support::check;
 use impact_support::rng::Rng;
+use reference::ReferenceCache;
 
 /// Every (fill × associativity × replacement) combination at the paper's
 /// 1 KB / 64 B geometry (16 sets direct-mapped, down to fully
@@ -61,17 +66,8 @@ fn gen_runs(rng: &mut Rng) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn drive_scalar(config: CacheConfig, runs: &[(u64, u64)]) -> (CacheStats, u64) {
-    let mut cache = Cache::new(config);
-    for &(start, words) in runs {
-        for w in 0..words {
-            cache.access(start + w * WORD_BYTES);
-        }
-    }
-    (cache.take_stats(), cache.state_fingerprint())
-}
-
-fn drive_batched(config: CacheConfig, runs: &[(u64, u64)]) -> (CacheStats, u64) {
+/// Drives a cache with whole runs; returns final stats and state.
+fn drive_runs(config: CacheConfig, runs: &[(u64, u64)]) -> (CacheStats, u64) {
     let mut cache = Cache::new(config);
     for &(start, words) in runs {
         cache.access_run(start, words);
@@ -80,25 +76,30 @@ fn drive_batched(config: CacheConfig, runs: &[(u64, u64)]) -> (CacheStats, u64) 
 }
 
 #[test]
-fn access_run_is_bit_identical_to_scalar_access_across_config_grid() {
+fn access_run_matches_reference_across_config_grid() {
     let grid = config_grid();
     check::forall(96, gen_runs, |runs| {
         for &config in &grid {
-            let (scalar_stats, scalar_state) = drive_scalar(config, runs);
-            let (batched_stats, batched_state) = drive_batched(config, runs);
-            assert_eq!(scalar_stats, batched_stats, "stats diverged for {config:?}");
-            assert_eq!(
-                scalar_state, batched_state,
-                "cache state diverged for {config:?}"
-            );
+            let mut cache = Cache::new(config);
+            let mut oracle = ReferenceCache::new(config);
+            for &(start, words) in runs {
+                cache.access_run(start, words);
+                oracle.access_run(start, words);
+                assert_eq!(
+                    cache.stats(),
+                    oracle.stats(),
+                    "diverged from the reference after run ({start:#x}, {words}) for {config:?}"
+                );
+            }
         }
     });
 }
 
 #[test]
 fn access_run_is_split_invariant() {
-    // Splitting one run into arbitrary sub-runs must not change anything:
-    // the batched path may only exploit contiguity, not run boundaries.
+    // Splitting one run into arbitrary sub-runs must not change
+    // anything: the kernel may only exploit contiguity, not run
+    // boundaries.
     let grid = config_grid();
     check::forall(
         64,
@@ -114,51 +115,72 @@ fn access_run_is_split_invariant() {
             (start, words, splits)
         },
         |(start, words, splits)| {
+            let pieces: Vec<(u64, u64)> = splits
+                .windows(2)
+                .map(|w| (*start + w[0] * WORD_BYTES, w[1] - w[0]))
+                .collect();
             for &config in &grid {
-                let (whole_stats, whole_state) = drive_batched(config, &[(*start, *words)]);
-                let pieces: Vec<(u64, u64)> = splits
-                    .windows(2)
-                    .map(|w| (*start + w[0] * WORD_BYTES, w[1] - w[0]))
-                    .collect();
-                let (split_stats, split_state) = drive_batched(config, &pieces);
-                assert_eq!(whole_stats, split_stats, "stats diverged for {config:?}");
-                assert_eq!(
-                    whole_state, split_state,
-                    "cache state diverged for {config:?}"
-                );
+                let whole = drive_runs(config, &[(*start, *words)]);
+                assert_eq!(whole, drive_runs(config, &pieces), "{config:?}");
             }
         },
     );
 }
 
-/// Drives two copies of any sink — one word-by-word, one via
-/// `access_run` — and hands both back for observable-state comparison.
+#[test]
+fn one_word_calls_leave_the_state_whole_runs_do() {
+    // Across many runs (evictions, re-entries, partial lines), `access`
+    // — a run of one — must leave exactly the cache state whole runs do.
+    let grid = config_grid();
+    check::forall(48, gen_runs, |runs| {
+        for &config in &grid {
+            let mut per_word = Cache::new(config);
+            for &(start, words) in runs {
+                for w in 0..words {
+                    per_word.access(start + w * WORD_BYTES);
+                }
+            }
+            let per_word = (per_word.take_stats(), per_word.state_fingerprint());
+            assert_eq!(per_word, drive_runs(config, runs), "{config:?}");
+        }
+    });
+}
+
+/// Drives two copies of any sink — one word per call, one whole runs —
+/// and hands both back for observable-state comparison.
 fn drive_pair<S: AccessSink + Clone>(proto: &S, runs: &[(u64, u64)]) -> (S, S) {
-    let mut scalar = proto.clone();
-    let mut batched = proto.clone();
+    let mut per_word = proto.clone();
+    let mut whole = proto.clone();
     for &(start, words) in runs {
         for w in 0..words {
-            scalar.access(start + w * WORD_BYTES);
+            per_word.access(start + w * WORD_BYTES);
         }
-        batched.access_run(start, words);
+        whole.access_run(start, words);
     }
-    (scalar, batched)
+    (per_word, whole)
 }
 
 #[test]
-fn wrapper_sinks_match_scalar_path() {
+fn wrapper_sinks_are_split_invariant() {
     use impact_cache::paging::{PageConfig, PagingSim, WorkingSetTracker};
-    use impact_cache::{CacheBank, NextLinePrefetcher, TwoLevel, VictimCache};
+    use impact_cache::{
+        MultiLane, NextLinePrefetcher, TimingConfig, TimingModel, TwoLevel, VictimCache,
+    };
 
     check::forall(48, gen_runs, |runs| {
-        let bank = CacheBank::new([
+        let lanes = MultiLane::new([
             CacheConfig::direct_mapped(512, 32),
             CacheConfig::direct_mapped(2048, 64)
                 .with_associativity(Associativity::Ways(2))
                 .with_fill(FillPolicy::Sectored { sector_bytes: 16 }),
         ]);
-        let (mut s, mut b) = drive_pair(&bank, runs);
-        assert_eq!(s.take_stats(), b.take_stats(), "CacheBank diverged");
+        let (mut s, mut b) = drive_pair(&lanes, runs);
+        assert_eq!(
+            s.state_fingerprints(),
+            b.state_fingerprints(),
+            "MultiLane state"
+        );
+        assert_eq!(s.take_stats(), b.take_stats(), "MultiLane stats");
 
         for l1_fill in [
             FillPolicy::FullBlock,
@@ -185,6 +207,19 @@ fn wrapper_sinks_match_scalar_path() {
         assert_eq!(s.stats(), b.stats(), "victim cache stats diverged");
         assert_eq!(s.victim_hits(), b.victim_hits(), "victim hits diverged");
 
+        for fill in [FillPolicy::FullBlock, FillPolicy::Partial] {
+            let timing = TimingModel::new(
+                Cache::new(CacheConfig::direct_mapped(1024, 64).with_fill(fill)),
+                TimingConfig {
+                    load_forwarding: false,
+                    ..TimingConfig::default()
+                },
+            );
+            let (s, b) = drive_pair(&timing, runs);
+            assert_eq!(s.cycles(), b.cycles(), "timing cycles ({fill:?})");
+            assert_eq!(s.stats(), b.stats(), "timing stats ({fill:?})");
+        }
+
         for sector_bytes in [None, Some(64)] {
             let paging = PagingSim::new(PageConfig {
                 page_bytes: 512,
@@ -199,21 +234,38 @@ fn wrapper_sinks_match_scalar_path() {
         let (s, b) = drive_pair(&ws, runs);
         assert_eq!(s.mean_pages(), b.mean_pages(), "working-set mean diverged");
         assert_eq!(s.peak_pages(), b.peak_pages(), "working-set peak diverged");
+
+        // A closure sink sees the expanded word stream either way.
+        let (mut per_word, mut whole) = (Vec::new(), Vec::new());
+        let mut s = FnSink(|a| per_word.push(a));
+        let mut b = FnSink(|a| whole.push(a));
+        for &(start, words) in runs {
+            for w in 0..words {
+                s.access(start + w * WORD_BYTES);
+            }
+            b.access_run(start, words);
+        }
+        let expanded: Vec<u64> = runs
+            .iter()
+            .flat_map(|&(a, n)| (0..n).map(move |w| a + w * WORD_BYTES))
+            .collect();
+        assert_eq!(per_word, expanded, "FnSink per-word stream");
+        assert_eq!(whole, expanded, "FnSink run stream");
     });
 }
 
 #[test]
-fn default_sink_impl_loops_over_access() {
-    // An external sink that only implements `access` still sees every
-    // word of a run, in order, through the default `access_run`.
-    struct Recorder(Vec<u64>);
+fn access_is_a_run_of_one() {
+    // A sink that implements only `access_run` sees `access(a)` as the
+    // one-word run `(a, 1)`.
+    struct Recorder(Vec<(u64, u64)>);
     impl AccessSink for Recorder {
-        fn access(&mut self, addr: u64) {
-            self.0.push(addr);
+        fn access_run(&mut self, addr: u64, words: u64) {
+            self.0.push((addr, words));
         }
     }
     let mut sink = Recorder(Vec::new());
     sink.access_run(100, 3);
-    sink.access_run(400, 1);
-    assert_eq!(sink.0, vec![100, 104, 108, 400]);
+    sink.access(400);
+    assert_eq!(sink.0, vec![(100, 3), (400, 1)]);
 }

@@ -1,6 +1,6 @@
 //! Evaluation-trace simulation helpers.
 
-use impact_cache::{CacheBank, CacheConfig, CacheStats};
+use impact_cache::{CacheConfig, CacheStats, MultiLane};
 use impact_ir::Program;
 use impact_layout::Placement;
 use impact_profile::ExecLimits;
@@ -36,7 +36,7 @@ pub fn simulate_counted(
     limits: ExecLimits,
     configs: &[CacheConfig],
 ) -> (Vec<CacheStats>, u64) {
-    let mut bank = CacheBank::new(configs.iter().copied());
+    let mut bank = MultiLane::new(configs.iter().copied());
     let gen = TraceGenerator::new(program, placement).with_limits(limits);
     let summary = gen.stream(eval_seed, &mut bank);
     (bank.take_stats(), summary.instructions)

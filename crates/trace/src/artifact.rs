@@ -101,14 +101,6 @@ impl RunBuffer {
 }
 
 impl AccessSink for RunBuffer {
-    fn access(&mut self, addr: u64) {
-        // A single-word call is recorded as a one-word run; sinks that
-        // replay it observe `access_run(addr, 1)`, which every sink
-        // treats identically to `access(addr)` (the `AccessSink`
-        // contract — pinned by the run-equivalence property tests).
-        self.access_run(addr, 1);
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         debug_assert!(words > 0, "zero-length runs must never be emitted");
         self.runs.push((addr, words));
@@ -143,11 +135,6 @@ impl<'a, S: AccessSink> CaptureSink<'a, S> {
 }
 
 impl<S: AccessSink> AccessSink for CaptureSink<'_, S> {
-    fn access(&mut self, addr: u64) {
-        self.buf.access(addr);
-        self.inner.access(addr);
-    }
-
     fn access_run(&mut self, addr: u64, words: u64) {
         self.buf.access_run(addr, words);
         self.inner.access_run(addr, words);
@@ -198,9 +185,6 @@ mod tests {
     fn replay_reproduces_the_recorded_call_sequence() {
         struct Runs(Vec<(u64, u64)>);
         impl AccessSink for Runs {
-            fn access(&mut self, _addr: u64) {
-                unreachable!("replay delivers whole runs");
-            }
             fn access_run(&mut self, addr: u64, words: u64) {
                 self.0.push((addr, words));
             }

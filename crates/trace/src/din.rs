@@ -278,9 +278,6 @@ mod tests {
     fn read_din_runs_coalesces_sequential_fetches() {
         struct Runs(Vec<(u64, u64)>);
         impl impact_cache::AccessSink for Runs {
-            fn access(&mut self, _addr: u64) {
-                unreachable!("runs only");
-            }
             fn access_run(&mut self, addr: u64, words: u64) {
                 self.0.push((addr, words));
             }
@@ -299,9 +296,6 @@ mod tests {
     fn read_din_runs_never_emits_zero_length_runs() {
         struct Runs(Vec<(u64, u64)>);
         impl impact_cache::AccessSink for Runs {
-            fn access(&mut self, _addr: u64) {
-                unreachable!("runs only");
-            }
             fn access_run(&mut self, addr: u64, words: u64) {
                 assert!(words > 0, "zero-length run at {addr:#x}");
                 self.0.push((addr, words));
@@ -337,9 +331,6 @@ mod tests {
             .collect();
         struct Runs(Vec<(u64, u64)>);
         impl impact_cache::AccessSink for Runs {
-            fn access(&mut self, _addr: u64) {
-                unreachable!("runs only");
-            }
             fn access_run(&mut self, addr: u64, words: u64) {
                 self.0.push((addr, words));
             }
@@ -356,8 +347,8 @@ mod tests {
     fn read_din_runs_flushes_prefix_before_error() {
         struct Count(u64);
         impl impact_cache::AccessSink for Count {
-            fn access(&mut self, _addr: u64) {
-                self.0 += 1;
+            fn access_run(&mut self, _addr: u64, words: u64) {
+                self.0 += words;
             }
         }
         let din = "2 0\n2 4\nbogus\n2 8\n";

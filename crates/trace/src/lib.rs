@@ -282,9 +282,6 @@ mod tests {
             for seed in [1, 7, TraceGenerator::DEFAULT_EVAL_SEED] {
                 struct Runs(Vec<(u64, u64)>);
                 impl impact_cache::AccessSink for Runs {
-                    fn access(&mut self, _addr: u64) {
-                        unreachable!("stream must emit whole runs");
-                    }
                     fn access_run(&mut self, addr: u64, words: u64) {
                         self.0.push((addr, words));
                     }
@@ -341,9 +338,6 @@ mod tests {
         );
         struct Runs(Vec<(u64, u64)>);
         impl impact_cache::AccessSink for Runs {
-            fn access(&mut self, _addr: u64) {
-                unreachable!("stream must emit whole runs");
-            }
             fn access_run(&mut self, addr: u64, words: u64) {
                 self.0.push((addr, words));
             }

@@ -6,8 +6,10 @@
 //! identical [`CacheStats`] and identical internal cache state (tags,
 //! valid bitmaps, recency stamps) — for every cache organization the
 //! paper evaluates. Real workload CFGs (loops, calls, biased branches)
-//! drive the walk, and the capture tee is checked against the
-//! standalone capture so both recording paths agree.
+//! drive the walk, the capture tee is checked against the standalone
+//! capture so both recording paths agree, and a replayed lane bank is
+//! checked against the per-word reference model in
+//! `crates/cache/tests/reference`.
 
 use impact_cache::{
     Associativity, Cache, CacheConfig, CacheStats, FillPolicy, MultiLane, Replacement,
@@ -16,6 +18,10 @@ use impact_profile::ExecLimits;
 use impact_support::check;
 use impact_support::rng::Rng;
 use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
+
+#[path = "../../cache/tests/reference/mod.rs"]
+mod reference;
+use reference::ReferenceCache;
 
 const LIMITS: ExecLimits = ExecLimits {
     max_instructions: 30_000,
@@ -113,7 +119,8 @@ fn capture_tee_agrees_with_standalone_capture_and_forwards_faithfully() {
 #[test]
 fn one_replay_drives_a_whole_lane_bank_exactly() {
     // The session's actual fast path: replay once into a MultiLane and
-    // match N direct single-config streams.
+    // match the per-word reference model fed the interpreter's word
+    // trace, config by config.
     let grid = config_grid();
     check::forall(8, gen_case, |(w, seed)| {
         let placement = impact_layout::baseline::natural(&w.program);
@@ -123,14 +130,17 @@ fn one_replay_drives_a_whole_lane_bank_exactly() {
         let mut lanes = MultiLane::new(grid.iter().copied());
         buf.replay(&mut lanes);
 
-        let direct: Vec<CacheStats> = grid
+        let trace = gen.collect(*seed);
+        let expected: Vec<CacheStats> = grid
             .iter()
             .map(|&config| {
-                let mut cache = Cache::new(config);
-                gen.stream(*seed, &mut cache);
-                cache.take_stats()
+                let mut oracle = ReferenceCache::new(config);
+                for &addr in &trace {
+                    oracle.access(addr);
+                }
+                oracle.stats()
             })
             .collect();
-        assert_eq!(lanes.take_stats(), direct);
+        assert_eq!(lanes.take_stats(), expected);
     });
 }

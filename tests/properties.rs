@@ -1,5 +1,6 @@
 //! Property-based tests over random programs and random access traces.
 
+use impact::analyze::verify_placement;
 use impact::cache::{AccessSink, Associativity, Cache, CacheConfig, FillPolicy};
 use impact::ir::{BlockId, BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator};
 use impact::layout::pipeline::{Pipeline, PipelineConfig};
@@ -147,15 +148,14 @@ fn walker_is_deterministic() {
 /// The full pipeline yields a valid placement; without inlining it
 /// preserves the program and its byte count exactly.
 #[test]
-#[allow(deprecated)]
 fn pipeline_placement_is_always_valid() {
     forall(48, gen_program, |program| {
         let no_inline = tiny_pipeline(false).run(program);
-        assert!(no_inline.placement.is_valid_for(&no_inline.program));
+        assert!(verify_placement(&no_inline.program, &no_inline.placement).is_clean());
         assert_eq!(no_inline.program.total_bytes(), program.total_bytes());
 
         let inlined = tiny_pipeline(true).run(program);
-        assert!(inlined.placement.is_valid_for(&inlined.program));
+        assert!(verify_placement(&inlined.program, &inlined.placement).is_clean());
         assert!(inlined.program.total_bytes() >= program.total_bytes());
     });
 }
