@@ -76,6 +76,21 @@ mod tests {
         }
     }
 
+    /// Pins the `impact.shard.v1` encoding: peers that disagree on it
+    /// would route one body to two owners.
+    #[test]
+    fn owners_of_fixed_bodies_are_pinned() {
+        let peers = [
+            "127.0.0.1:9000".to_string(),
+            "127.0.0.1:9001".to_string(),
+            "127.0.0.1:9002".to_string(),
+        ];
+        let owners: Vec<usize> = (0..10)
+            .map(|i| owner_index(&peers, format!("{{\"program\": \"p{i}\"}}").as_bytes()).unwrap())
+            .collect();
+        assert_eq!(owners, [1, 2, 2, 0, 1, 2, 2, 1, 0, 1]);
+    }
+
     #[test]
     fn removing_a_node_only_remaps_its_keys() {
         let full = nodes(5);
