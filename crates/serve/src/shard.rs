@@ -3,9 +3,11 @@
 //!
 //! Every node is started with the same `--peers host:port,...` list and
 //! names its own entry with `--advertise`. Each simulate request body is
-//! hashed with the store's rendezvous function
-//! ([`impact_store::shard::owner_index`]); the winning peer owns the
-//! key. A node that receives a request it does not own proxies it to
+//! ranked by rendezvous (highest-random-weight) hashing ([`owner_index`]):
+//! every peer scores the raw body by `SHA-256(peer ‖ body)` and the
+//! highest score owns it, so all nodes that agree on the membership list
+//! agree on ownership with no coordination, and removing a peer only
+//! remaps the bodies it owned. A node that receives a request it does not own proxies it to
 //! the owner over the plain blocking [`Client`] and relays the answer
 //! verbatim — so all results (and store entries, when the owner runs
 //! with `--store`) for one body concentrate on one node, whichever peer
@@ -22,11 +24,31 @@ use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
-use impact_store::shard::owner_index;
+use impact_store::KeyWriter;
 use impact_support::json::{Json, ToJson};
 
 use crate::client::Client;
 use crate::http::{Request, Response};
+
+/// Index into `nodes` of the owner of `key`, or `None` when `nodes` is
+/// empty. Node strings must be exact (e.g. `host:port`) and identical
+/// across all participants.
+#[must_use]
+pub fn owner_index(nodes: &[String], key: &[u8]) -> Option<usize> {
+    nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let mut w = KeyWriter::new("impact.shard.v1");
+            w.str(node);
+            w.bytes(key);
+            (w.finish(), i)
+        })
+        // Max by (score, node name) — the name tiebreak makes a digest
+        // collision (never in practice) still deterministic.
+        .max_by(|(sa, ia), (sb, ib)| sa.cmp(sb).then_with(|| nodes[*ia].cmp(&nodes[*ib])))
+        .map(|(_, i)| i)
+}
 
 /// Marker header carried by proxied requests. Receivers answer locally
 /// instead of re-routing, which bounds any forwarding chain to one hop.
@@ -156,6 +178,74 @@ mod tests {
             "127.0.0.1:7002".to_string(),
             "127.0.0.1:7003".to_string(),
         ]
+    }
+
+    fn nodes(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect()
+    }
+
+    #[test]
+    fn empty_membership_owns_nothing() {
+        assert_eq!(owner_index(&[], b"k"), None);
+    }
+
+    #[test]
+    fn deterministic_and_order_independent() {
+        let a = nodes(5);
+        let mut b = a.clone();
+        b.reverse();
+        for i in 0..200u32 {
+            let key = i.to_le_bytes();
+            let oa = &a[owner_index(&a, &key).unwrap()];
+            let ob = &b[owner_index(&b, &key).unwrap()];
+            assert_eq!(oa, ob, "ownership must not depend on list order");
+        }
+    }
+
+    #[test]
+    fn spreads_keys_across_nodes() {
+        let ns = nodes(4);
+        let mut counts = [0usize; 4];
+        for i in 0..400u32 {
+            counts[owner_index(&ns, &i.to_le_bytes()).unwrap()] += 1;
+        }
+        for (i, c) in counts.iter().enumerate() {
+            assert!(
+                (40..=180).contains(c),
+                "node {i} owns {c} of 400 keys; rendezvous should spread them"
+            );
+        }
+    }
+
+    /// Pins the `impact.shard.v1` encoding: peers that disagree on it
+    /// would route one body to two owners.
+    #[test]
+    fn owners_of_fixed_bodies_are_pinned() {
+        let peers = [
+            "127.0.0.1:9000".to_string(),
+            "127.0.0.1:9001".to_string(),
+            "127.0.0.1:9002".to_string(),
+        ];
+        let owners: Vec<usize> = (0..10)
+            .map(|i| owner_index(&peers, format!("{{\"program\": \"p{i}\"}}").as_bytes()).unwrap())
+            .collect();
+        assert_eq!(owners, [1, 2, 2, 0, 1, 2, 2, 1, 0, 1]);
+    }
+
+    #[test]
+    fn removing_a_node_only_remaps_its_keys() {
+        let full = nodes(5);
+        let removed = full[2].clone();
+        let mut reduced = full.clone();
+        reduced.remove(2);
+        for i in 0..300u32 {
+            let key = i.to_le_bytes();
+            let before = &full[owner_index(&full, &key).unwrap()];
+            let after = &reduced[owner_index(&reduced, &key).unwrap()];
+            if *before != removed {
+                assert_eq!(before, after, "key {i} moved although its owner stayed");
+            }
+        }
     }
 
     #[test]

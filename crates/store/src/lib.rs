@@ -1,12 +1,13 @@
 //! `impact-store` — a dependency-free, persistent, content-addressed
-//! store, plus the rendezvous hash that shards its keyspace.
+//! store.
 //!
 //! Entries are keyed by a stable 256-bit [`Cid`] (SHA-256 over a
 //! canonical encoding, see [`cid::KeyWriter`]), written append-only via
 //! temp-file + atomic rename, length- and checksum-framed, and verified
 //! on every read — corrupt entries are quarantined, never served
-//! (see [`store::Store`]). [`shard::owner_index`] maps the same keys to
-//! owners among N serve processes.
+//! (see [`store::Store`]). [`KeyWriter`] is also the canonical hash
+//! behind `impact serve`'s shard routing, which ranks raw request bodies
+//! (not store keys) across its peers.
 //!
 //! The session layer (`impact-experiments`) persists trace `RunBuffer`
 //! artifacts and finished per-config results here so `impact serve
@@ -19,7 +20,6 @@
 
 pub mod cid;
 pub mod sha;
-pub mod shard;
 pub mod store;
 
 pub use cid::{Cid, KeyWriter};
