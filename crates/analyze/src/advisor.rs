@@ -67,7 +67,7 @@ fn bad_geometry(cfg: &ConflictConfig) -> bool {
 /// `IPA401` — a hot edge placed as a far transfer when a fall-through
 /// was available.
 ///
-/// The arc must be *uncontested*: it carries ≥ [`DOMINANT_PROB`] of its
+/// The arc must be *uncontested*: it carries ≥ `DOMINANT_PROB` of its
 /// source's outgoing mass and its source is the strictly heaviest
 /// predecessor of its destination, so placing the two blocks adjacent
 /// steals the slot from nothing hotter. Back edges are exempt (their
@@ -308,13 +308,13 @@ impl Pass for CallPairSeparation {
 /// minimal contiguous footprint.
 ///
 /// The hot core is the loop's spine: body blocks executing at least
-/// [`CORE_FRACTION`] of the header's count, i.e. (nearly) every
+/// `CORE_FRACTION` of the header's count, i.e. (nearly) every
 /// iteration — conditional arms are legitimately placed as side
 /// traces. Contiguous bytes of size `n` touch at most
 /// `ceil(n / line)` lines, and a trace-based layout legitimately
 /// interleaves side-trace blocks into the core's span (costing up to
 /// about 2x on the bundled workloads); the pass only warns past
-/// **twice** the minimum plus [`ALIGN_SLACK_LINES`], where the spine
+/// **twice** the minimum plus `ALIGN_SLACK_LINES`, where the spine
 /// is genuinely scattered rather than merely diluted. Cores larger
 /// than the cache are IPA301's finding, not ours.
 pub struct LoopLineStraddle;
@@ -417,7 +417,7 @@ impl Pass for LoopLineStraddle {
 /// the fetch stream. This pass measures, per executed function, how
 /// many zero-weight bytes sit strictly inside the span covered by its
 /// executed blocks, and warns when they exceed a full cache line and
-/// [`COLD_SPAN_FRACTION`] of the span.
+/// `COLD_SPAN_FRACTION` of the span.
 pub struct HotColdInterleave;
 
 impl Pass for HotColdInterleave {
@@ -502,7 +502,7 @@ impl Pass for HotColdInterleave {
 /// the placement is only blamed when its bound both crosses
 /// [`ConflictConfig::traffic_bound_warn`] **and** exceeds the
 /// natural-order baseline of the same program by
-/// [`TRAFFIC_OVER_NATURAL`] — an optimizing layout should never fetch
+/// `TRAFFIC_OVER_NATURAL` — an optimizing layout should never fetch
 /// meaningfully more than unoptimized code.
 pub struct StaticTrafficBound;
 

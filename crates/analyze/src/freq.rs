@@ -205,7 +205,7 @@ fn branch_arm_probability(
 /// and would need tens of thousands of Jacobi sweeps. Structurally
 /// infinite loops (no exit edge) make the system singular; the
 /// near-zero pivot is floored so their frequency comes out huge but
-/// finite, then clamped to [`FREQ_CLAMP`].
+/// finite, then clamped to `FREQ_CLAMP`.
 #[must_use]
 pub fn local_frequencies(
     func: &Function,

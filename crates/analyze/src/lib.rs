@@ -1,8 +1,7 @@
 //! Pass-based static analysis and lints for the IMPACT-I pipeline.
 //!
-//! The reproduction's artifacts — [`Program`](impact_ir::Program)s,
-//! [`Profile`](impact_profile::Profile)s, trace assignments, and
-//! [`Placement`](impact_layout::placement::Placement)s — obey invariants
+//! The reproduction's artifacts — [`Program`]s, [`Profile`]s, trace
+//! assignments, and [`Placement`]s — obey invariants
 //! that the rest of the codebase mostly asserts in tests or not at all.
 //! This crate makes them first-class: each invariant is a [`Pass`] with a
 //! stable diagnostic code, and a [`Registry`] runs passes over a

@@ -1,16 +1,14 @@
-//! Persistent keys and payload codecs for the on-disk evaluation store.
+//! Trace keys and payload codecs for the evaluation session and its
+//! on-disk store.
 //!
-//! The in-memory session fingerprint ([`session::fingerprint`]) rides
-//! `std::hash`, whose output is explicitly not a committed format — fine
-//! for a per-process memo accelerator, useless for naming files that
-//! outlive the process. This module derives the *stable* 256-bit keys
-//! the store needs by feeding the exact same structural fields through
-//! [`impact_store::KeyWriter`]'s canonical encoding into SHA-256:
+//! Every key is a SHA-256 [`Cid`] over [`impact_store::KeyWriter`]'s
+//! canonical encoding, so it is stable across processes and machines:
 //!
-//! * [`trace_key`] — identifies one evaluation trace, covering
+//! * [`trace_key`] — the one identity of an evaluation trace, covering
 //!   everything the trace depends on (program shape with terminators and
-//!   branch biases, placement addresses, seed, limits), mirroring the
-//!   session fingerprint field-for-field.
+//!   branch biases, placement addresses, seed, limits). The session
+//!   interns keys by it in memory, and the store names files by it on
+//!   disk.
 //! * [`artifact_cid`] / [`result_cid`] — derive the store keys for a
 //!   trace's captured [`RunBuffer`] and for one cache configuration's
 //!   finished statistics over it.
@@ -20,8 +18,6 @@
 //! the artifact's instruction sum, so a frame that passes the store's
 //! checksum but was written by a different (future) layout still decodes
 //! to `None` instead of garbage.
-//!
-//! [`session::fingerprint`]: crate::session::fingerprint
 
 use impact_cache::{AccessSink, Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
 use impact_ir::{Program, Terminator};
@@ -30,9 +26,8 @@ use impact_profile::ExecLimits;
 use impact_store::{kind, Cid, KeyWriter};
 use impact_trace::RunBuffer;
 
-/// Stable 256-bit identity of one evaluation trace: the persistent
-/// counterpart of [`crate::session::fingerprint`] (same fields, committed
-/// encoding).
+/// Stable 256-bit identity of one evaluation trace: equal keys name the
+/// same trace.
 #[must_use]
 pub fn trace_key(program: &Program, placement: &Placement, seed: u64, limits: ExecLimits) -> Cid {
     let mut w = KeyWriter::new("impact.trace.v1");
@@ -244,7 +239,7 @@ mod tests {
     };
 
     #[test]
-    fn trace_keys_separate_what_fingerprints_separate() {
+    fn trace_keys_separate_distinct_traces() {
         let w = impact_workloads::by_name("wc").unwrap();
         let natural = baseline::natural(&w.program);
         let shuffled = baseline::random(&w.program, 0xfeed);
@@ -257,6 +252,9 @@ mod tests {
             ..LIMITS
         };
         assert_ne!(base, trace_key(&w.program, &natural, 1, tighter));
+        let scaled = impact_layout::scale::scale_code(&w.program, 0.5);
+        let scaled_natural = baseline::natural(&scaled);
+        assert_ne!(base, trace_key(&scaled, &scaled_natural, 1, LIMITS));
     }
 
     #[test]

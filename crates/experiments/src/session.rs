@@ -10,10 +10,10 @@
 //! 1. **Plan** — table runners [`request`](SimSession::request) cache
 //!    statistics (or [`request_sink`](SimSession::request_sink) a custom
 //!    [`AccessSink`]) for a `(program, placement, seed, limits)` key and
-//!    receive a handle. Identical keys are interned — detected by a
-//!    structural fingerprint and confirmed by full equality — and the
-//!    requested configurations accumulate into one deduplicated union
-//!    per key.
+//!    receive a handle. Identical keys are interned by their SHA-256
+//!    trace key ([`persist::trace_key`], the same id the on-disk store
+//!    uses) and the requested configurations accumulate into one
+//!    deduplicated union per key.
 //! 2. **Execute** — [`execute`](SimSession::execute) streams every
 //!    pending trace **through the interpreter at most once**, fanning
 //!    keys across up to [`jobs`](SimSession::jobs) scoped threads
@@ -37,14 +37,12 @@
 //! wall-clock with instructions-per-second rates.
 
 use std::any::Any;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
 use impact_cache::{AccessSink, CacheConfig, CacheStats, MultiLane};
-use impact_ir::{Program, Terminator};
+use impact_ir::Program;
 use impact_layout::Placement;
 use impact_profile::ExecLimits;
 use impact_store::{Cid, Store, StoreCounters};
@@ -117,9 +115,9 @@ struct KeyEntry {
     placement: Placement,
     seed: u64,
     limits: ExecLimits,
-    fingerprint: u64,
-    /// Persistent 256-bit key (computed only when a store is attached).
-    cid: Option<Cid>,
+    /// The key's identity: [`persist::trace_key`] of the four fields
+    /// above, in memory and on disk alike.
+    cid: Cid,
     /// Union of requested configurations, deduplicated, request order.
     configs: Vec<CacheConfig>,
     /// Statistics for `configs[..simulated]`.
@@ -176,8 +174,9 @@ impl SimMode {
 /// One trace delivery performed by [`SimSession::execute`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRecord {
-    /// Key fingerprint (hex), stable within a process run.
-    pub fingerprint: String,
+    /// The streamed trace's key ([`persist::trace_key`]), stable across
+    /// processes.
+    pub trace: Cid,
     /// Evaluation input seed of the streamed trace.
     pub seed: u64,
     /// Cache configurations simulated during this stream.
@@ -305,6 +304,82 @@ impl SimMetrics {
         per_sec(self.instructions_replayed, self.replay_nanos)
     }
 
+    /// Share of requested config results served from the memo (0.0
+    /// before any request).
+    #[must_use]
+    pub fn memo_hit_rate(&self) -> f64 {
+        if self.configs_requested == 0 {
+            0.0
+        } else {
+            self.memo_served as f64 / self.configs_requested as f64
+        }
+    }
+
+    /// Every counter and rate as JSON fields, with the attached store's
+    /// counters spliced flat (`store_*`) so dashboards can grep them. The
+    /// one rendering of the session counters: the `repro --metrics`
+    /// document appends the per-delivery and per-table lists to it, and
+    /// `impact serve` renders its `/metrics` `sim` object from it as is.
+    #[must_use]
+    pub fn counter_fields(&self) -> Vec<(String, Json)> {
+        let fields = [
+            ("jobs", self.jobs.to_json()),
+            ("requests", self.requests.to_json()),
+            ("unique_traces", self.unique_traces.to_json()),
+            ("traces_streamed", self.traces_streamed.to_json()),
+            ("restreams", self.restreams.to_json()),
+            ("replays", self.replays.to_json()),
+            ("disk_served", self.disk_served.to_json()),
+            ("artifacts_loaded", self.artifacts_loaded.to_json()),
+            ("memo_key_hits", self.memo_key_hits.to_json()),
+            ("configs_requested", self.configs_requested.to_json()),
+            ("configs_simulated", self.configs_simulated.to_json()),
+            ("memo_served", self.memo_served.to_json()),
+            ("memo_hit_rate", self.memo_hit_rate().to_json()),
+            ("instructions", self.instructions.to_json()),
+            (
+                "instructions_interpreted",
+                self.instructions_interpreted.to_json(),
+            ),
+            (
+                "instructions_replayed",
+                self.instructions_replayed.to_json(),
+            ),
+            (
+                "instructions_memo_served",
+                self.instructions_memo_served.to_json(),
+            ),
+            (
+                "instructions_disk_served",
+                self.instructions_disk_served.to_json(),
+            ),
+            ("interp_nanos", self.interp_nanos.to_json()),
+            ("replay_nanos", self.replay_nanos.to_json()),
+            ("disk_nanos", self.disk_nanos.to_json()),
+            (
+                "interpreted_instrs_per_sec",
+                self.interpreted_instrs_per_sec().to_json(),
+            ),
+            (
+                "replayed_instrs_per_sec",
+                self.replayed_instrs_per_sec().to_json(),
+            ),
+            ("artifacts_stored", self.artifacts_stored.to_json()),
+            ("artifact_bytes", self.artifact_bytes.to_json()),
+            ("sim_nanos", self.sim_nanos.to_json()),
+            ("wall_nanos", self.wall_nanos.to_json()),
+            ("instrs_per_sec", self.instrs_per_sec().to_json()),
+        ];
+        let mut fields: Vec<(String, Json)> = fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        if let Some(Json::Obj(store)) = self.store.as_ref().map(StoreCounters::to_json) {
+            fields.extend(store);
+        }
+        fields
+    }
+
     /// Multi-line human summary (the `repro` stderr report).
     #[must_use]
     pub fn render_summary(&self) -> String {
@@ -387,7 +462,7 @@ fn per_sec(count: u64, nanos: u64) -> f64 {
 impl ToJson for SimRecord {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("fingerprint".into(), self.fingerprint.to_json()),
+            ("trace".into(), self.trace.to_hex().to_json()),
             ("seed".into(), self.seed.to_json()),
             ("configs".into(), self.configs.to_json()),
             ("sinks".into(), self.sinks.to_json()),
@@ -411,61 +486,9 @@ impl ToJson for TableRecord {
 
 impl ToJson for SimMetrics {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("jobs".into(), self.jobs.to_json()),
-            ("requests".into(), self.requests.to_json()),
-            ("unique_traces".into(), self.unique_traces.to_json()),
-            ("traces_streamed".into(), self.traces_streamed.to_json()),
-            ("restreams".into(), self.restreams.to_json()),
-            ("replays".into(), self.replays.to_json()),
-            ("disk_served".into(), self.disk_served.to_json()),
-            ("artifacts_loaded".into(), self.artifacts_loaded.to_json()),
-            ("memo_key_hits".into(), self.memo_key_hits.to_json()),
-            ("configs_requested".into(), self.configs_requested.to_json()),
-            ("configs_simulated".into(), self.configs_simulated.to_json()),
-            ("memo_served".into(), self.memo_served.to_json()),
-            ("instructions".into(), self.instructions.to_json()),
-            (
-                "instructions_interpreted".into(),
-                self.instructions_interpreted.to_json(),
-            ),
-            (
-                "instructions_replayed".into(),
-                self.instructions_replayed.to_json(),
-            ),
-            (
-                "instructions_memo_served".into(),
-                self.instructions_memo_served.to_json(),
-            ),
-            (
-                "instructions_disk_served".into(),
-                self.instructions_disk_served.to_json(),
-            ),
-            ("interp_nanos".into(), self.interp_nanos.to_json()),
-            ("replay_nanos".into(), self.replay_nanos.to_json()),
-            ("disk_nanos".into(), self.disk_nanos.to_json()),
-            (
-                "interpreted_instrs_per_sec".into(),
-                self.interpreted_instrs_per_sec().to_json(),
-            ),
-            (
-                "replayed_instrs_per_sec".into(),
-                self.replayed_instrs_per_sec().to_json(),
-            ),
-            ("artifacts_stored".into(), self.artifacts_stored.to_json()),
-            ("artifact_bytes".into(), self.artifact_bytes.to_json()),
-            ("sim_nanos".into(), self.sim_nanos.to_json()),
-            ("wall_nanos".into(), self.wall_nanos.to_json()),
-            ("instrs_per_sec".into(), self.instrs_per_sec().to_json()),
-            ("simulations".into(), self.simulations.to_json()),
-            ("tables".into(), self.tables.to_json()),
-        ];
-        if let Some(store) = &self.store {
-            // Spliced flat so dashboards can grep `store_*` directly.
-            if let Json::Obj(store_fields) = store.to_json() {
-                fields.extend(store_fields);
-            }
-        }
+        let mut fields = self.counter_fields();
+        fields.push(("simulations".into(), self.simulations.to_json()));
+        fields.push(("tables".into(), self.tables.to_json()));
         Json::Obj(fields)
     }
 }
@@ -475,27 +498,8 @@ impl ToJson for SimMetrics {
 pub struct SimSession {
     jobs: usize,
     keys: Vec<KeyEntry>,
-    /// Fingerprint → candidate key indices (equality-confirmed on use).
-    by_fp: HashMap<u64, Vec<usize>>,
-    requests: u64,
-    memo_key_hits: u64,
-    configs_requested: u64,
-    memo_served: u64,
-    traces_streamed: u64,
-    restreams: u64,
-    replays: u64,
-    disk_served: u64,
-    artifacts_loaded: u64,
-    instructions: u64,
-    instructions_interpreted: u64,
-    instructions_replayed: u64,
-    instructions_memo_served: u64,
-    instructions_disk_served: u64,
-    interp_nanos: u64,
-    replay_nanos: u64,
-    disk_nanos: u64,
-    sim_nanos: u64,
-    wall_nanos: u64,
+    /// Trace key → index into `keys`.
+    by_cid: HashMap<Cid, usize>,
     /// Bytes currently held by stored artifacts.
     artifact_bytes: usize,
     /// Cap on artifact memory; 0 disables capture.
@@ -504,8 +508,12 @@ pub struct SimSession {
     /// artifacts are written through, pending demands are answered from
     /// it before any trace streams.
     store: Option<Arc<Store>>,
-    simulations: Vec<SimRecord>,
-    tables: Vec<TableRecord>,
+    /// The counters and records, updated in place. Fields that follow
+    /// from the session's state (`jobs`, `unique_traces`,
+    /// `memo_key_hits`, `configs_simulated`, `sim_nanos`, the artifact
+    /// gauges and `store`) stay zero here; [`SimSession::counters`] fills
+    /// them.
+    metrics: SimMetrics,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -513,8 +521,8 @@ impl std::fmt::Debug for SimSession {
         f.debug_struct("SimSession")
             .field("jobs", &self.jobs)
             .field("keys", &self.keys.len())
-            .field("requests", &self.requests)
-            .field("traces_streamed", &self.traces_streamed)
+            .field("requests", &self.metrics.requests)
+            .field("traces_streamed", &self.metrics.traces_streamed)
             .finish_non_exhaustive()
     }
 }
@@ -539,31 +547,11 @@ impl SimSession {
         Self {
             jobs: jobs.max(1),
             keys: Vec::new(),
-            by_fp: HashMap::new(),
-            requests: 0,
-            memo_key_hits: 0,
-            configs_requested: 0,
-            memo_served: 0,
-            traces_streamed: 0,
-            restreams: 0,
-            replays: 0,
-            disk_served: 0,
-            artifacts_loaded: 0,
-            instructions: 0,
-            instructions_interpreted: 0,
-            instructions_replayed: 0,
-            instructions_memo_served: 0,
-            instructions_disk_served: 0,
-            interp_nanos: 0,
-            replay_nanos: 0,
-            disk_nanos: 0,
-            sim_nanos: 0,
-            wall_nanos: 0,
+            by_cid: HashMap::new(),
             artifact_bytes: 0,
             artifact_budget: DEFAULT_ARTIFACT_BUDGET,
             store: None,
-            simulations: Vec::new(),
-            tables: Vec::new(),
+            metrics: SimMetrics::default(),
         }
     }
 
@@ -590,12 +578,6 @@ impl SimSession {
         self
     }
 
-    /// The attached persistent store, if any.
-    #[must_use]
-    pub fn store(&self) -> Option<&Arc<Store>> {
-        self.store.as_ref()
-    }
-
     /// The worker-thread cap used by [`SimSession::execute`] (and
     /// available to plan phases that parallelize their own preparation).
     #[must_use]
@@ -620,8 +602,8 @@ impl SimSession {
         configs: &[CacheConfig],
     ) -> SimHandle {
         let key = self.intern(program, placement, seed, limits);
-        self.requests += 1;
-        self.configs_requested += configs.len() as u64;
+        self.metrics.requests += 1;
+        self.metrics.configs_requested += configs.len() as u64;
         let entry = &mut self.keys[key];
         let mut memo = 0u64;
         let mut memo_instrs = 0u64;
@@ -645,8 +627,8 @@ impl SimSession {
                 }
             })
             .collect();
-        self.memo_served += memo;
-        self.instructions_memo_served += memo_instrs;
+        self.metrics.memo_served += memo;
+        self.metrics.instructions_memo_served += memo_instrs;
         SimHandle { key, slots }
     }
 
@@ -662,7 +644,7 @@ impl SimSession {
         sink: S,
     ) -> SinkHandle {
         let key = self.intern(program, placement, seed, limits);
-        self.requests += 1;
+        self.metrics.requests += 1;
         let entry = &mut self.keys[key];
         entry.sinks.push(Some(Box::new(sink)));
         SinkHandle {
@@ -679,35 +661,16 @@ impl SimSession {
         seed: u64,
         limits: ExecLimits,
     ) -> usize {
-        let fp = fingerprint(program, placement, seed, limits);
-        if let Some(candidates) = self.by_fp.get(&fp) {
-            for &i in candidates {
-                let k = &self.keys[i];
-                // The fingerprint is an accelerator; full equality is
-                // what guarantees distinct placements get distinct keys.
-                if k.seed == seed
-                    && k.limits == limits
-                    && k.placement == *placement
-                    && k.program == *program
-                {
-                    self.memo_key_hits += 1;
-                    return i;
-                }
-            }
+        let cid = persist::trace_key(program, placement, seed, limits);
+        if let Some(&i) = self.by_cid.get(&cid) {
+            return i;
         }
         let i = self.keys.len();
-        // The persistent key costs a SHA-256 over the program structure;
-        // only paid once per interned key, and only when a store exists.
-        let cid = self
-            .store
-            .is_some()
-            .then(|| persist::trace_key(program, placement, seed, limits));
         self.keys.push(KeyEntry {
             program: program.clone(),
             placement: placement.clone(),
             seed,
             limits,
-            fingerprint: fp,
             cid,
             configs: Vec::new(),
             stats: Vec::new(),
@@ -717,7 +680,7 @@ impl SimSession {
             instructions: None,
             artifact: None,
         });
-        self.by_fp.entry(fp).or_default().push(i);
+        self.by_cid.insert(cid, i);
         i
     }
 
@@ -757,14 +720,14 @@ impl SimSession {
                 let t0 = Instant::now();
                 if let Some(served) = disk_serve(store, k) {
                     let nanos = t0.elapsed().as_nanos() as u64;
-                    self.disk_served += 1;
-                    self.instructions_disk_served += served.instructions;
-                    self.disk_nanos += nanos;
+                    self.metrics.disk_served += 1;
+                    self.metrics.instructions_disk_served += served.instructions;
+                    self.metrics.disk_nanos += nanos;
                     if served.first_delivery {
-                        self.instructions += served.instructions;
+                        self.metrics.instructions += served.instructions;
                     }
-                    self.simulations.push(SimRecord {
-                        fingerprint: format!("{:016x}", k.fingerprint),
+                    self.metrics.simulations.push(SimRecord {
+                        trace: k.cid,
                         seed: k.seed,
                         configs: served.configs,
                         sinks: 0,
@@ -775,17 +738,15 @@ impl SimSession {
                     continue;
                 }
                 if k.artifact.is_none() && self.artifact_bytes < self.artifact_budget {
-                    if let Some(cid) = &k.cid {
-                        let loaded = store
-                            .get(&persist::artifact_cid(cid))
-                            .and_then(|payload| persist::decode_artifact(&payload));
-                        if let Some(buf) = loaded {
-                            let bytes = buf.bytes();
-                            if self.artifact_bytes + bytes <= self.artifact_budget {
-                                self.artifact_bytes += bytes;
-                                self.artifacts_loaded += 1;
-                                k.artifact = Some(buf);
-                            }
+                    let loaded = store
+                        .get(&persist::artifact_cid(&k.cid))
+                        .and_then(|payload| persist::decode_artifact(&payload));
+                    if let Some(buf) = loaded {
+                        let bytes = buf.bytes();
+                        if self.artifact_bytes + bytes <= self.artifact_budget {
+                            self.artifact_bytes += bytes;
+                            self.metrics.artifacts_loaded += 1;
+                            k.artifact = Some(buf);
                         }
                     }
                 }
@@ -857,30 +818,29 @@ impl SimSession {
             let k = &mut self.keys[i];
             match mode {
                 SimMode::Interpreted => {
-                    self.traces_streamed += 1;
-                    self.instructions_interpreted += instructions;
-                    self.interp_nanos += nanos;
+                    self.metrics.traces_streamed += 1;
+                    self.metrics.instructions_interpreted += instructions;
+                    self.metrics.interp_nanos += nanos;
                     if k.instructions.is_some() {
-                        self.restreams += 1;
+                        self.metrics.restreams += 1;
                     } else {
-                        self.instructions += instructions;
+                        self.metrics.instructions += instructions;
                     }
                 }
                 SimMode::Replayed => {
-                    self.replays += 1;
-                    self.instructions_replayed += instructions;
-                    self.replay_nanos += nanos;
+                    self.metrics.replays += 1;
+                    self.metrics.instructions_replayed += instructions;
+                    self.metrics.replay_nanos += nanos;
                     // With a persistent store, a key's *first* delivery
                     // can be a replay (artifact reloaded from disk).
                     if k.instructions.is_none() {
-                        self.instructions += instructions;
+                        self.metrics.instructions += instructions;
                     }
                 }
                 SimMode::DiskServed => unreachable!("disk-served keys never stream"),
             }
-            self.sim_nanos += nanos;
-            self.simulations.push(SimRecord {
-                fingerprint: format!("{:016x}", k.fingerprint),
+            self.metrics.simulations.push(SimRecord {
+                trace: k.cid,
                 seed: k.seed,
                 configs: (k.configs.len() - k.simulated) as u64,
                 sinks: sinks.len() as u64,
@@ -906,22 +866,22 @@ impl SimSession {
             // Write-through: persist this round's finished results and
             // the key's artifact. Best-effort — a full or read-only
             // store disk degrades to cold behavior, never to an error.
-            if let (Some(store), Some(cid)) = (&store, &k.cid) {
+            if let Some(store) = &store {
                 for (config, stats) in k.configs[first_new..].iter().zip(&k.stats[first_new..]) {
                     let _ = store.put(
-                        &persist::result_cid(cid, config),
+                        &persist::result_cid(&k.cid, config),
                         &persist::encode_result(stats, instructions),
                     );
                 }
                 if let Some(buf) = &k.artifact {
-                    let acid = persist::artifact_cid(cid);
+                    let acid = persist::artifact_cid(&k.cid);
                     if !store.contains(&acid) {
                         let _ = store.put(&acid, &persist::encode_artifact(buf));
                     }
                 }
             }
         }
-        self.wall_nanos += wall.elapsed().as_nanos() as u64;
+        self.metrics.wall_nanos += wall.elapsed().as_nanos() as u64;
     }
 
     /// Statistics for a request, in its requested config order.
@@ -985,44 +945,41 @@ impl SimSession {
     /// Records one table's plan/render timing (the `runner` driver calls
     /// this; it feeds the per-table metrics).
     pub fn record_table(&mut self, label: &str, plan_nanos: u64, render_nanos: u64) {
-        self.tables.push(TableRecord {
+        self.metrics.tables.push(TableRecord {
             label: label.to_owned(),
             plan_nanos,
             render_nanos,
         });
     }
 
-    /// Snapshot of the session's observability counters.
+    /// Snapshot of the session's observability counters and records.
     #[must_use]
     pub fn metrics(&self) -> SimMetrics {
         SimMetrics {
+            simulations: self.metrics.simulations.clone(),
+            tables: self.metrics.tables.clone(),
+            ..self.counters()
+        }
+    }
+
+    /// [`SimSession::metrics`] without the per-delivery and per-table
+    /// records, which grow without bound in a long-lived service.
+    #[must_use]
+    pub fn counters(&self) -> SimMetrics {
+        SimMetrics {
             jobs: self.jobs as u64,
-            requests: self.requests,
             unique_traces: self.keys.len() as u64,
-            traces_streamed: self.traces_streamed,
-            restreams: self.restreams,
-            replays: self.replays,
-            memo_key_hits: self.memo_key_hits,
-            configs_requested: self.configs_requested,
+            // Every request interns exactly once, and each intern either
+            // adds a key or hits one.
+            memo_key_hits: self.metrics.requests - self.keys.len() as u64,
             configs_simulated: self.keys.iter().map(|k| k.simulated as u64).sum(),
-            memo_served: self.memo_served,
-            instructions: self.instructions,
-            instructions_interpreted: self.instructions_interpreted,
-            instructions_replayed: self.instructions_replayed,
-            instructions_memo_served: self.instructions_memo_served,
-            sim_nanos: self.sim_nanos,
-            interp_nanos: self.interp_nanos,
-            replay_nanos: self.replay_nanos,
-            wall_nanos: self.wall_nanos,
+            sim_nanos: self.metrics.interp_nanos + self.metrics.replay_nanos,
             artifacts_stored: self.keys.iter().filter(|k| k.artifact.is_some()).count() as u64,
             artifact_bytes: self.artifact_bytes as u64,
-            disk_served: self.disk_served,
-            artifacts_loaded: self.artifacts_loaded,
-            instructions_disk_served: self.instructions_disk_served,
-            disk_nanos: self.disk_nanos,
             store: self.store.as_ref().map(|s| s.counters()),
-            simulations: self.simulations.clone(),
-            tables: self.tables.clone(),
+            simulations: Vec::new(),
+            tables: Vec::new(),
+            ..self.metrics
         }
     }
 }
@@ -1047,7 +1004,7 @@ fn disk_serve(store: &Store, k: &mut KeyEntry) -> Option<DiskServe> {
     if k.streamed_sinks < k.sinks.len() {
         return None;
     }
-    let cid = k.cid.as_ref()?;
+    let cid = &k.cid;
     let pending = &k.configs[k.simulated..];
     if pending.is_empty() {
         // Pending only for its trace length (an empty-config request in
@@ -1141,16 +1098,10 @@ impl SharedSimSession {
         s.counted(&handle)
     }
 
-    /// Snapshot of the underlying session's observability counters.
+    /// The underlying session's [`SimSession::counters`].
     #[must_use]
-    pub fn metrics(&self) -> SimMetrics {
-        self.lock().metrics()
-    }
-
-    /// Runs `f` with the locked session (for callers that need the full
-    /// plan / execute / serve API, e.g. to attach sinks).
-    pub fn with_session<R>(&self, f: impl FnOnce(&mut SimSession) -> R) -> R {
-        f(&mut self.lock())
+    pub fn counters(&self) -> SimMetrics {
+        self.lock().counters()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SimSession> {
@@ -1160,72 +1111,6 @@ impl SharedSimSession {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Structural fingerprint of an evaluation-trace key.
-///
-/// Covers everything the trace depends on: program shape (block sizes,
-/// terminators, branch biases), the placement's byte addresses, the
-/// input seed, and the execution limits. Freshly constructed placements
-/// (code scaling, `MIN_PROB` sweeps, ablation ladders) therefore get
-/// distinct fingerprints unless they are genuinely identical — and key
-/// identity is always confirmed by full structural equality, so a hash
-/// collision can never alias two different traces.
-#[must_use]
-pub fn fingerprint(program: &Program, placement: &Placement, seed: u64, limits: ExecLimits) -> u64 {
-    // DefaultHasher::new() uses fixed keys: deterministic per process.
-    let mut h = DefaultHasher::new();
-    program.function_count().hash(&mut h);
-    program.entry().index().hash(&mut h);
-    for (fid, func) in program.functions() {
-        func.name().hash(&mut h);
-        func.entry().index().hash(&mut h);
-        func.block_count().hash(&mut h);
-        for (bid, block) in func.blocks() {
-            block.instr_count().hash(&mut h);
-            hash_terminator(block.terminator(), &mut h);
-            placement.try_addr(fid, bid).hash(&mut h);
-        }
-    }
-    placement.effective_bytes().hash(&mut h);
-    placement.total_bytes().hash(&mut h);
-    seed.hash(&mut h);
-    limits.hash(&mut h);
-    h.finish()
-}
-
-fn hash_terminator(t: &Terminator, h: &mut impl Hasher) {
-    match t {
-        Terminator::Jump { target } => {
-            0u8.hash(h);
-            target.index().hash(h);
-        }
-        Terminator::Branch {
-            taken,
-            not_taken,
-            bias,
-        } => {
-            1u8.hash(h);
-            taken.index().hash(h);
-            not_taken.index().hash(h);
-            bias.base.to_bits().hash(h);
-            bias.input_spread.to_bits().hash(h);
-        }
-        Terminator::Switch { targets } => {
-            2u8.hash(h);
-            for (b, w) in targets {
-                b.index().hash(h);
-                w.hash(h);
-            }
-        }
-        Terminator::Call { callee, ret_to } => {
-            3u8.hash(h);
-            callee.index().hash(h);
-            ret_to.index().hash(h);
-        }
-        Terminator::Return => 4u8.hash(h),
-        Terminator::Exit => 5u8.hash(h),
     }
 }
 
@@ -1433,22 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_scaled_programs() {
-        let w = impact_workloads::by_name("wc").unwrap();
-        let scaled = impact_layout::scale::scale_code(&w.program, 0.5);
-        let p1 = baseline::natural(&w.program);
-        let p2 = baseline::natural(&scaled);
-        assert_ne!(
-            fingerprint(&w.program, &p1, 1, LIMITS),
-            fingerprint(&scaled, &p2, 1, LIMITS)
-        );
-        assert_ne!(
-            fingerprint(&w.program, &p1, 1, LIMITS),
-            fingerprint(&w.program, &p1, 2, LIMITS)
-        );
-    }
-
-    #[test]
     fn shared_session_memoizes_across_threads() {
         let w = impact_workloads::by_name("cmp").unwrap();
         let placement = baseline::natural(&w.program);
@@ -1466,7 +1335,7 @@ mod tests {
                 });
             }
         });
-        let m = shared.metrics();
+        let m = shared.counters();
         assert_eq!(m.traces_streamed, 1, "11 of 12 evaluations memo-served");
         assert_eq!(m.unique_traces, 1);
         assert_eq!(m.requests, 12);
@@ -1529,6 +1398,23 @@ mod tests {
         assert_eq!(m.instructions, cold_len, "unique instructions counted");
         assert_eq!(m.simulations[0].mode, SimMode::DiskServed);
         assert!(m.store.expect("counters").hits >= 2);
+    }
+
+    /// The in-memory memo and the disk tier name a trace by the same id.
+    #[test]
+    fn sessions_with_and_without_a_store_report_the_same_trace_key() {
+        let w = impact_workloads::by_name("cmp").unwrap();
+        let placement = baseline::natural(&w.program);
+        let cfg = [CacheConfig::direct_mapped(2048, 64)];
+        let tmp = TempStore::new("key");
+        let trace = |mut s: SimSession| {
+            let _ = s.request(&w.program, &placement, 25, LIMITS, &cfg);
+            s.execute();
+            s.metrics().simulations[0].trace
+        };
+        let bare = trace(SimSession::new());
+        assert_eq!(bare, trace(SimSession::new().with_store(tmp.open())));
+        assert_eq!(bare, persist::trace_key(&w.program, &placement, 25, LIMITS));
     }
 
     /// A new config over a known trace in a fresh session replays the

@@ -37,7 +37,7 @@ pub struct Plan {
 /// Re-runs the pipeline per `(benchmark, factor)` — fanned across the
 /// session's worker threads — and registers one request per scaled
 /// placement. Each scaled program yields a distinct trace key (the
-/// fingerprint covers block sizes and placement addresses), so the
+/// key covers block sizes and placement addresses), so the
 /// session cannot conflate densities; the 1.0× run reproduces the
 /// standard optimized placement and is served from the shared memo.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {

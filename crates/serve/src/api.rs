@@ -142,7 +142,7 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
         ("POST", "/v1/analyze") => (Endpoint::Analyze, analyze(req)),
         ("POST", "/v1/advise") => (Endpoint::Advise, advise(req)),
         ("GET", "/metrics") => {
-            let mut doc = state.metrics.to_json(&state.session.metrics());
+            let mut doc = state.metrics.to_json(&state.session.counters());
             if let Json::Obj(fields) = &mut doc {
                 fields.push(("response_cache".to_string(), state.rcache.to_json()));
                 if let Some(shard) = &state.shard {
@@ -463,7 +463,7 @@ fn simulate(state: &AppState, req: &Request) -> Response {
 
 /// The `POST /v1/simulate` response document. Public so the integration
 /// tests (and any client) can rebuild the expected bytes from a direct
-/// [`SimSession`](impact_experiments::session::SimSession) evaluation and
+/// [`SimSession`] evaluation and
 /// assert bit-identical service output.
 #[must_use]
 pub fn simulate_response_json(
@@ -829,11 +829,11 @@ mod tests {
         assert_eq!(resp.body, expected.body, "service must be bit-identical");
 
         // A repeat of the same request must not stream a second trace.
-        let streamed = state.session.metrics().traces_streamed;
+        let streamed = state.session.counters().traces_streamed;
         let (_, resp2) = route(&state, &req);
         assert_eq!(resp2.body, resp.body);
-        assert_eq!(state.session.metrics().traces_streamed, streamed);
-        assert!(state.session.metrics().memo_served >= 2);
+        assert_eq!(state.session.counters().traces_streamed, streamed);
+        assert!(state.session.counters().memo_served >= 2);
     }
 
     #[test]

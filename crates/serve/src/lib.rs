@@ -5,7 +5,7 @@
 //! a dependency-free HTTP/1.1 server (plain `std::net` plus one
 //! `poll(2)` wrapper) built as a readiness-polling reactor. One thread
 //! multiplexes every connection over [`poll`]: nonblocking sockets feed
-//! per-connection state machines ([`conn`]) that frame requests
+//! per-connection state machines (`conn`) that frame requests
 //! incrementally — so HTTP/1.1 pipelining works — and buffer response
 //! writes. Parsed requests go to a fixed worker pool through a bounded
 //! dispatch queue that sheds overload with `503` + `Retry-After`; a
@@ -23,10 +23,10 @@
 //!   the same [`impact_analyze::reports_to_json`] call).
 //! - `POST /v1/layout` — the five-step IMPACT-I pipeline, returning the
 //!   placement and its quality metrics.
-//! - `POST /v1/simulate` — cache evaluation through one long-lived,
-//!   fingerprint-keyed
-//!   [`SimSession`](impact_experiments::session::SimSession), so a
-//!   placement evaluated twice is memo-served rather than re-streamed.
+//! - `POST /v1/simulate` — cache evaluation through one long-lived
+//!   [`SimSession`](impact_experiments::session::SimSession), keyed by
+//!   each trace's SHA-256 id, so a placement evaluated twice is
+//!   memo-served rather than re-streamed.
 //! - `GET /metrics` — request counters, global and per-endpoint latency
 //!   histograms, queue depth, connection gauges, response-memo and
 //!   session memo hit rates.

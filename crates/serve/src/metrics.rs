@@ -183,8 +183,10 @@ impl Metrics {
     }
 
     /// The `GET /metrics` document. `session` supplies the evaluation
-    /// engine's memo counters (summarized here — the per-stream records
-    /// grow without bound in a long-lived service, so they stay out).
+    /// engine's counters for the `sim` object (a
+    /// [`SimSession::counters`](impact_experiments::session::SimSession::counters)
+    /// snapshot: the per-stream records grow without bound in a
+    /// long-lived service, so they stay out).
     #[must_use]
     pub fn to_json(&self, session: &SimMetrics) -> Json {
         let by_endpoint = Json::Obj(
@@ -230,78 +232,6 @@ impl Metrics {
         );
         let count = self.latency_count.load(Relaxed);
         let sum = self.latency_sum_us.load(Relaxed);
-        let memo_hit_rate = if session.configs_requested == 0 {
-            0.0
-        } else {
-            session.memo_served as f64 / session.configs_requested as f64
-        };
-        let mut sim_fields = vec![
-            ("unique_traces".to_string(), session.unique_traces.to_json()),
-            (
-                "traces_streamed".to_string(),
-                session.traces_streamed.to_json(),
-            ),
-            ("restreams".to_string(), session.restreams.to_json()),
-            ("replays".to_string(), session.replays.to_json()),
-            ("memo_key_hits".to_string(), session.memo_key_hits.to_json()),
-            (
-                "configs_requested".to_string(),
-                session.configs_requested.to_json(),
-            ),
-            (
-                "configs_simulated".to_string(),
-                session.configs_simulated.to_json(),
-            ),
-            ("memo_served".to_string(), session.memo_served.to_json()),
-            ("memo_hit_rate".to_string(), memo_hit_rate.to_json()),
-            ("disk_served".to_string(), session.disk_served.to_json()),
-            (
-                "artifacts_loaded".to_string(),
-                session.artifacts_loaded.to_json(),
-            ),
-            ("instructions".to_string(), session.instructions.to_json()),
-            (
-                "instructions_interpreted".to_string(),
-                session.instructions_interpreted.to_json(),
-            ),
-            (
-                "instructions_replayed".to_string(),
-                session.instructions_replayed.to_json(),
-            ),
-            (
-                "instructions_memo_served".to_string(),
-                session.instructions_memo_served.to_json(),
-            ),
-            (
-                "instructions_disk_served".to_string(),
-                session.instructions_disk_served.to_json(),
-            ),
-            (
-                "instrs_per_sec".to_string(),
-                session.instrs_per_sec().to_json(),
-            ),
-            (
-                "interpreted_instrs_per_sec".to_string(),
-                session.interpreted_instrs_per_sec().to_json(),
-            ),
-            (
-                "replayed_instrs_per_sec".to_string(),
-                session.replayed_instrs_per_sec().to_json(),
-            ),
-            (
-                "artifacts_stored".to_string(),
-                session.artifacts_stored.to_json(),
-            ),
-            (
-                "artifact_bytes".to_string(),
-                session.artifact_bytes.to_json(),
-            ),
-        ];
-        if let Some(store) = &session.store {
-            if let Json::Obj(fields) = store.to_json() {
-                sim_fields.extend(fields);
-            }
-        }
         Json::Obj(vec![
             (
                 "requests_total".to_string(),
@@ -358,7 +288,7 @@ impl Metrics {
                 }
                 .to_json(),
             ),
-            ("sim".to_string(), Json::Obj(sim_fields)),
+            ("sim".to_string(), Json::Obj(session.counter_fields())),
         ])
     }
 }
@@ -472,5 +402,24 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(0)
         );
+    }
+
+    #[test]
+    fn sim_object_carries_every_session_counter() {
+        let sim = SimMetrics {
+            store: Some(impact_store::StoreCounters::default()),
+            ..SimMetrics::default()
+        };
+        let keys = |doc: &Json| -> Vec<String> {
+            doc.as_obj()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        let mut expected = keys(&sim.to_json());
+        expected.retain(|k| k != "simulations" && k != "tables");
+        let served = Metrics::new().to_json(&sim);
+        assert_eq!(keys(served.get("sim").unwrap()), expected);
     }
 }

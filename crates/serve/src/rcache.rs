@@ -4,8 +4,8 @@
 //! The evaluation engine already memoizes *simulation* (SimSession) and
 //! *trace* work (RunBuffer replay), so by PR 6 a warm `/v1/simulate`
 //! request spends nearly all of its time in the serving layer itself:
-//! decoding the JSON body, parsing the embedded program, fingerprinting
-//! it, and re-rendering the response document (~80 µs of CPU on the
+//! decoding the JSON body, parsing the embedded program, hashing its
+//! trace key, and re-rendering the response document (~80 µs of CPU on the
 //! benchmark box). All of that is a pure function of `(target, body)`
 //! for the POST endpoints — `/v1/lint`, `/v1/layout`, `/v1/simulate`,
 //! and `/v1/analyze` read nothing but the body, and their handlers are

@@ -6,7 +6,7 @@
 //!
 //! - One reactor thread owns the listener and every connection socket,
 //!   multiplexed over `poll(2)` ([`crate::poll`]). Connections are
-//!   nonblocking state machines ([`crate::conn`]): the reactor reads
+//!   nonblocking state machines (`conn`): the reactor reads
 //!   available bytes, frames as many complete requests as arrived
 //!   (pipelining), and flushes buffered responses. An idle keep-alive
 //!   connection costs one pollfd entry — not a thread, not a worker.
@@ -475,7 +475,7 @@ mod tests {
             "{}",
             String::from_utf8_lossy(&first.body)
         );
-        let cold = server.state().session.metrics();
+        let cold = server.state().session.counters();
         assert_eq!(cold.traces_streamed, 1);
         assert_eq!(cold.disk_served, 0);
         server.stop();
@@ -487,7 +487,7 @@ mod tests {
         let again = client.post_json("/v1/simulate", &body).unwrap();
         assert_eq!(again.status, 200);
         assert_eq!(again.body, first.body, "restart must not change bytes");
-        let warm = server.state().session.metrics();
+        let warm = server.state().session.counters();
         assert_eq!(warm.traces_streamed, 0, "no re-streaming after restart");
         assert_eq!(warm.disk_served, 1);
         let store = warm.store.expect("store counters present");
@@ -529,8 +529,8 @@ mod tests {
 
         // Exactly one node simulated; the other proxied its request.
         let (ma, mb) = (
-            server_a.state().session.metrics(),
-            server_b.state().session.metrics(),
+            server_a.state().session.counters(),
+            server_b.state().session.counters(),
         );
         assert_eq!(ma.traces_streamed + mb.traces_streamed, 1);
         let shard_doc = |srv: &Server| srv.state().shard.as_ref().unwrap().to_json();

@@ -130,7 +130,7 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
     // must not touch the evaluation engine again: the reactor answers
     // repeats from the byte-exact response memo (and every repeat body
     // must match the first response bit for bit).
-    let streamed_before = server.state().session.metrics().traces_streamed;
+    let streamed_before = server.state().session.counters().traces_streamed;
     assert_eq!(streamed_before, 1);
     let first_body = resp.body.clone();
     thread::scope(|scope| {
@@ -148,7 +148,7 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
             });
         }
     });
-    let metrics = server.state().session.metrics();
+    let metrics = server.state().session.counters();
     assert_eq!(
         metrics.traces_streamed, streamed_before,
         "repeat placements must not re-stream"

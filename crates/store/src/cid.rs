@@ -2,9 +2,8 @@
 //!
 //! A [`Cid`] names one store entry. It is the SHA-256 digest of a
 //! *canonical byte encoding* of whatever identifies the entry — for the
-//! evaluation store, the same structural fields the in-memory session
-//! fingerprint hashes (program shape, placement addresses, seed, limits),
-//! written through a [`KeyWriter`] so the encoding is unambiguous:
+//! evaluation store, the structural fields a trace depends on (program
+//! shape, placement addresses, seed, limits), written through a [`KeyWriter`] so the encoding is unambiguous:
 //! every field is either fixed-width little-endian or length-prefixed,
 //! and every key starts with a domain tag so keys of different kinds
 //! (trace artifact vs. per-config result) can never collide by layout.

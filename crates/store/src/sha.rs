@@ -2,10 +2,10 @@
 //!
 //! The store needs a *committed* 256-bit fingerprint: one that is stable
 //! across processes, platforms, and releases, because it names files on
-//! disk that outlive the process that wrote them. The in-memory session
-//! fingerprint (`std::hash`) guarantees none of that — `SipHash` keys and
-//! the hasher itself are explicitly unstable — so persistent keys and
-//! frame checksums use this fixed, specified function instead.
+//! disk that outlive the process that wrote them. `std::hash` guarantees
+//! none of that — `SipHash` keys and the hasher itself are explicitly
+//! unstable — so keys and frame checksums use this fixed, specified
+//! function instead.
 //!
 //! Performance is a non-goal: the store hashes keys (a few hundred bytes
 //! of canonical program structure) and entry payloads (kilobytes), never

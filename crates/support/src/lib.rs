@@ -10,7 +10,7 @@
 //!   `serde`/`serde_json` for the experiment tables and lint output.
 //! * [`check`] — a tiny property-testing harness (seeded generators,
 //!   deterministic shrink-free `forall`) replacing `proptest`.
-//! * [`bench`] — a wall-clock micro-benchmark harness replacing
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness replacing
 //!   `criterion` for the `impact-bench` binaries.
 //! * [`par`] — a deterministic-order, bounded fork/join `parallel_map`
 //!   over scoped threads, replacing `rayon` for the evaluation engine.
