@@ -463,8 +463,7 @@ fn simulate(state: &AppState, req: &Request) -> Response {
 
 /// The `POST /v1/simulate` response document. Public so the integration
 /// tests (and any client) can rebuild the expected bytes from a direct
-/// [`SimSession`] evaluation and
-/// assert bit-identical service output.
+/// [`SimSession`] evaluation and assert bit-identical service output.
 #[must_use]
 pub fn simulate_response_json(
     layout: &str,
