@@ -31,7 +31,7 @@ fn main() {
 
     let inliner = Inliner::new(config.inline.expect("default config inlines"));
     group.bench("inline_to_fixpoint", || {
-        black_box(inliner.run_to_fixpoint(black_box(&workload.program), &profiler))
+        black_box(inliner.run_to_fixpoint(black_box(&workload.program), &profile, &profiler))
     });
 
     let selector = TraceSelector::new();

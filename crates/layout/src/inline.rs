@@ -7,12 +7,16 @@
 //!
 //! The inliner works in passes: each pass consumes a fresh profile, ranks
 //! call sites by dynamic count, and splices the callee body into the
-//! caller for every eligible site. Re-profiling between passes (cheap
-//! here, where "running the program" is interpreting a model) gives exact
-//! weights for call sites exposed by earlier inlining. Recursive callees
-//! — any callee that can reach its caller in the static call graph — are
-//! never inlined, and growth is bounded by a configurable multiple of the
-//! original program size (the paper reports 0–34 % static growth).
+//! caller for every eligible site. The first pass reuses the caller's
+//! profile of the input program; re-profiling before each later pass
+//! (cheap here, where "running the program" is interpreting a model)
+//! gives exact weights for call sites exposed by earlier inlining.
+//! Recursive callees — any callee that can reach its caller in the static
+//! call graph — are never inlined, and growth is bounded by a
+//! configurable multiple of the original program size (the paper reports
+//! 0–34 % static growth).
+
+use std::borrow::Cow;
 
 use impact_ir::{BlockId, FuncId, Function, Program, Terminator};
 use impact_profile::{Profile, ProfileSource};
@@ -76,36 +80,44 @@ impl Inliner {
         &self.config
     }
 
-    /// Runs profile–inline passes to a fixpoint (or `max_passes`),
-    /// re-profiling with `source` before each pass.
+    /// Runs profile–inline passes to a fixpoint (or `max_passes`).
     ///
-    /// The source may be a measured [`Profiler`](impact_profile::Profiler)
-    /// or any other [`ProfileSource`] (e.g. a static estimator) — each
-    /// pass needs fresh weights for the call sites exposed by earlier
-    /// inlining, so the source is re-queried on the transformed program.
+    /// Pass 1 ranks sites by `profile`, which must be `source`'s profile
+    /// of `program`. Every later pass needs fresh weights for the call
+    /// sites exposed by earlier inlining, so it queries `source` on the
+    /// transformed program. The source may be a measured
+    /// [`Profiler`](impact_profile::Profiler) or any other
+    /// [`ProfileSource`] (e.g. a static estimator).
     ///
-    /// Returns the transformed program and the total number of sites
-    /// inlined. The growth bound is measured against the size of the
-    /// program passed in.
+    /// Returns the transformed program, the total number of sites
+    /// inlined, and the profile of the returned program when the fixpoint
+    /// knows it: after a pass that inlined nothing, whose input is the
+    /// output. It is `None` when `max_passes` ran out before such a pass.
+    /// The growth bound is measured against the size of the program
+    /// passed in.
     #[must_use]
     pub fn run_to_fixpoint(
         &self,
         program: &Program,
+        profile: &Profile,
         source: &dyn ProfileSource,
-    ) -> (Program, usize) {
+    ) -> (Program, usize, Option<Profile>) {
         let original_bytes = program.total_bytes();
         let mut current = program.clone();
+        let mut profile = Cow::Borrowed(profile);
         let mut total_sites = 0;
-        for _ in 0..self.config.max_passes {
-            let profile = source.profile(&current);
+        for pass_no in 0..self.config.max_passes {
+            if pass_no > 0 {
+                profile = Cow::Owned(source.profile(&current));
+            }
             let pass = self.expand(&current, &profile, original_bytes);
             total_sites += pass.sites_inlined;
             current = pass.program;
             if pass.sites_inlined == 0 {
-                break;
+                return (current, total_sites, Some(profile.into_owned()));
             }
         }
-        (current, total_sites)
+        (current, total_sites, None)
     }
 
     /// One inlining pass over `program` using `profile` for site weights.
@@ -293,6 +305,13 @@ mod tests {
         Profiler::new().runs(8)
     }
 
+    /// Inlines `p` to a fixpoint with [`profiler`] as the profile source.
+    fn inline(config: InlineConfig, p: &Program) -> (Program, usize) {
+        let (out, sites, _) =
+            Inliner::new(config).run_to_fixpoint(p, &profiler().profile(p), &profiler());
+        (out, sites)
+    }
+
     fn loose_config() -> InlineConfig {
         InlineConfig {
             min_site_count: 8,
@@ -306,7 +325,7 @@ mod tests {
     #[test]
     fn hot_sites_are_inlined() {
         let p = program();
-        let (out, sites) = Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler());
+        let (out, sites) = inline(loose_config(), &p);
         assert!(
             sites >= 2,
             "expected hot and leaf sites inlined, got {sites}"
@@ -320,7 +339,7 @@ mod tests {
     fn inlining_eliminates_most_dynamic_calls() {
         let p = program();
         let before = profiler().profile(&p);
-        let (out, _) = Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler());
+        let (out, _) = inline(loose_config(), &p);
         let after = profiler().profile(&out);
         // The recursive `rec` calls legitimately survive; the hot and
         // leaf sites (over half the dynamic calls) must disappear.
@@ -338,7 +357,7 @@ mod tests {
     #[test]
     fn recursive_callee_is_never_inlined() {
         let p = program();
-        let (out, _) = Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler());
+        let (out, _) = inline(loose_config(), &p);
         let rec = out.function_by_name("rec").unwrap();
         // rec still calls itself, and some call site to rec remains.
         let cg = out.call_graph();
@@ -354,7 +373,7 @@ mod tests {
             min_site_count: 64,
             ..loose_config()
         };
-        let (out, _) = Inliner::new(cfg).run_to_fixpoint(&p, &profiler());
+        let (out, _) = inline(cfg, &p);
         let cold = out.function_by_name("cold").unwrap();
         let cg = out.call_graph();
         // Someone still calls cold (once-per-run site below threshold).
@@ -368,7 +387,7 @@ mod tests {
             max_growth: 1.1,
             ..loose_config()
         };
-        let (out, _) = Inliner::new(cfg).run_to_fixpoint(&p, &profiler());
+        let (out, _) = inline(cfg, &p);
         assert!(
             out.total_bytes() as f64 <= p.total_bytes() as f64 * 1.1 + 1.0,
             "grew from {} to {}",
@@ -384,7 +403,7 @@ mod tests {
             max_passes: 0,
             ..loose_config()
         };
-        let (out, sites) = Inliner::new(cfg).run_to_fixpoint(&p, &profiler());
+        let (out, sites) = inline(cfg, &p);
         assert_eq!(sites, 0);
         assert_eq!(out, p);
     }
@@ -395,7 +414,7 @@ mod tests {
         // similar: main's loop header executes the same count.
         let p = program();
         let before = profiler().profile(&p);
-        let (out, _) = Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler());
+        let (out, _) = inline(loose_config(), &p);
         let after = profiler().profile(&out);
         let b = before.block_weight(p.entry(), BlockId::new(0)) as f64;
         let a = after.block_weight(out.entry(), BlockId::new(0)) as f64;
@@ -435,14 +454,32 @@ mod tests {
         pb.set_entry(mid);
         let p = pb.finish().unwrap();
 
-        let profiler = Profiler::new().runs(8);
-        let (out, sites) = Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler);
+        let (out, sites, known) =
+            Inliner::new(loose_config()).run_to_fixpoint(&p, &profiler().profile(&p), &profiler());
         assert!(sites >= 3, "expected the whole chain inlined, got {sites}");
-        let after = profiler.profile(&out);
+        let after = profiler().profile(&out);
+        assert_eq!(
+            known.as_ref(),
+            Some(&after),
+            "a zero-site pass ends the fixpoint"
+        );
         assert_eq!(
             after.totals.calls, 0,
             "the entire a->b->c chain should collapse into main"
         );
+    }
+
+    #[test]
+    fn exhausted_passes_leave_the_output_profile_unknown() {
+        let p = program();
+        let cfg = InlineConfig {
+            max_passes: 1,
+            ..loose_config()
+        };
+        let (_, sites, known) =
+            Inliner::new(cfg).run_to_fixpoint(&p, &profiler().profile(&p), &profiler());
+        assert!(sites > 0);
+        assert_eq!(known, None);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub enum Checkpoint<'a> {
         profile: &'a Profile,
     },
     /// After Step 2: inline expansion ran (or was skipped) and the
-    /// transformed program has been re-profiled.
+    /// transformed program's profile is in hand.
     Inlined {
         /// The (possibly) inlined program.
         program: &'a Program,
@@ -291,15 +291,21 @@ impl Pipeline {
             profile: &pre_inline_profile,
         });
 
-        // Step 2: function inline expansion (re-profiling between passes).
-        let inlined = match &self.config.inline {
-            Some(cfg) => Inliner::new(*cfg).run_to_fixpoint(program, source).0,
-            None => program.clone(),
+        // Step 2: function inline expansion. Pass 1 ranks sites by the
+        // Step 1 profile; each later pass profiles its own input.
+        let (inlined, known) = match &self.config.inline {
+            Some(cfg) => {
+                let (inlined, _, known) =
+                    Inliner::new(*cfg).run_to_fixpoint(program, &pre_inline_profile, source);
+                (inlined, known)
+            }
+            None => (program.clone(), Some(pre_inline_profile.clone())),
         };
 
-        // Re-profile the transformed program: layout decisions must see
-        // weights for the cloned blocks.
-        let profile = source.profile(&inlined);
+        // Layout decisions must see weights for the cloned blocks. The
+        // fixpoint's last pass already profiled the final program unless
+        // `max_passes` ran out while it was still inlining.
+        let profile = known.unwrap_or_else(|| source.profile(&inlined));
         observer.checkpoint(&Checkpoint::Inlined {
             program: &inlined,
             profile: &profile,

@@ -323,14 +323,14 @@ mod tests {
 
         let profiler = Profiler::new().runs(8);
         let before = profiler.profile(&p);
-        let (after_p, _) = Inliner::new(InlineConfig {
+        let (after_p, _, _) = Inliner::new(InlineConfig {
             min_site_count: 1,
             min_site_fraction: 0.0,
             max_growth: 3.0,
             max_callee_bytes: 4096,
             max_passes: 3,
         })
-        .run_to_fixpoint(&p, &profiler);
+        .run_to_fixpoint(&p, &before, &profiler);
         let after = profiler.profile(&after_p);
         let r = InlineReport::measure(&p, &before, &after_p, &after);
         assert!(r.code_increase > 0.0, "{r:?}");

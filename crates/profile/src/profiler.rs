@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use impact_ir::{BlockId, FuncId, Program};
+use impact_ir::{BlockId, FuncId, Function, Program, Terminator};
 
 use crate::walk::{ExecLimits, ExecSummary, ExecVisitor, Transfer, TransferKind, Walker};
 
@@ -174,60 +174,141 @@ impl Profile {
     }
 }
 
-/// Visitor that accumulates a [`Profile`] during a walk.
-struct ProfileVisitor<'a> {
-    profile: &'a mut Profile,
+/// Dense execution counts of one function, indexed by block.
+struct FunctionCounts {
+    /// Executions per block.
+    blocks: Vec<u64>,
+    /// Times each block's `Call` terminator fired.
+    calls: Vec<u64>,
+    /// First successor slot of each block in `succ`: a `Jump` or `Call`
+    /// has one slot (for a call, its return continuation), a `Branch` two
+    /// (taken, not taken), a `Switch` one per target, and `Return` and
+    /// `Exit` none.
+    first_slot: Vec<usize>,
+    /// Executions per successor slot.
+    succ: Vec<u64>,
+}
+
+impl FunctionCounts {
+    fn new(func: &Function) -> Self {
+        let mut first_slot = Vec::with_capacity(func.block_count());
+        let mut slots = 0;
+        for (_, bb) in func.blocks() {
+            first_slot.push(slots);
+            slots += match bb.terminator() {
+                Terminator::Jump { .. } | Terminator::Call { .. } => 1,
+                Terminator::Branch { .. } => 2,
+                Terminator::Switch { targets } => targets.len(),
+                Terminator::Return | Terminator::Exit => 0,
+            };
+        }
+        Self {
+            blocks: vec![0; func.block_count()],
+            calls: vec![0; func.block_count()],
+            first_slot,
+            succ: vec![0; slots],
+        }
+    }
+}
+
+/// Visitor that counts a walk into per-function dense arrays.
+struct DenseVisitor<'a> {
+    program: &'a Program,
+    counts: &'a mut [FunctionCounts],
     /// Shadow call stack of `(caller, calling block)` so that the
     /// call-continuation arc is recorded only when the callee returns.
     stack: Vec<(FuncId, BlockId)>,
 }
 
-impl ExecVisitor for ProfileVisitor<'_> {
+impl DenseVisitor<'_> {
+    fn count_slot(&mut self, func: FuncId, block: BlockId, offset: usize) {
+        let c = &mut self.counts[func.index()];
+        c.succ[c.first_slot[block.index()] + offset] += 1;
+    }
+}
+
+impl ExecVisitor for DenseVisitor<'_> {
     fn block(&mut self, func: FuncId, block: BlockId) {
-        self.profile.funcs[func.index()].block_counts[block.index()] += 1;
+        self.counts[func.index()].blocks[block.index()] += 1;
     }
 
     fn transfer(&mut self, t: Transfer) {
+        let (func, block) = (t.from_func, t.from_block);
         match t.kind {
+            TransferKind::Jump | TransferKind::BranchTaken => self.count_slot(func, block, 0),
+            TransferKind::BranchNotTaken => self.count_slot(func, block, 1),
+            TransferKind::Switch => {
+                let Terminator::Switch { targets } =
+                    self.program.function(func).block(block).terminator()
+                else {
+                    unreachable!("a switch transfer leaves a switch block");
+                };
+                let (_, to) = t.to.expect("a switch always has a destination");
+                // A repeated target counts against its first slot; the
+                // arc map folds repeats into one key either way.
+                let slot = targets.iter().position(|&(b, _)| b == to);
+                self.count_slot(func, block, slot.expect("the chosen arm is a target"));
+            }
             TransferKind::Call => {
-                let (callee, _) = t.to.expect("call always has a destination");
-                // The continuation block is recovered from the matching
-                // Return transfer; remember who called from where.
-                self.stack.push((t.from_func, t.from_block));
-                *self
-                    .profile
-                    .call_sites
-                    .entry((t.from_func, t.from_block))
-                    .or_insert(0) += 1;
-                *self
-                    .profile
-                    .call_arcs
-                    .entry((t.from_func, callee))
-                    .or_insert(0) += 1;
-                self.profile.funcs[callee.index()].invocations += 1;
+                // The continuation arc is counted on the matching Return;
+                // remember who called from where.
+                self.stack.push((func, block));
+                self.counts[func.index()].calls[block.index()] += 1;
             }
             TransferKind::Return => {
+                // The shadow stack mirrors the walker's, so a return pops
+                // exactly when it resumes a caller.
                 if let Some((caller, call_block)) = self.stack.pop() {
-                    if let Some((to_func, to_block)) = t.to {
-                        debug_assert_eq!(caller, to_func);
-                        *self.profile.funcs[caller.index()]
-                            .arcs
-                            .entry((call_block, to_block))
-                            .or_insert(0) += 1;
-                    }
+                    self.count_slot(caller, call_block, 0);
                 }
             }
-            k if k.is_intra_function() => {
-                if let Some((_, to_block)) = t.to {
-                    *self.profile.funcs[t.from_func.index()]
-                        .arcs
-                        .entry((t.from_block, to_block))
-                        .or_insert(0) += 1;
-                }
-            }
-            _ => {}
+            TransferKind::Exit => {}
         }
     }
+}
+
+/// Builds the [`Profile`] of `program` from its dense counts. Nonzero
+/// counts only become map entries, and arcs that share a key (a repeated
+/// `Switch` target, or `taken == not_taken`) fold into one.
+fn build_profile(program: &Program, counts: Vec<FunctionCounts>) -> Profile {
+    fn add<K: Ord>(map: &mut BTreeMap<K, u64>, key: K, w: u64) {
+        if w > 0 {
+            *map.entry(key).or_insert(0) += w;
+        }
+    }
+    let mut profile = Profile::empty_for(program);
+    for ((fid, func), c) in program.functions().zip(counts) {
+        let mut arcs = BTreeMap::new();
+        for (bid, bb) in func.blocks() {
+            let slots = &c.succ[c.first_slot[bid.index()]..];
+            match bb.terminator() {
+                Terminator::Jump { target } => add(&mut arcs, (bid, *target), slots[0]),
+                Terminator::Branch {
+                    taken, not_taken, ..
+                } => {
+                    add(&mut arcs, (bid, *taken), slots[0]);
+                    add(&mut arcs, (bid, *not_taken), slots[1]);
+                }
+                Terminator::Switch { targets } => {
+                    for (&(to, _), &w) in targets.iter().zip(slots) {
+                        add(&mut arcs, (bid, to), w);
+                    }
+                }
+                Terminator::Call { callee, ret_to } => {
+                    add(&mut arcs, (bid, *ret_to), slots[0]);
+                    let calls = c.calls[bid.index()];
+                    add(&mut profile.call_sites, (fid, bid), calls);
+                    add(&mut profile.call_arcs, (fid, *callee), calls);
+                    profile.funcs[callee.index()].invocations += calls;
+                }
+                Terminator::Return | Terminator::Exit => {}
+            }
+        }
+        let f = &mut profile.funcs[fid.index()];
+        f.block_counts = c.blocks;
+        f.arcs = arcs;
+    }
+    profile
 }
 
 /// A strategy for producing a [`Profile`] of a program.
@@ -315,25 +396,31 @@ impl Profiler {
     /// Profiles `program` over the configured seeds.
     #[must_use]
     pub fn profile(&self, program: &Program) -> Profile {
-        let mut profile = Profile::empty_for(program);
+        let mut counts: Vec<FunctionCounts> = program
+            .functions()
+            .map(|(_, f)| FunctionCounts::new(f))
+            .collect();
+        let mut totals = ExecSummary::default();
+        let walker = Walker::new(program).with_limits(self.limits);
         for run in 0..self.runs {
             let seed = self.base_seed + u64::from(run);
-            let mut visitor = ProfileVisitor {
-                profile: &mut profile,
+            let mut visitor = DenseVisitor {
+                program,
+                counts: &mut counts,
                 stack: Vec::new(),
             };
-            let summary = Walker::new(program)
-                .with_limits(self.limits)
-                .run(seed, &mut visitor);
-            profile.funcs[program.entry().index()].invocations += 1;
-            profile.runs += 1;
-            profile.totals.instructions += summary.instructions;
-            profile.totals.blocks += summary.blocks;
-            profile.totals.intra_transfers += summary.intra_transfers;
-            profile.totals.calls += summary.calls;
-            profile.totals.returns += summary.returns;
-            profile.totals.truncated |= summary.truncated;
+            let summary = walker.run(seed, &mut visitor);
+            totals.instructions += summary.instructions;
+            totals.blocks += summary.blocks;
+            totals.intra_transfers += summary.intra_transfers;
+            totals.calls += summary.calls;
+            totals.returns += summary.returns;
+            totals.truncated |= summary.truncated;
         }
+        let mut profile = build_profile(program, counts);
+        profile.funcs[program.entry().index()].invocations += u64::from(self.runs);
+        profile.runs = self.runs;
+        profile.totals = totals;
         profile
     }
 }

@@ -7,7 +7,7 @@
 //! the same behavior the profile was trained on (under a different input
 //! seed).
 
-use impact_ir::{BlockId, FuncId, Program, Terminator};
+use impact_ir::{site_key, BlockId, FuncId, Program, Terminator};
 use impact_support::Rng;
 
 /// Kind of a dynamic control transfer.
@@ -165,6 +165,7 @@ impl<'p> Walker<'p> {
     /// exceed [`ExecLimits::max_call_depth`] (runaway recursion); the
     /// latter two mark the summary as truncated.
     pub fn run<V: ExecVisitor>(&self, input_seed: u64, visitor: &mut V) -> ExecSummary {
+        let taken_p = self.taken_probabilities(input_seed);
         let mut rng = Rng::seed_from_u64(input_seed ^ 0xD1B5_4A32_D192_ED03);
         let mut summary = ExecSummary::default();
         let mut stack: Vec<(FuncId, BlockId)> = Vec::new();
@@ -181,14 +182,9 @@ impl<'p> Walker<'p> {
             let (kind, to) = match bb.terminator() {
                 Terminator::Jump { target } => (TransferKind::Jump, Some((func, *target))),
                 Terminator::Branch {
-                    taken,
-                    not_taken,
-                    bias,
+                    taken, not_taken, ..
                 } => {
-                    // Branch behavior is keyed by (function name, block),
-                    // so it survives structural renumbering.
-                    let p = bias.effective(input_seed, impact_ir::site_key(f.name(), block));
-                    if rng.gen_f64() < p {
+                    if rng.gen_f64() < taken_p[func.index()][block.index()] {
                         (TransferKind::BranchTaken, Some((func, *taken)))
                     } else {
                         (TransferKind::BranchNotTaken, Some((func, *not_taken)))
@@ -256,6 +252,28 @@ impl<'p> Walker<'p> {
             }
         }
         summary
+    }
+
+    /// The taken probability of every `Branch` block under `input_seed`,
+    /// indexed `[function][block]` (0 for other blocks): computed once per
+    /// walk rather than on every dynamic branch.
+    ///
+    /// Branch behavior is keyed by (function name, block), so it survives
+    /// structural renumbering.
+    fn taken_probabilities(&self, input_seed: u64) -> Vec<Vec<f64>> {
+        self.program
+            .functions()
+            .map(|(_, f)| {
+                f.blocks()
+                    .map(|(id, bb)| match bb.terminator() {
+                        Terminator::Branch { bias, .. } => {
+                            bias.effective(input_seed, site_key(f.name(), id))
+                        }
+                        _ => 0.0,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
