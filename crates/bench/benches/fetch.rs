@@ -15,8 +15,7 @@
 //!    under a [`CaptureSink`] tee (capture overhead), [`RunBuffer`]
 //!    replay (the session's warm path), and replay into one cache.
 //! 3. **table6_cold** — the full Table 6 pipeline through a fresh
-//!    `SimSession`, with artifact capture on (default) and off
-//!    (`with_artifact_budget(0)`, the pre-artifact behavior).
+//!    storeless `SimSession`.
 //!
 //! Run with `--fast` (CI smoke) for a short trace and few repetitions;
 //! the process exits non-zero if the batched path is slower than scalar
@@ -215,9 +214,8 @@ fn main() {
     );
 
     // Section 3: the whole Table 6 pipeline, cold, through a fresh
-    // session — artifacts on (default) vs off (pre-artifact behavior).
-    // Rates come from the session's own sim-time accounting, matching
-    // `repro --metrics`.
+    // session. Rates come from the session's own sim-time accounting,
+    // matching `repro --metrics`.
     let budget = if fast {
         Budget::fast()
     } else {
@@ -231,24 +229,17 @@ fn main() {
         let m = session.metrics();
         (m.instrs_per_sec(), m.instructions)
     };
-    let mut with_artifacts = (0.0f64, 0u64);
-    let mut without_artifacts = (0.0f64, 0u64);
+    let mut cold = (0.0f64, 0u64);
     for _ in 0..reps {
         let run = table6_cold(&mut SimSession::new());
-        if run.0 > with_artifacts.0 {
-            with_artifacts = run;
-        }
-        let run = table6_cold(&mut SimSession::new().with_artifact_budget(0));
-        if run.0 > without_artifacts.0 {
-            without_artifacts = run;
+        if run.0 > cold.0 {
+            cold = run;
         }
     }
     eprintln!(
-        "  table6 cold: {:.2}M instrs/s with artifacts ({} instrs), \
-         {:.2}M instrs/s without",
-        with_artifacts.0 / 1e6,
-        with_artifacts.1,
-        without_artifacts.0 / 1e6,
+        "  table6 cold: {:.2}M instrs/s ({} instrs)",
+        cold.0 / 1e6,
+        cold.1,
     );
 
     let json = Json::Obj(vec![
@@ -282,12 +273,8 @@ fn main() {
         (
             "table6_cold".into(),
             Json::Obj(vec![
-                ("instructions".into(), with_artifacts.1.to_json()),
-                ("instrs_per_sec".into(), with_artifacts.0.to_json()),
-                (
-                    "instrs_per_sec_no_artifacts".into(),
-                    without_artifacts.0.to_json(),
-                ),
+                ("instructions".into(), cold.1.to_json()),
+                ("instrs_per_sec".into(), cold.0.to_json()),
                 // Throughput recorded before this change on the original
                 // hardware, for the speedup claim tracked in
                 // EXPERIMENTS.md.
@@ -295,10 +282,7 @@ fn main() {
                     "pre_artifact_reference_instrs_per_sec".into(),
                     32.0e6.to_json(),
                 ),
-                (
-                    "speedup_vs_reference".into(),
-                    (with_artifacts.0 / 32.0e6).to_json(),
-                ),
+                ("speedup_vs_reference".into(), (cold.0 / 32.0e6).to_json()),
             ]),
         ),
     ]);

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [table1 .. table9 | ablation | paging | estimate | variability | assoc | minprob | static | score | all]
 //!       [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE]
-//!       [--store DIR] [--artifact-budget BYTES]
+//!       [--store DIR]
 //! ```
 //!
 //! * `--fast` caps walk lengths (quick smoke run; ratios are noisier).
@@ -17,9 +17,8 @@
 //! * `--store DIR` attaches a persistent content-addressed store:
 //!   results and trace artifacts are written through, and a repeated
 //!   invocation is answered mostly from disk (`disk_served` in the
-//!   metrics) with byte-identical tables.
-//! * `--artifact-budget BYTES` caps in-memory run-buffer artifacts
-//!   (default 256 MiB; `0` disables capture).
+//!   metrics) with byte-identical tables. New configs over a stored
+//!   trace replay its artifact instead of walking the interpreter.
 //!
 //! All selected tables share one [`SimSession`], so every unique
 //! evaluation trace is streamed exactly once per run no matter how many
@@ -41,7 +40,7 @@ use impact_support::ToJson;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro [table1..table9 | ablation | paging | estimate | variability | assoc | minprob | static | score | all] [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE] [--store DIR] [--artifact-budget BYTES]"
+        "usage: repro [table1..table9 | ablation | paging | estimate | variability | assoc | minprob | static | score | all] [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE] [--store DIR]"
     );
     ExitCode::FAILURE
 }
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
     let mut metrics_file: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut store_dir: Option<String> = None;
-    let mut artifact_budget: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -71,10 +69,6 @@ fn main() -> ExitCode {
             },
             "--store" => match args.next() {
                 Some(dir) => store_dir = Some(dir),
-                None => return usage(),
-            },
-            "--artifact-budget" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(bytes) => artifact_budget = Some(bytes),
                 None => return usage(),
             },
             "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
@@ -139,9 +133,6 @@ fn main() -> ExitCode {
     }
 
     let mut session = SimSession::with_jobs(jobs);
-    if let Some(bytes) = artifact_budget {
-        session = session.with_artifact_budget(bytes);
-    }
     if let Some(dir) = &store_dir {
         match impact_store::Store::open(dir) {
             Ok(store) => session = session.with_store(std::sync::Arc::new(store)),

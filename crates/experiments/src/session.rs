@@ -19,12 +19,14 @@
 //!    keys across up to [`jobs`](SimSession::jobs) scoped threads
 //!    ([`impact_support::parallel_map`]); each stream drives a single
 //!    [`MultiLane`] bank holding the key's config union plus any
-//!    attached sinks, while a [`CaptureSink`] tee records the run
-//!    stream into a [`RunBuffer`] artifact. Keys that gain demands
-//!    *after* their first execution replay the artifact at memcpy
-//!    speed instead of re-walking the interpreter (a session-level
-//!    byte budget caps artifact memory; over budget, late demands fall
-//!    back to re-streaming). Results are stored per key, in
+//!    attached sinks. With an on-disk store attached, the store is the
+//!    only [`RunBuffer`] artifact tier: each work item replays the key's
+//!    persisted artifact when there is one, and otherwise walks under a
+//!    [`CaptureSink`] tee and persists what it captured. No buffer
+//!    outlives its work item, so at most `jobs` are live at once.
+//!    Without a store, a key that gains demands *after* its first
+//!    execution re-walks the interpreter (counted as
+//!    [`SimMetrics::restreams`]). Results are stored per key, in
 //!    deterministic order — with one job the execution is exactly
 //!    today's serial loop.
 //! 3. **Serve** — [`stats`](SimSession::stats),
@@ -50,16 +52,6 @@ use impact_support::json::{Json, ToJson};
 use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
 
 use crate::persist;
-
-/// Default cap on run-buffer artifact memory per session (bytes). Run
-/// buffers cost ~16 bytes per straight-line stretch (~10–15 dynamic
-/// instructions), so the default holds roughly two billion instructions
-/// of unique trace — far beyond a full 16-table `repro` run — while
-/// bounding a long-lived service. Tune with
-/// [`SimSession::with_artifact_budget`]; a budget of `0` disables
-/// capture entirely (every late demand re-streams the interpreter, the
-/// pre-artifact behavior).
-pub const DEFAULT_ARTIFACT_BUDGET: usize = 256 << 20;
 
 /// Ticket for one [`SimSession::request`]: redeem with
 /// [`SimSession::stats`] / [`SimSession::instructions`] after
@@ -130,11 +122,6 @@ struct KeyEntry {
     streamed_sinks: usize,
     /// Trace length, once streamed at least once.
     instructions: Option<u64>,
-    /// Captured run-buffer artifact of this key's trace: recorded on
-    /// the first (interpreter) execution, replayed for every later
-    /// demand. `None` before the first execution, or when storing it
-    /// would exceed the session artifact budget.
-    artifact: Option<RunBuffer>,
 }
 
 impl KeyEntry {
@@ -148,11 +135,11 @@ impl KeyEntry {
 /// How one [`SimRecord`]'s instructions were delivered to the sinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
-    /// First execution of the key: the CFG interpreter walked the
-    /// program (capturing the run-buffer artifact along the way).
+    /// The CFG interpreter walked the program (capturing the run-buffer
+    /// artifact into the attached store along the way, if any).
     Interpreted,
-    /// Later execution of the key: its stored [`RunBuffer`] artifact
-    /// was replayed, no interpreter involved.
+    /// The key's [`RunBuffer`] artifact was loaded from the attached
+    /// store and replayed, no interpreter involved.
     Replayed,
     /// Every pending config result was loaded from the attached on-disk
     /// store: no interpreter, no replay, no trace stream at all.
@@ -221,18 +208,18 @@ pub struct SimMetrics {
     pub unique_traces: u64,
     /// Interpreter trace walks actually performed.
     pub traces_streamed: u64,
-    /// Interpreter re-walks of a key that had already been streamed —
-    /// the artifact-budget fallback path (0 whenever artifacts are on
-    /// and within budget).
+    /// Interpreter re-walks of a key that had already been streamed: a
+    /// late demand (new configs or sinks for a walked trace) that found
+    /// no stored artifact to replay, as always happens without a store.
     pub restreams: u64,
-    /// Artifact replays: late demands served by replaying the key's
-    /// stored run buffer instead of re-walking the interpreter.
+    /// Artifact replays: deliveries served by replaying the key's run
+    /// buffer from the on-disk store instead of walking the interpreter.
     pub replays: u64,
     /// Key deliveries answered entirely from the on-disk store: every
     /// pending config result was loaded and verified, no trace stream.
     pub disk_served: u64,
-    /// Run-buffer artifacts reloaded from the on-disk store (the key
-    /// then replays instead of re-interpreting, even in a new process).
+    /// Run-buffer artifacts loaded from the on-disk store (the key then
+    /// replays instead of re-interpreting, even in a new process).
     pub artifacts_loaded: u64,
     /// Requests that hit an already-interned key.
     pub memo_key_hits: u64,
@@ -245,7 +232,7 @@ pub struct SimMetrics {
     /// Total instructions of unique traces (each counted once).
     pub instructions: u64,
     /// Instructions delivered by interpreter walks (first streams and
-    /// budget-fallback re-streams).
+    /// re-streams).
     pub instructions_interpreted: u64,
     /// Instructions delivered by artifact replays.
     pub instructions_replayed: u64,
@@ -262,13 +249,10 @@ pub struct SimMetrics {
     pub replay_nanos: u64,
     /// Nanoseconds spent loading and verifying disk-served results.
     pub disk_nanos: u64,
-    /// Run-buffer artifacts currently stored.
-    pub artifacts_stored: u64,
-    /// Bytes held by stored artifacts (counted against the budget).
-    pub artifact_bytes: u64,
     /// Total nanoseconds across streams (summed over threads).
     pub sim_nanos: u64,
-    /// Wall-clock nanoseconds inside `execute`.
+    /// Wall-clock nanoseconds inside `execute`, disk-served rounds
+    /// included.
     pub wall_nanos: u64,
     /// One record per trace stream.
     pub simulations: Vec<SimRecord>,
@@ -364,8 +348,6 @@ impl SimMetrics {
                 "replayed_instrs_per_sec",
                 self.replayed_instrs_per_sec().to_json(),
             ),
-            ("artifacts_stored", self.artifacts_stored.to_json()),
-            ("artifact_bytes", self.artifact_bytes.to_json()),
             ("sim_nanos", self.sim_nanos.to_json()),
             ("wall_nanos", self.wall_nanos.to_json()),
             ("instrs_per_sec", self.instrs_per_sec().to_json()),
@@ -428,14 +410,12 @@ impl SimMetrics {
         }
         let _ = write!(
             out,
-            "sim: {} instructions delivered in {:.2?} sim time ({:.2}M instr/s, {} jobs, {:.2?} wall, {} artifacts / {} KiB)",
+            "sim: {} instructions delivered in {:.2?} sim time ({:.2}M instr/s, {} jobs, {:.2?} wall)",
             self.instructions_interpreted + self.instructions_replayed,
             std::time::Duration::from_nanos(self.sim_nanos),
             self.instrs_per_sec() / 1e6,
             self.jobs,
             std::time::Duration::from_nanos(self.wall_nanos),
-            self.artifacts_stored,
-            self.artifact_bytes >> 10,
         );
         out
     }
@@ -500,19 +480,14 @@ pub struct SimSession {
     keys: Vec<KeyEntry>,
     /// Trace key → index into `keys`.
     by_cid: HashMap<Cid, usize>,
-    /// Bytes currently held by stored artifacts.
-    artifact_bytes: usize,
-    /// Cap on artifact memory; 0 disables capture.
-    artifact_budget: usize,
     /// Attached persistent store: finished results and captured
     /// artifacts are written through, pending demands are answered from
-    /// it before any trace streams.
+    /// it before any trace streams. The only artifact tier.
     store: Option<Arc<Store>>,
     /// The counters and records, updated in place. Fields that follow
     /// from the session's state (`jobs`, `unique_traces`,
-    /// `memo_key_hits`, `configs_simulated`, `sim_nanos`, the artifact
-    /// gauges and `store`) stay zero here; [`SimSession::counters`] fills
-    /// them.
+    /// `memo_key_hits`, `configs_simulated`, `sim_nanos` and `store`)
+    /// stay zero here; [`SimSession::counters`] fills them.
     metrics: SimMetrics,
 }
 
@@ -548,30 +523,18 @@ impl SimSession {
             jobs: jobs.max(1),
             keys: Vec::new(),
             by_cid: HashMap::new(),
-            artifact_bytes: 0,
-            artifact_budget: DEFAULT_ARTIFACT_BUDGET,
             store: None,
             metrics: SimMetrics::default(),
         }
     }
 
-    /// Replaces the run-buffer artifact budget (bytes). `0` disables
-    /// artifact capture: every late demand re-streams the interpreter,
-    /// which is the pre-artifact behavior (and the baseline arm of the
-    /// replay benchmarks).
-    #[must_use]
-    pub fn with_artifact_budget(mut self, bytes: usize) -> Self {
-        self.artifact_budget = bytes;
-        self
-    }
-
     /// Attaches a persistent content-addressed store. Pending demands
     /// are answered from it before any trace streams (counted as
     /// [`SimMetrics::disk_served`]), stored artifacts replay in place of
-    /// re-interpretation even in a fresh process, and every finished
-    /// result and captured artifact is written through — so a session in
-    /// a new process starts warm wherever this one (or any other sharing
-    /// the directory) left off.
+    /// re-interpretation (in this session or a fresh process), and every
+    /// finished result and captured artifact is written through — so a
+    /// session in a new process starts warm wherever this one (or any
+    /// other sharing the directory) left off.
     #[must_use]
     pub fn with_store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
@@ -678,7 +641,6 @@ impl SimSession {
             sinks: Vec::new(),
             streamed_sinks: 0,
             instructions: None,
-            artifact: None,
         });
         self.by_cid.insert(cid, i);
         i
@@ -689,34 +651,30 @@ impl SimSession {
     /// deterministic (insertion) order regardless of thread scheduling;
     /// with one job this is a plain serial loop.
     ///
-    /// A key's **first** execution walks the CFG interpreter, capturing
-    /// the run stream into a [`RunBuffer`] artifact while it drives the
-    /// lane bank. Keys that gained configs or sinks *after* already
-    /// being executed **replay** their artifact (counted as
-    /// [`SimMetrics::replays`]) — bit-identical to a re-walk, at memcpy
-    /// speed. Only when the artifact budget kept a buffer from being
-    /// stored does a late demand re-walk the interpreter (counted as
+    /// With a store attached, a key whose every pending config result is
+    /// stored is disk-served without a stream. Any other pending key
+    /// **replays** its persisted [`RunBuffer`] artifact (counted as
+    /// [`SimMetrics::replays`]) — bit-identical to a walk, at memcpy
+    /// speed — or, when none is stored, walks the CFG interpreter under
+    /// a capture tee and persists the artifact. Without a store every
+    /// delivery walks the interpreter, and a key that gained configs or
+    /// sinks after its first execution re-walks it (counted as
     /// [`SimMetrics::restreams`]).
     pub fn execute(&mut self) {
-        // One pending key's mutable pieces: index, a fresh lane bank
-        // over its not-yet-simulated configs, its not-yet-streamed
-        // sinks, and whether a capture should be recorded.
-        type PendingWork = (usize, MultiLane, Vec<Box<dyn SessionSink>>, bool);
+        // One pending key's mutable pieces: index, a fresh lane bank over
+        // its not-yet-simulated configs, and its not-yet-streamed sinks.
+        type PendingWork = (usize, MultiLane, Vec<Box<dyn SessionSink>>);
 
         let wall = Instant::now();
-        // Phase 1: pull the mutable pieces (fresh banks, pending sinks)
-        // out of each pending key. With a store attached, each pending
-        // key first tries the disk: a key whose every pending config
-        // result is already stored is answered without any trace stream,
-        // and a key that must stream anyway reloads its persisted
-        // artifact so the stream is a replay instead of an interpreter
-        // walk — even in a process that never executed the key.
+        let store = self.store.clone();
+        // Phase 1: pull the mutable pieces out of each pending key that
+        // the store cannot answer outright.
         let mut taken: Vec<PendingWork> = Vec::new();
         for (i, k) in self.keys.iter_mut().enumerate() {
             if !k.pending() {
                 continue;
             }
-            if let Some(store) = &self.store {
+            if let Some(store) = &store {
                 let t0 = Instant::now();
                 if let Some(served) = disk_serve(store, k) {
                     let nanos = t0.elapsed().as_nanos() as u64;
@@ -737,84 +695,49 @@ impl SimSession {
                     });
                     continue;
                 }
-                if k.artifact.is_none() && self.artifact_bytes < self.artifact_budget {
-                    let loaded = store
-                        .get(&persist::artifact_cid(&k.cid))
-                        .and_then(|payload| persist::decode_artifact(&payload));
-                    if let Some(buf) = loaded {
-                        let bytes = buf.bytes();
-                        if self.artifact_bytes + bytes <= self.artifact_budget {
-                            self.artifact_bytes += bytes;
-                            self.metrics.artifacts_loaded += 1;
-                            k.artifact = Some(buf);
-                        }
-                    }
-                }
             }
             let bank = MultiLane::new(k.configs[k.simulated..].iter().copied());
             let sinks: Vec<Box<dyn SessionSink>> = k.sinks[k.streamed_sinks..]
                 .iter_mut()
                 .map(|s| s.take().expect("pending sinks cannot have been taken"))
                 .collect();
-            // Capture unless this key already holds an artifact or the
-            // budget is exhausted (the precise size check happens at
-            // filing time; this avoids recording buffers that could
-            // never be stored).
-            let capture = k.artifact.is_none() && self.artifact_bytes < self.artifact_budget;
-            taken.push((i, bank, sinks, capture));
-        }
-        if taken.is_empty() {
-            return;
+            taken.push((i, bank, sinks));
         }
 
-        // Phase 2: deliver each pending key's trace once, in parallel —
-        // replaying its stored artifact when one exists, walking the
-        // interpreter (under a capture tee) otherwise. Work items carry
-        // shared references to their key's program/placement/artifact so
-        // the closure never touches the (non-`Sync`) sink storage.
+        // Phase 2: deliver each pending key's trace once, in parallel.
+        // All artifact work happens inside the key's own work item, so
+        // at most `jobs` run buffers are live at once. Work items carry
+        // shared references to their key's inputs so the closure never
+        // touches the (non-`Sync`) sink storage.
         let work: Vec<_> = taken
             .into_iter()
-            .map(|(i, bank, sinks, capture)| {
+            .map(|(i, bank, sinks)| {
                 let k = &self.keys[i];
-                let gen_inputs = (&k.program, &k.placement, k.seed, k.limits);
-                (i, gen_inputs, k.artifact.as_ref(), bank, sinks, capture)
+                (
+                    i,
+                    (&k.program, &k.placement, k.seed, k.limits, k.cid),
+                    bank,
+                    sinks,
+                )
             })
             .collect();
         let results = impact_support::parallel_map(
             self.jobs,
             work,
-            |(i, (program, placement, seed, limits), artifact, mut bank, mut sinks, capture)| {
-                let t0 = Instant::now();
+            |(i, (program, placement, seed, limits, cid), mut bank, mut sinks)| {
                 let mut fan = Fanout {
                     bank: &mut bank,
                     sinks: &mut sinks,
                 };
-                let (instructions, captured, mode) = match artifact {
-                    Some(buf) => {
-                        buf.replay(&mut fan);
-                        (buf.instructions(), None, SimMode::Replayed)
-                    }
-                    None if capture => {
-                        let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                        let mut buf = RunBuffer::new();
-                        let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut fan));
-                        buf.shrink_to_fit();
-                        (summary.instructions, Some(buf), SimMode::Interpreted)
-                    }
-                    None => {
-                        let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                        let summary = gen.stream(seed, &mut fan);
-                        (summary.instructions, None, SimMode::Interpreted)
-                    }
-                };
-                let nanos = t0.elapsed().as_nanos() as u64;
-                (i, bank, sinks, instructions, nanos, captured, mode)
+                let gen = TraceGenerator::new(program, placement).with_limits(limits);
+                let (instructions, nanos, mode) =
+                    stream_key(store.as_deref(), &gen, seed, &cid, &mut fan);
+                (i, bank, sinks, instructions, nanos, mode)
             },
         );
 
         // Phase 3: file results back, serially, in key order.
-        let store = self.store.clone();
-        for (i, mut bank, sinks, instructions, nanos, captured, mode) in results {
+        for (i, mut bank, sinks, instructions, nanos, mode) in results {
             let k = &mut self.keys[i];
             match mode {
                 SimMode::Interpreted => {
@@ -823,21 +746,18 @@ impl SimSession {
                     self.metrics.interp_nanos += nanos;
                     if k.instructions.is_some() {
                         self.metrics.restreams += 1;
-                    } else {
-                        self.metrics.instructions += instructions;
                     }
                 }
                 SimMode::Replayed => {
                     self.metrics.replays += 1;
+                    self.metrics.artifacts_loaded += 1;
                     self.metrics.instructions_replayed += instructions;
                     self.metrics.replay_nanos += nanos;
-                    // With a persistent store, a key's *first* delivery
-                    // can be a replay (artifact reloaded from disk).
-                    if k.instructions.is_none() {
-                        self.metrics.instructions += instructions;
-                    }
                 }
                 SimMode::DiskServed => unreachable!("disk-served keys never stream"),
+            }
+            if k.instructions.is_none() {
+                self.metrics.instructions += instructions;
             }
             self.metrics.simulations.push(SimRecord {
                 trace: k.cid,
@@ -848,13 +768,6 @@ impl SimSession {
                 nanos,
                 mode,
             });
-            if let Some(buf) = captured {
-                let bytes = buf.bytes();
-                if self.artifact_bytes + bytes <= self.artifact_budget {
-                    self.artifact_bytes += bytes;
-                    k.artifact = Some(buf);
-                }
-            }
             let first_new = k.simulated;
             k.stats.extend(bank.take_stats());
             k.simulated = k.configs.len();
@@ -863,21 +776,15 @@ impl SimSession {
             }
             k.streamed_sinks = k.sinks.len();
             k.instructions = Some(instructions);
-            // Write-through: persist this round's finished results and
-            // the key's artifact. Best-effort — a full or read-only
-            // store disk degrades to cold behavior, never to an error.
+            // Write-through: persist this round's finished results.
+            // Best-effort — a full or read-only store disk degrades to
+            // cold behavior, never to an error.
             if let Some(store) = &store {
                 for (config, stats) in k.configs[first_new..].iter().zip(&k.stats[first_new..]) {
                     let _ = store.put(
                         &persist::result_cid(&k.cid, config),
                         &persist::encode_result(stats, instructions),
                     );
-                }
-                if let Some(buf) = &k.artifact {
-                    let acid = persist::artifact_cid(&k.cid);
-                    if !store.contains(&acid) {
-                        let _ = store.put(&acid, &persist::encode_artifact(buf));
-                    }
                 }
             }
         }
@@ -974,14 +881,45 @@ impl SimSession {
             memo_key_hits: self.metrics.requests - self.keys.len() as u64,
             configs_simulated: self.keys.iter().map(|k| k.simulated as u64).sum(),
             sim_nanos: self.metrics.interp_nanos + self.metrics.replay_nanos,
-            artifacts_stored: self.keys.iter().filter(|k| k.artifact.is_some()).count() as u64,
-            artifact_bytes: self.artifact_bytes as u64,
             store: self.store.as_ref().map(|s| s.counters()),
             simulations: Vec::new(),
             tables: Vec::new(),
             ..self.metrics
         }
     }
+}
+
+/// Streams one key's trace into `sink`, returning the trace length, the
+/// nanoseconds the delivery took and how it was made. With a store, the
+/// key's persisted artifact is replayed when present; otherwise the
+/// interpreter walks under a capture tee and the artifact is written
+/// through (best-effort). The buffer is dropped before returning.
+fn stream_key(
+    store: Option<&Store>,
+    gen: &TraceGenerator<'_>,
+    seed: u64,
+    cid: &Cid,
+    sink: &mut Fanout<'_>,
+) -> (u64, u64, SimMode) {
+    let Some(store) = store else {
+        let t0 = Instant::now();
+        let summary = gen.stream(seed, sink);
+        let nanos = t0.elapsed().as_nanos() as u64;
+        return (summary.instructions, nanos, SimMode::Interpreted);
+    };
+    let acid = persist::artifact_cid(cid);
+    if let Some(buf) = store.get(&acid).and_then(|p| persist::decode_artifact(&p)) {
+        let t0 = Instant::now();
+        buf.replay(sink);
+        let nanos = t0.elapsed().as_nanos() as u64;
+        return (buf.instructions(), nanos, SimMode::Replayed);
+    }
+    let t0 = Instant::now();
+    let mut buf = RunBuffer::new();
+    let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, sink));
+    let nanos = t0.elapsed().as_nanos() as u64;
+    let _ = store.put(&acid, &persist::encode_artifact(&buf));
+    (summary.instructions, nanos, SimMode::Interpreted)
 }
 
 /// What a successful disk serve delivered.
@@ -1070,8 +1008,8 @@ impl SharedSimSession {
         Self::from_session(SimSession::with_jobs(jobs))
     }
 
-    /// Wraps an already-configured session (artifact budget, persistent
-    /// store, ...) — the constructor `impact serve` uses.
+    /// Wraps an already-configured session (e.g. one with a persistent
+    /// store) — the constructor `impact serve` uses.
     #[must_use]
     pub fn from_session(session: SimSession) -> Self {
         Self {
@@ -1239,7 +1177,7 @@ mod tests {
     }
 
     #[test]
-    fn late_demands_replay_the_stored_artifact() {
+    fn storeless_late_demands_rewalk_the_interpreter() {
         let w = impact_workloads::by_name("cmp").unwrap();
         let placement = baseline::natural(&w.program);
         let c1 = [CacheConfig::direct_mapped(2048, 64)];
@@ -1250,45 +1188,13 @@ mod tests {
         let h2 = s.request(&w.program, &placement, 2, LIMITS, &c2);
         s.execute();
         let m = s.metrics();
-        // The first execute interprets (and captures); the late demand
-        // replays the artifact instead of re-walking the interpreter.
-        assert_eq!(m.traces_streamed, 1);
-        assert_eq!(m.replays, 1);
-        assert_eq!(m.restreams, 0);
-        assert_eq!(m.artifacts_stored, 1);
-        assert!(m.artifact_bytes > 0);
-        assert_eq!(m.instructions_interpreted, m.instructions);
-        assert_eq!(m.instructions_replayed, m.instructions);
-        // Replayed results are bit-identical to direct simulation.
-        assert_eq!(
-            s.stats(&h1),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c1)
-        );
-        assert_eq!(
-            s.stats(&h2),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c2)
-        );
-    }
-
-    #[test]
-    fn zero_artifact_budget_falls_back_to_restreaming() {
-        let w = impact_workloads::by_name("cmp").unwrap();
-        let placement = baseline::natural(&w.program);
-        let c1 = [CacheConfig::direct_mapped(2048, 64)];
-        let c2 = [CacheConfig::direct_mapped(512, 64)];
-        let mut s = SimSession::new().with_artifact_budget(0);
-        let h1 = s.request(&w.program, &placement, 2, LIMITS, &c1);
-        s.execute();
-        let h2 = s.request(&w.program, &placement, 2, LIMITS, &c2);
-        s.execute();
-        let m = s.metrics();
-        // No capture possible, so the late demand re-walks: the pre-
-        // artifact behavior, kept as the budget-exhausted fallback.
+        // Without a store there is no artifact to replay: the late demand
+        // walks the interpreter again.
         assert_eq!(m.traces_streamed, 2);
         assert_eq!(m.restreams, 1);
         assert_eq!(m.replays, 0);
-        assert_eq!(m.artifacts_stored, 0);
-        assert_eq!(m.artifact_bytes, 0);
+        assert_eq!(m.artifacts_loaded, 0);
+        assert_eq!(m.instructions_interpreted, 2 * m.instructions);
         assert_eq!(
             s.stats(&h1),
             sim::simulate(&w.program, &placement, 2, LIMITS, &c1)
@@ -1364,6 +1270,73 @@ mod tests {
         }
     }
 
+    #[test]
+    fn store_backed_late_demands_replay_the_stored_artifact() {
+        let w = impact_workloads::by_name("cmp").unwrap();
+        let placement = baseline::natural(&w.program);
+        let c1 = [CacheConfig::direct_mapped(2048, 64)];
+        let c2 = [CacheConfig::direct_mapped(512, 64)];
+        let tmp = TempStore::new("late");
+        let mut s = SimSession::new().with_store(tmp.open());
+        let h1 = s.request(&w.program, &placement, 2, LIMITS, &c1);
+        s.execute();
+        let h2 = s.request(&w.program, &placement, 2, LIMITS, &c2);
+        s.execute();
+        let m = s.metrics();
+        // The first execute interprets and persists the artifact; the
+        // late demand replays it from disk instead of re-walking.
+        assert_eq!(m.traces_streamed, 1);
+        assert_eq!(m.replays, 1);
+        assert_eq!(m.restreams, 0);
+        assert_eq!(m.artifacts_loaded, 1);
+        assert_eq!(m.instructions_interpreted, m.instructions);
+        assert_eq!(m.instructions_replayed, m.instructions);
+        assert_eq!(m.simulations[1].mode, SimMode::Replayed);
+        // Replayed results are bit-identical to direct simulation.
+        assert_eq!(
+            s.stats(&h1),
+            sim::simulate(&w.program, &placement, 2, LIMITS, &c1)
+        );
+        assert_eq!(
+            s.stats(&h2),
+            sim::simulate(&w.program, &placement, 2, LIMITS, &c2)
+        );
+    }
+
+    /// Parallel work items each load and replay their own key's
+    /// artifact from disk.
+    #[test]
+    fn parallel_late_demands_all_replay_from_disk() {
+        let w = impact_workloads::by_name("wc").unwrap();
+        let c1 = [CacheConfig::direct_mapped(2048, 64)];
+        let c2 = [
+            CacheConfig::direct_mapped(512, 64),
+            CacheConfig::direct_mapped(1024, 32),
+        ];
+        let placements: Vec<Placement> = (0..8).map(|k| baseline::random(&w.program, k)).collect();
+        let tmp = TempStore::new("parallel");
+        let mut s = SimSession::with_jobs(4).with_store(tmp.open());
+        for p in &placements {
+            let _ = s.request(&w.program, p, 13, LIMITS, &c1);
+        }
+        s.execute();
+        let walked = s.metrics().traces_streamed;
+        assert!(walked >= 6, "at least 6 distinct keys, got {walked}");
+        let late: Vec<SimHandle> = placements
+            .iter()
+            .map(|p| s.request(&w.program, p, 13, LIMITS, &c2))
+            .collect();
+        s.execute();
+        let m = s.metrics();
+        assert_eq!(m.traces_streamed, walked, "no late demand walks");
+        assert_eq!(m.restreams, 0);
+        assert_eq!(m.replays, walked);
+        assert_eq!(m.artifacts_loaded, walked);
+        for (p, h) in placements.iter().zip(&late) {
+            assert_eq!(s.stats(h), sim::simulate(&w.program, p, 13, LIMITS, &c2));
+        }
+    }
+
     /// A second session over the same store directory — a fresh process,
     /// as far as the session can tell — answers repeated demands from
     /// disk without streaming, bit-identically.
@@ -1397,6 +1370,7 @@ mod tests {
         assert_eq!(m.instructions_disk_served, cold_len);
         assert_eq!(m.instructions, cold_len, "unique instructions counted");
         assert_eq!(m.simulations[0].mode, SimMode::DiskServed);
+        assert!(m.wall_nanos > 0, "a disk-served round is timed");
         assert!(m.store.expect("counters").hits >= 2);
     }
 

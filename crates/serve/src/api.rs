@@ -88,9 +88,6 @@ impl AppState {
     /// entry (or vice versa) is `InvalidInput`.
     pub fn from_config(config: &ServeConfig) -> std::io::Result<Self> {
         let mut session = SimSession::with_jobs(config.sim_jobs);
-        if let Some(bytes) = config.artifact_budget {
-            session = session.with_artifact_budget(bytes);
-        }
         if let Some(dir) = &config.store_dir {
             session = session.with_store(Arc::new(Store::open(dir)?));
         }

@@ -66,9 +66,6 @@ pub struct ServeConfig {
     /// a restarted server answers previously-seen simulate requests from
     /// disk without re-streaming.
     pub store_dir: Option<String>,
-    /// In-memory run-buffer artifact byte budget for the session
-    /// (`None`: the session default; `0` disables capture).
-    pub artifact_budget: Option<usize>,
     /// Shard membership (`host:port` entries, this node included).
     /// Empty disables shard mode.
     pub peers: Vec<String>,
@@ -89,7 +86,6 @@ impl Default for ServeConfig {
             sim_jobs: 1,
             response_cache_bytes: DEFAULT_CACHE_BYTES,
             store_dir: None,
-            artifact_budget: None,
             peers: Vec::new(),
             advertise: None,
         }

@@ -160,44 +160,79 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
     server.stop();
 }
 
+/// Posts two simulate bodies over one trace key (seed 5), each with a
+/// config the other lacks, to a server with or without a store. Both
+/// responses must be byte-identical to a direct `SimSession`
+/// evaluation; returns the `/metrics` `sim` object.
+fn late_config_demand(store_dir: Option<String>) -> Json {
+    let server = Server::start(ServeConfig {
+        workers: 4,
+        queue_cap: 64,
+        store_dir,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let text = program_text();
+    let program = Json::Str(text.clone());
+    let parsed = parse_program(&text).unwrap();
+    let placement = baseline::natural(&parsed);
+    let limits = ExecLimits {
+        max_instructions: 40_000,
+        max_call_depth: 512,
+    };
+    let mut client = Client::connect(server.addr()).unwrap();
+    // The first demand walks the interpreter; the second is the same
+    // trace key with a config the memo has never seen.
+    for size in [2048u64, 1024] {
+        let body = format!(
+            r#"{{"program": {program}, "seed": 5, "max_instrs": 40000,
+               "configs": [{{"size": {size}}}]}}"#
+        );
+        let resp = client.post_json("/v1/simulate", &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let configs = [CacheConfig::direct_mapped(size, 64)];
+        let mut session = SimSession::new();
+        let handle = session.request(&parsed, &placement, 5, limits, &configs);
+        session.execute();
+        let (stats, instructions) = session.counted(&handle);
+        let expected = Response::json(
+            200,
+            &simulate_response_json("natural", 5, &configs, &stats, instructions),
+        );
+        assert_eq!(resp.body, expected.body, "size {size}: bit-identical");
+    }
+    let (_, body) = client.get("/metrics").unwrap();
+    server.stop();
+    let doc = parse_json(std::str::from_utf8(&body).unwrap()).unwrap();
+    doc.get("sim").unwrap().clone()
+}
+
 #[test]
 fn cold_repeat_config_demand_replays_the_stored_artifact() {
-    let server = start();
-    let program = Json::Str(program_text());
-    let mut client = Client::connect(server.addr()).unwrap();
-
-    // First demand walks the interpreter (and captures the artifact).
-    let first = format!(
-        r#"{{"program": {program}, "seed": 5, "max_instrs": 40000,
-           "configs": [{{"size": 2048}}]}}"#
-    );
-    let resp = client.post_json("/v1/simulate", &first).unwrap();
-    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-
-    // Same trace key, a config the memo has never seen: served by
-    // replaying the artifact, not by re-walking the interpreter.
-    let cold = format!(
-        r#"{{"program": {program}, "seed": 5, "max_instrs": 40000,
-           "configs": [{{"size": 1024}}]}}"#
-    );
-    let resp = client.post_json("/v1/simulate", &cold).unwrap();
-    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-
-    let (_, body) = client.get("/metrics").unwrap();
-    let doc = parse_json(std::str::from_utf8(&body).unwrap()).unwrap();
-    let sim = doc.get("sim").unwrap();
+    let dir = std::env::temp_dir().join(format!("impact-serve-late-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sim = late_config_demand(Some(dir.to_str().unwrap().to_string()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The first demand persisted the artifact; the late demand replays
+    // it from disk instead of re-walking the interpreter.
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(1));
     assert!(sim.get("replays").and_then(Json::as_u64).unwrap() >= 1);
+    assert!(sim.get("artifacts_loaded").and_then(Json::as_u64).unwrap() >= 1);
     assert_eq!(sim.get("restreams").and_then(Json::as_u64), Some(0));
-    assert!(sim.get("artifacts_stored").and_then(Json::as_u64).unwrap() >= 1);
-    assert!(sim.get("artifact_bytes").and_then(Json::as_u64).unwrap() > 0);
     assert!(
         sim.get("instructions_replayed")
             .and_then(Json::as_u64)
             .unwrap()
             > 0
     );
-    server.stop();
+}
+
+#[test]
+fn storeless_repeat_config_demand_rewalks_the_trace() {
+    let sim = late_config_demand(None);
+    assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(2));
+    assert_eq!(sim.get("restreams").and_then(Json::as_u64), Some(1));
+    assert_eq!(sim.get("replays").and_then(Json::as_u64), Some(0));
 }
 
 #[test]

@@ -87,16 +87,10 @@ impl RunBuffer {
         self.instructions
     }
 
-    /// Heap bytes held by the recorded runs — what a session-level
-    /// artifact budget should account for.
+    /// Heap bytes held by the recorded runs.
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.runs.capacity() * std::mem::size_of::<(u64, u64)>()
-    }
-
-    /// Drops excess capacity (buffers are recorded once, then read-only).
-    pub fn shrink_to_fit(&mut self) {
-        self.runs.shrink_to_fit();
     }
 }
 

@@ -60,11 +60,11 @@
 //!   --sim-jobs N          streaming threads per evaluation  (default 1)
 //!   --cache-bytes N       response-memo byte budget; 0 off  (default 64 MiB)
 //!   --store DIR           persistent content-addressed result store:
-//!                         finished results are written through, and a
-//!                         restarted server answers previously-seen
-//!                         /v1/simulate bodies from disk
-//!   --artifact-budget N   in-memory run-buffer artifact byte budget
-//!                         (0 disables capture)
+//!                         finished results and trace artifacts are
+//!                         written through; a restarted server answers
+//!                         previously-seen /v1/simulate bodies from disk,
+//!                         and new configs over a stored trace replay
+//!                         its artifact instead of walking it again
 //!   --peers A,B,...       shard membership (host:port list, this node
 //!                         included); each simulate body is routed to
 //!                         its rendezvous owner, others proxy to it
@@ -161,7 +161,7 @@ fn usage() -> ExitCode {
         "usage: impact <report|optimize|sim|viz|trace|simtrace|lint|analyze|advise> <file.impact> [options]\n\
          \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--timeout-ms N]\n\
          \u{20}                   [--read-timeout MS] [--write-timeout MS] [--sim-jobs N] [--cache-bytes N]\n\
-         \u{20}                   [--store DIR] [--artifact-budget N] [--peers A,B,...] [--advertise ADDR]\n\
+         \u{20}                   [--store DIR] [--peers A,B,...] [--advertise ADDR]\n\
          \u{20}      impact store <ls|stat|verify|gc> DIR [--max-bytes N] [--json]\n\
          see `src/bin/impact.rs` header for the option list"
     );
@@ -913,13 +913,6 @@ fn serve(rest: Vec<String>) -> ExitCode {
             "--store" => match value("--store") {
                 Ok(dir) => config.store_dir = Some(dir),
                 Err(code) => return code,
-            },
-            "--artifact-budget" => match value("--artifact-budget").map(|v| v.parse()) {
-                Ok(Ok(bytes)) => config.artifact_budget = Some(bytes),
-                _ => {
-                    eprintln!("impact serve: --artifact-budget must be a byte count (0 disables)");
-                    return ExitCode::FAILURE;
-                }
             },
             "--peers" => match value("--peers") {
                 Ok(list) => {

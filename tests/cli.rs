@@ -239,13 +239,6 @@ fn serve_rejects_bad_flags() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workers must be"));
 
-    let out = impact_bin()
-        .args(["serve", "--artifact-budget", "lots"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--artifact-budget must be"));
-
     // Shard membership needs both halves.
     let out = impact_bin()
         .args(["serve", "--peers", "127.0.0.1:7001"])
@@ -325,9 +318,9 @@ fn serve_with_store_restarts_warm() {
     drop(child.stdin.take());
     assert!(child.wait().expect("serve exits").success());
 
-    // Restarted process, same store, artifact capture off (exercises
-    // --artifact-budget): the repeat is disk-served, byte-identically.
-    let (mut child, addr) = spawn_serve(&["--store", &store_flag, "--artifact-budget", "0"]);
+    // Restarted process, same store: the repeat is disk-served,
+    // byte-identically.
+    let (mut child, addr) = spawn_serve(&["--store", &store_flag]);
     let mut client = Client::connect(addr.parse().unwrap()).expect("connect");
     let again = client.post_json("/v1/simulate", &body).expect("simulate");
     assert_eq!(again.status, 200);
@@ -339,7 +332,7 @@ fn serve_with_store_restarts_warm() {
     let sim = doc.get("sim").expect("sim section");
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(0));
     assert_eq!(sim.get("disk_served").and_then(Json::as_u64), Some(1));
-    assert_eq!(sim.get("artifacts_stored").and_then(Json::as_u64), Some(0));
+    assert_eq!(sim.get("replays").and_then(Json::as_u64), Some(0));
     assert!(sim.get("store_hits").and_then(Json::as_u64).unwrap() >= 2);
 
     drop(child.stdin.take());
