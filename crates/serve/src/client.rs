@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client — just enough to drive the
-//! server from tests, the CI smoke check, and the `loadgen` bench.
+//! server from tests and to relay shard forwards.
 //! Speaks the same dialect the server does: `Content-Length` framing,
 //! keep-alive by default.
 
@@ -110,28 +110,8 @@ impl Client {
         self.request("POST", path, Some(json))
     }
 
-    /// Writes `count` copies of one request back-to-back in a single
-    /// frame (HTTP/1.1 pipelining), without reading any response. Pair
-    /// with `count` calls to [`Client::read_response`].
-    pub fn send_batch(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        count: usize,
-    ) -> io::Result<()> {
-        let body = body.unwrap_or("");
-        let one = format!(
-            "{method} {path} HTTP/1.1\r\nHost: impact-serve\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        let frame = one.repeat(count);
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.flush()
-    }
-
-    /// Reads one response off the connection (the receive half of
-    /// [`Client::send_batch`]; `request` uses it internally).
+    /// Reads one response off the connection (`request` and
+    /// [`Client::request_with_headers`] use it internally).
     pub fn read_response(&mut self) -> io::Result<ClientResponse> {
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {

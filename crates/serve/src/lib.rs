@@ -32,9 +32,8 @@
 //!   session memo hit rates.
 //!
 //! The [`client`] module is a matching minimal HTTP client used by the
-//! integration tests, the CI smoke check, and the `loadgen` benchmark
-//! binary (which writes `BENCH_serve.json`, including the
-//! connection-count sweep).
+//! integration tests and the shard proxy. The service's benchmark is
+//! perfbench (`perfbench/run.py`), which drives its own client.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -53,22 +53,81 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Option<(u16, Vec<u8>)> {
 }
 
 #[test]
-fn two_pipelined_requests_in_one_segment_answer_in_order() {
+fn pipelined_requests_in_one_segment_answer_in_order() {
+    const CONNECTIONS: u64 = 4;
+    const DEPTH: u64 = 16;
+    let program = Json::Str(print_program(
+        &impact_workloads::by_name("cmp").unwrap().program,
+    ));
+    let reference = AppState::new(1);
     let server = default_server();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    // Both requests in a single write: one TCP segment carries two
-    // complete frames, and the responses must come back in order.
-    let frame = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n\
-                 GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
-    stream.write_all(frame.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let (status, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200);
-    assert!(String::from_utf8_lossy(&body).contains("\"ok\""));
-    let (status, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200);
-    assert!(String::from_utf8_lossy(&body).contains("requests_total"));
+    std::thread::scope(|scope| {
+        for conn in 0..CONNECTIONS {
+            let (program, reference, addr) = (&program, &reference, server.addr());
+            scope.spawn(move || {
+                // A mix of memo-able, routed and simulated requests; each
+                // simulate has its own seed, so none repeats another.
+                let requests: Vec<(&str, &str, String)> = (0..DEPTH)
+                    .map(|i| match i % 3 {
+                        0 => ("GET", "/healthz", String::new()),
+                        1 => (
+                            "POST",
+                            "/v1/lint",
+                            format!(r#"{{"program": {program}, "runs": 2, "max_instrs": 40000}}"#),
+                        ),
+                        _ => (
+                            "POST",
+                            "/v1/simulate",
+                            format!(
+                                r#"{{"program": {program}, "seed": {}, "max_instrs": 40000,
+                                   "configs": [{{"size": 1024}}]}}"#,
+                                conn * DEPTH + i
+                            ),
+                        ),
+                    })
+                    .collect();
+                // Every request in a single write: the reactor frames them
+                // all off one buffer, and the responses must come back in
+                // request order.
+                let frame: String = requests
+                    .iter()
+                    .map(|(method, path, body)| {
+                        format!(
+                            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                    })
+                    .collect();
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.set_nodelay(true).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                stream.write_all(frame.as_bytes()).unwrap();
+                let mut reader = BufReader::new(stream);
+                for (i, (method, path, body)) in requests.iter().enumerate() {
+                    let expected = route(
+                        reference,
+                        &Request {
+                            method: (*method).to_string(),
+                            target: (*path).to_string(),
+                            http11: true,
+                            headers: Vec::new(),
+                            body: body.as_bytes().to_vec(),
+                        },
+                    )
+                    .1;
+                    let (status, got) = read_response(&mut reader)
+                        .unwrap_or_else(|| panic!("connection {conn}: response {i} missing"));
+                    assert_eq!(status, expected.status, "connection {conn}, {i}: {path}");
+                    assert_eq!(
+                        got, expected.body,
+                        "connection {conn}, {i}: {path} must be byte-identical and in order"
+                    );
+                }
+            });
+        }
+    });
     server.stop();
 }
 
