@@ -21,7 +21,7 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("serve_warm", "serve_restart")
+WORKLOADS = ("serve_cold", "serve_warm", "serve_restart")
 PAIRS = 3
 SEED = 1
 SECONDS = 2

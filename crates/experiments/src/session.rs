@@ -1,11 +1,12 @@
-//! `SimSession` — the shared, parallel, memoizing evaluation engine
-//! behind every table runner.
+//! `SimSession` — the parallel, plan-time-deduplicating evaluation
+//! engine behind every table runner and every `/v1/simulate`.
 //!
 //! The paper applies "the entire execution traces ... to the cache
 //! simulator"; fifteen table runners each need cache statistics over the
 //! *same* handful of evaluation traces, differing only in which
 //! [`CacheConfig`]s they care about. Re-streaming a multi-million-access
-//! trace per table is pure waste, so the session works in three phases:
+//! trace per table is pure waste, so a session runs three phases, each
+//! once:
 //!
 //! 1. **Plan** — table runners [`request`](SimSession::request) cache
 //!    statistics (or [`request_sink`](SimSession::request_sink) a custom
@@ -14,25 +15,24 @@
 //!    trace key ([`persist::trace_key`], the same id the on-disk store
 //!    uses) and the requested configurations accumulate into one
 //!    deduplicated union per key.
-//! 2. **Execute** — [`execute`](SimSession::execute) streams every
-//!    pending trace **through the interpreter at most once**, fanning
-//!    keys across up to [`jobs`](SimSession::jobs) scoped threads
+//! 2. **Execute** — [`execute`](SimSession::execute), called once,
+//!    delivers every key's trace **once**, fanning keys across up to
+//!    [`jobs`](SimSession::jobs) scoped threads
 //!    ([`impact_support::parallel_map`]); each stream drives a single
 //!    [`MultiLane`] bank holding the key's config union plus any
-//!    attached sinks. With an on-disk store attached, the store is the
-//!    only [`RunBuffer`] artifact tier: each work item replays the key's
+//!    attached sinks. With an on-disk store attached, a key whose
+//!    results are all stored is disk-served, and the store is the only
+//!    [`RunBuffer`] artifact tier: each work item replays the key's
 //!    persisted artifact when there is one, and otherwise walks under a
 //!    [`CaptureSink`] tee and persists what it captured. No buffer
 //!    outlives its work item, so at most `jobs` are live at once.
-//!    Without a store, a key that gains demands *after* its first
-//!    execution re-walks the interpreter (counted as
-//!    [`SimMetrics::restreams`]). Results are stored per key, in
-//!    deterministic order — with one job the execution is exactly
-//!    today's serial loop.
-//! 3. **Serve** — [`stats`](SimSession::stats),
+//!    Results are stored per key, in deterministic order — with one job
+//!    the execution is a plain serial loop.
+//! 3. **Read** — [`stats`](SimSession::stats),
 //!    [`instructions`](SimSession::instructions) and
 //!    [`take_sink`](SimSession::take_sink) hand results back through the
-//!    handles; every duplicate demand is served from the memo.
+//!    handles. Nothing can be planned or executed after `execute`: a new
+//!    demand needs a new session (with a store, it starts warm).
 //!
 //! [`SimMetrics`] exposes the observability layer: traces streamed vs.
 //! memo-served, instructions simulated, and per-table / per-simulation
@@ -112,24 +112,13 @@ struct KeyEntry {
     cid: Cid,
     /// Union of requested configurations, deduplicated, request order.
     configs: Vec<CacheConfig>,
-    /// Statistics for `configs[..simulated]`.
+    /// Statistics for `configs`, filled by execution.
     stats: Vec<CacheStats>,
-    /// Number of leading configs already simulated.
-    simulated: usize,
-    /// Attached sinks (`None` once taken back by the requester).
+    /// Attached sinks (`None` while streaming and once taken back by the
+    /// requester).
     sinks: Vec<Option<Box<dyn SessionSink>>>,
-    /// Number of leading sinks already streamed.
-    streamed_sinks: usize,
-    /// Trace length, once streamed at least once.
-    instructions: Option<u64>,
-}
-
-impl KeyEntry {
-    fn pending(&self) -> bool {
-        self.simulated < self.configs.len()
-            || self.streamed_sinks < self.sinks.len()
-            || self.instructions.is_none()
-    }
+    /// Trace length, filled by execution.
+    instructions: u64,
 }
 
 /// How one [`SimRecord`]'s instructions were delivered to the sinks.
@@ -141,7 +130,7 @@ pub enum SimMode {
     /// The key's [`RunBuffer`] artifact was loaded from the attached
     /// store and replayed, no interpreter involved.
     Replayed,
-    /// Every pending config result was loaded from the attached on-disk
+    /// Every config result was loaded from the attached on-disk
     /// store: no interpreter, no replay, no trace stream at all.
     DiskServed,
 }
@@ -208,38 +197,28 @@ pub struct SimMetrics {
     pub unique_traces: u64,
     /// Interpreter trace walks actually performed.
     pub traces_streamed: u64,
-    /// Interpreter re-walks of a key that had already been streamed: a
-    /// late demand (new configs or sinks for a walked trace) that found
-    /// no stored artifact to replay, as always happens without a store.
-    pub restreams: u64,
-    /// Artifact replays: deliveries served by replaying the key's run
-    /// buffer from the on-disk store instead of walking the interpreter.
+    /// Artifact replays: deliveries served by loading the key's run
+    /// buffer from the on-disk store and replaying it instead of walking
+    /// the interpreter.
     pub replays: u64,
     /// Key deliveries answered entirely from the on-disk store: every
-    /// pending config result was loaded and verified, no trace stream.
+    /// config result was loaded and verified, no trace stream.
     pub disk_served: u64,
-    /// Run-buffer artifacts loaded from the on-disk store (the key then
-    /// replays instead of re-interpreting, even in a new process).
-    pub artifacts_loaded: u64,
     /// Requests that hit an already-interned key.
     pub memo_key_hits: u64,
     /// Config results requested across all `request` calls.
     pub configs_requested: u64,
     /// Distinct configs actually simulated (union sizes summed).
     pub configs_simulated: u64,
-    /// Config results served from the memo instead of a new simulation.
+    /// Config results deduplicated at plan time: a requested config
+    /// already in its key's union, so it rides an existing simulation.
     pub memo_served: u64,
     /// Total instructions of unique traces (each counted once).
     pub instructions: u64,
-    /// Instructions delivered by interpreter walks (first streams and
-    /// re-streams).
+    /// Instructions delivered by interpreter walks.
     pub instructions_interpreted: u64,
     /// Instructions delivered by artifact replays.
     pub instructions_replayed: u64,
-    /// Instructions whose re-simulation was avoided entirely because an
-    /// already-executed config result was memo-served (trace length ×
-    /// memo-served results of executed keys).
-    pub instructions_memo_served: u64,
     /// Instructions whose simulation was avoided because the key was
     /// disk-served (trace length recorded with the stored results).
     pub instructions_disk_served: u64,
@@ -264,6 +243,34 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
+    /// Adds another session's counters into this running total (the one
+    /// `impact serve` keeps over its per-request sessions). Every counter
+    /// is summed; `jobs`, a setting rather than a count, keeps the larger
+    /// cap. The per-delivery and per-table records and the store
+    /// counters are not aggregated: a long-lived total would grow without
+    /// bound, and a store shared by every session reports its own totals.
+    pub fn add(&mut self, other: &SimMetrics) {
+        self.jobs = self.jobs.max(other.jobs);
+        self.requests += other.requests;
+        self.unique_traces += other.unique_traces;
+        self.traces_streamed += other.traces_streamed;
+        self.replays += other.replays;
+        self.disk_served += other.disk_served;
+        self.memo_key_hits += other.memo_key_hits;
+        self.configs_requested += other.configs_requested;
+        self.configs_simulated += other.configs_simulated;
+        self.memo_served += other.memo_served;
+        self.instructions += other.instructions;
+        self.instructions_interpreted += other.instructions_interpreted;
+        self.instructions_replayed += other.instructions_replayed;
+        self.instructions_disk_served += other.instructions_disk_served;
+        self.interp_nanos += other.interp_nanos;
+        self.replay_nanos += other.replay_nanos;
+        self.disk_nanos += other.disk_nanos;
+        self.sim_nanos += other.sim_nanos;
+        self.wall_nanos += other.wall_nanos;
+    }
+
     /// Aggregate delivered instructions per second (interpreted plus
     /// replayed, over total sim time summed across threads).
     #[must_use]
@@ -311,10 +318,8 @@ impl SimMetrics {
             ("requests", self.requests.to_json()),
             ("unique_traces", self.unique_traces.to_json()),
             ("traces_streamed", self.traces_streamed.to_json()),
-            ("restreams", self.restreams.to_json()),
             ("replays", self.replays.to_json()),
             ("disk_served", self.disk_served.to_json()),
-            ("artifacts_loaded", self.artifacts_loaded.to_json()),
             ("memo_key_hits", self.memo_key_hits.to_json()),
             ("configs_requested", self.configs_requested.to_json()),
             ("configs_simulated", self.configs_simulated.to_json()),
@@ -328,10 +333,6 @@ impl SimMetrics {
             (
                 "instructions_replayed",
                 self.instructions_replayed.to_json(),
-            ),
-            (
-                "instructions_memo_served",
-                self.instructions_memo_served.to_json(),
             ),
             (
                 "instructions_disk_served",
@@ -369,10 +370,9 @@ impl SimMetrics {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "sim: {} unique traces, {} streamed ({} re-streams), {} replays, {} disk-served, {} memo key hits",
+            "sim: {} unique traces, {} streamed, {} replays, {} disk-served, {} memo key hits",
             self.unique_traces,
             self.traces_streamed,
-            self.restreams,
             self.replays,
             self.disk_served,
             self.memo_key_hits
@@ -383,16 +383,15 @@ impl SimMetrics {
             self.configs_requested, self.configs_simulated, self.memo_served
         );
         // Per-mode accounting with guarded rates: a session where
-        // everything replays (or is memo-served) must report honest
-        // numbers, not a division by a near-zero interpreter time.
+        // everything replays must report honest numbers, not a division
+        // by a near-zero interpreter time.
         let _ = writeln!(
             out,
-            "sim: interpreted {} instrs ({}), replayed {} ({}), memo-served {} (no sim time)",
+            "sim: interpreted {} instrs ({}), replayed {} ({})",
             self.instructions_interpreted,
             rate_label(self.interpreted_instrs_per_sec()),
             self.instructions_replayed,
             rate_label(self.replayed_instrs_per_sec()),
-            self.instructions_memo_served,
         );
         if let Some(store) = &self.store {
             let _ = writeln!(
@@ -473,29 +472,36 @@ impl ToJson for SimMetrics {
     }
 }
 
-/// The shared, parallel, memoizing evaluation engine. See the module
-/// docs for the plan / execute / serve lifecycle.
+/// The parallel, plan-time-deduplicating evaluation engine. See the
+/// module docs for the plan / execute / read lifecycle.
 pub struct SimSession {
     jobs: usize,
     keys: Vec<KeyEntry>,
     /// Trace key → index into `keys`.
     by_cid: HashMap<Cid, usize>,
     /// Attached persistent store: finished results and captured
-    /// artifacts are written through, pending demands are answered from
-    /// it before any trace streams. The only artifact tier.
+    /// artifacts are written through, and demands are answered from it
+    /// before any trace streams. The only artifact tier.
     store: Option<Arc<Store>>,
+    /// Whether [`SimSession::execute`] has run.
+    executed: bool,
     /// The counters and records, updated in place. Fields that follow
     /// from the session's state (`jobs`, `unique_traces`,
-    /// `memo_key_hits`, `configs_simulated`, `sim_nanos` and `store`)
-    /// stay zero here; [`SimSession::counters`] fills them.
+    /// `memo_key_hits`, `sim_nanos` and `store`) stay zero here;
+    /// [`SimSession::counters`] fills them.
     metrics: SimMetrics,
 }
+
+/// The panic message for a demand or execution after `execute`.
+const ONE_SHOT: &str = "a SimSession plans, executes once, then reads: \
+                        start a new session for demands after execute()";
 
 impl std::fmt::Debug for SimSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimSession")
             .field("jobs", &self.jobs)
             .field("keys", &self.keys.len())
+            .field("executed", &self.executed)
             .field("requests", &self.metrics.requests)
             .field("traces_streamed", &self.metrics.traces_streamed)
             .finish_non_exhaustive()
@@ -524,17 +530,18 @@ impl SimSession {
             keys: Vec::new(),
             by_cid: HashMap::new(),
             store: None,
+            executed: false,
             metrics: SimMetrics::default(),
         }
     }
 
-    /// Attaches a persistent content-addressed store. Pending demands
-    /// are answered from it before any trace streams (counted as
+    /// Attaches a persistent content-addressed store. Demands are
+    /// answered from it before any trace streams (counted as
     /// [`SimMetrics::disk_served`]), stored artifacts replay in place of
-    /// re-interpretation (in this session or a fresh process), and every
-    /// finished result and captured artifact is written through — so a
-    /// session in a new process starts warm wherever this one (or any
-    /// other sharing the directory) left off.
+    /// re-interpretation, and every finished result and captured
+    /// artifact is written through — so a later session, in this process
+    /// or a new one, starts warm wherever this one (or any other sharing
+    /// the directory) left off.
     #[must_use]
     pub fn with_store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
@@ -556,6 +563,10 @@ impl SimSession {
     /// key share one simulated cache. The returned handle redeems the
     /// statistics in the requested config order after
     /// [`SimSession::execute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has already executed.
     pub fn request(
         &mut self,
         program: &Program,
@@ -565,24 +576,14 @@ impl SimSession {
         configs: &[CacheConfig],
     ) -> SimHandle {
         let key = self.intern(program, placement, seed, limits);
-        self.metrics.requests += 1;
         self.metrics.configs_requested += configs.len() as u64;
         let entry = &mut self.keys[key];
         let mut memo = 0u64;
-        let mut memo_instrs = 0u64;
         let slots = configs
             .iter()
             .map(|c| {
                 if let Some(i) = entry.configs.iter().position(|e| e == c) {
                     memo += 1;
-                    if i < entry.simulated {
-                        // The result already exists: an entire
-                        // simulation pass over the trace was avoided.
-                        // (Duplicates that are merely *planned* dedups —
-                        // the key not yet executed — have no known trace
-                        // length yet and count only in `memo_served`.)
-                        memo_instrs += entry.instructions.unwrap_or(0);
-                    }
                     i
                 } else {
                     entry.configs.push(*c);
@@ -591,13 +592,16 @@ impl SimSession {
             })
             .collect();
         self.metrics.memo_served += memo;
-        self.metrics.instructions_memo_served += memo_instrs;
         SimHandle { key, slots }
     }
 
     /// Attaches a custom [`AccessSink`] to the key's trace stream; the
     /// sink observes every fetch address exactly once and is recovered
     /// with [`SimSession::take_sink`] after execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has already executed.
     pub fn request_sink<S: AccessSink + Send + 'static>(
         &mut self,
         program: &Program,
@@ -607,7 +611,6 @@ impl SimSession {
         sink: S,
     ) -> SinkHandle {
         let key = self.intern(program, placement, seed, limits);
-        self.metrics.requests += 1;
         let entry = &mut self.keys[key];
         entry.sinks.push(Some(Box::new(sink)));
         SinkHandle {
@@ -616,7 +619,7 @@ impl SimSession {
         }
     }
 
-    /// Interns the key, returning its index.
+    /// Counts one demand and interns its key, returning the key's index.
     fn intern(
         &mut self,
         program: &Program,
@@ -624,6 +627,8 @@ impl SimSession {
         seed: u64,
         limits: ExecLimits,
     ) -> usize {
+        assert!(!self.executed, "{ONE_SHOT}");
+        self.metrics.requests += 1;
         let cid = persist::trace_key(program, placement, seed, limits);
         if let Some(&i) = self.by_cid.get(&cid) {
             return i;
@@ -637,76 +642,75 @@ impl SimSession {
             cid,
             configs: Vec::new(),
             stats: Vec::new(),
-            simulated: 0,
             sinks: Vec::new(),
-            streamed_sinks: 0,
-            instructions: None,
+            instructions: 0,
         });
         self.by_cid.insert(cid, i);
         i
     }
 
-    /// Delivers every pending trace exactly once, fanning keys across
-    /// up to [`SimSession::jobs`] scoped threads. Results land in
+    /// Delivers every key's trace exactly once, fanning keys across up
+    /// to [`SimSession::jobs`] scoped threads. Results land in
     /// deterministic (insertion) order regardless of thread scheduling;
     /// with one job this is a plain serial loop.
     ///
-    /// With a store attached, a key whose every pending config result is
-    /// stored is disk-served without a stream. Any other pending key
-    /// **replays** its persisted [`RunBuffer`] artifact (counted as
+    /// With a store attached, a key whose every config result is stored
+    /// is disk-served without a stream. Any other key **replays** its
+    /// persisted [`RunBuffer`] artifact (counted as
     /// [`SimMetrics::replays`]) — bit-identical to a walk, at memcpy
     /// speed — or, when none is stored, walks the CFG interpreter under
     /// a capture tee and persists the artifact. Without a store every
-    /// delivery walks the interpreter, and a key that gained configs or
-    /// sinks after its first execution re-walks it (counted as
-    /// [`SimMetrics::restreams`]).
+    /// delivery walks the interpreter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called a second time: a session executes once.
     pub fn execute(&mut self) {
-        // One pending key's mutable pieces: index, a fresh lane bank over
-        // its not-yet-simulated configs, and its not-yet-streamed sinks.
-        type PendingWork = (usize, MultiLane, Vec<Box<dyn SessionSink>>);
+        // One key's mutable pieces: index, a fresh lane bank over its
+        // configs, and its sinks.
+        type Work = (usize, MultiLane, Vec<Box<dyn SessionSink>>);
 
+        assert!(!self.executed, "{ONE_SHOT}");
+        self.executed = true;
         let wall = Instant::now();
         let store = self.store.clone();
-        // Phase 1: pull the mutable pieces out of each pending key that
-        // the store cannot answer outright.
-        let mut taken: Vec<PendingWork> = Vec::new();
+        // Phase 1: pull the mutable pieces out of each key that the store
+        // cannot answer outright.
+        let mut taken: Vec<Work> = Vec::new();
         for (i, k) in self.keys.iter_mut().enumerate() {
-            if !k.pending() {
-                continue;
-            }
+            self.metrics.configs_simulated += k.configs.len() as u64;
             if let Some(store) = &store {
                 let t0 = Instant::now();
-                if let Some(served) = disk_serve(store, k) {
+                if disk_serve(store, k) {
                     let nanos = t0.elapsed().as_nanos() as u64;
                     self.metrics.disk_served += 1;
-                    self.metrics.instructions_disk_served += served.instructions;
+                    self.metrics.instructions += k.instructions;
+                    self.metrics.instructions_disk_served += k.instructions;
                     self.metrics.disk_nanos += nanos;
-                    if served.first_delivery {
-                        self.metrics.instructions += served.instructions;
-                    }
                     self.metrics.simulations.push(SimRecord {
                         trace: k.cid,
                         seed: k.seed,
-                        configs: served.configs,
+                        configs: k.configs.len() as u64,
                         sinks: 0,
-                        instructions: served.instructions,
+                        instructions: k.instructions,
                         nanos,
                         mode: SimMode::DiskServed,
                     });
                     continue;
                 }
             }
-            let bank = MultiLane::new(k.configs[k.simulated..].iter().copied());
-            let sinks: Vec<Box<dyn SessionSink>> = k.sinks[k.streamed_sinks..]
+            let bank = MultiLane::new(k.configs.iter().copied());
+            let sinks: Vec<Box<dyn SessionSink>> = k
+                .sinks
                 .iter_mut()
-                .map(|s| s.take().expect("pending sinks cannot have been taken"))
+                .map(|s| s.take().expect("sinks are only taken after execute"))
                 .collect();
             taken.push((i, bank, sinks));
         }
 
-        // Phase 2: deliver each pending key's trace once, in parallel.
-        // All artifact work happens inside the key's own work item, so
-        // at most `jobs` run buffers are live at once. Work items carry
+        // Phase 2: deliver each key's trace once, in parallel. All
+        // artifact work happens inside the key's own work item, so at
+        // most `jobs` run buffers are live at once. Work items carry
         // shared references to their key's inputs so the closure never
         // touches the (non-`Sync`) sink storage.
         let work: Vec<_> = taken
@@ -744,43 +748,34 @@ impl SimSession {
                     self.metrics.traces_streamed += 1;
                     self.metrics.instructions_interpreted += instructions;
                     self.metrics.interp_nanos += nanos;
-                    if k.instructions.is_some() {
-                        self.metrics.restreams += 1;
-                    }
                 }
                 SimMode::Replayed => {
                     self.metrics.replays += 1;
-                    self.metrics.artifacts_loaded += 1;
                     self.metrics.instructions_replayed += instructions;
                     self.metrics.replay_nanos += nanos;
                 }
                 SimMode::DiskServed => unreachable!("disk-served keys never stream"),
             }
-            if k.instructions.is_none() {
-                self.metrics.instructions += instructions;
-            }
+            self.metrics.instructions += instructions;
             self.metrics.simulations.push(SimRecord {
                 trace: k.cid,
                 seed: k.seed,
-                configs: (k.configs.len() - k.simulated) as u64,
+                configs: k.configs.len() as u64,
                 sinks: sinks.len() as u64,
                 instructions,
                 nanos,
                 mode,
             });
-            let first_new = k.simulated;
-            k.stats.extend(bank.take_stats());
-            k.simulated = k.configs.len();
-            for (slot, sink) in k.sinks[k.streamed_sinks..].iter_mut().zip(sinks) {
+            k.stats = bank.take_stats();
+            for (slot, sink) in k.sinks.iter_mut().zip(sinks) {
                 *slot = Some(sink);
             }
-            k.streamed_sinks = k.sinks.len();
-            k.instructions = Some(instructions);
-            // Write-through: persist this round's finished results.
-            // Best-effort — a full or read-only store disk degrades to
-            // cold behavior, never to an error.
+            k.instructions = instructions;
+            // Write-through: persist the finished results. Best-effort —
+            // a full or read-only store disk degrades to cold behavior,
+            // never to an error.
             if let Some(store) = &store {
-                for (config, stats) in k.configs[first_new..].iter().zip(&k.stats[first_new..]) {
+                for (config, stats) in k.configs.iter().zip(&k.stats) {
                     let _ = store.put(
                         &persist::result_cid(&k.cid, config),
                         &persist::encode_result(stats, instructions),
@@ -788,37 +783,33 @@ impl SimSession {
                 }
             }
         }
-        self.metrics.wall_nanos += wall.elapsed().as_nanos() as u64;
+        self.metrics.wall_nanos = wall.elapsed().as_nanos() as u64;
     }
 
     /// Statistics for a request, in its requested config order.
     ///
     /// # Panics
     ///
-    /// Panics if the handle's key has not been executed yet.
+    /// Panics if the session has not executed yet.
     #[must_use]
     pub fn stats(&self, handle: &SimHandle) -> Vec<CacheStats> {
+        assert!(self.executed, "call execute() before reading stats");
         let k = &self.keys[handle.key];
-        handle
-            .slots
-            .iter()
-            .map(|&s| {
-                assert!(s < k.simulated, "call execute() before reading stats");
-                k.stats[s]
-            })
-            .collect()
+        handle.slots.iter().map(|&s| k.stats[s]).collect()
     }
 
     /// Trace length (instructions streamed) of a request's key.
     ///
     /// # Panics
     ///
-    /// Panics if the handle's key has not been executed yet.
+    /// Panics if the session has not executed yet.
     #[must_use]
     pub fn instructions(&self, handle: &SimHandle) -> u64 {
-        self.keys[handle.key]
-            .instructions
-            .expect("call execute() before reading the trace length")
+        assert!(
+            self.executed,
+            "call execute() before reading the trace length"
+        );
+        self.keys[handle.key].instructions
     }
 
     /// [`SimSession::stats`] and [`SimSession::instructions`] in one
@@ -833,16 +824,14 @@ impl SimSession {
     ///
     /// # Panics
     ///
-    /// Panics if the sink has not been streamed yet, was already taken,
-    /// or `S` is not its concrete type.
+    /// Panics if the session has not executed yet, the sink was already
+    /// taken, or `S` is not its concrete type.
     #[must_use]
     pub fn take_sink<S: AccessSink + Send + 'static>(&mut self, handle: &SinkHandle) -> S {
-        let k = &mut self.keys[handle.key];
-        assert!(
-            handle.slot < k.streamed_sinks,
-            "call execute() before taking a sink"
-        );
-        let sink = k.sinks[handle.slot].take().expect("sink was already taken");
+        assert!(self.executed, "call execute() before taking a sink");
+        let sink = self.keys[handle.key].sinks[handle.slot]
+            .take()
+            .expect("sink was already taken");
         *sink
             .into_any()
             .downcast::<S>()
@@ -870,7 +859,7 @@ impl SimSession {
     }
 
     /// [`SimSession::metrics`] without the per-delivery and per-table
-    /// records, which grow without bound in a long-lived service.
+    /// records: what [`SimMetrics::add`] folds into a running total.
     #[must_use]
     pub fn counters(&self) -> SimMetrics {
         SimMetrics {
@@ -879,7 +868,6 @@ impl SimSession {
             // Every request interns exactly once, and each intern either
             // adds a key or hits one.
             memo_key_hits: self.metrics.requests - self.keys.len() as u64,
-            configs_simulated: self.keys.iter().map(|k| k.simulated as u64).sum(),
             sim_nanos: self.metrics.interp_nanos + self.metrics.replay_nanos,
             store: self.store.as_ref().map(|s| s.counters()),
             simulations: Vec::new(),
@@ -922,134 +910,37 @@ fn stream_key(
     (summary.instructions, nanos, SimMode::Interpreted)
 }
 
-/// What a successful disk serve delivered.
-struct DiskServe {
-    /// Config results filled from the store this round.
-    configs: u64,
-    /// The key's trace length, as recorded with the stored results.
-    instructions: u64,
-    /// Whether this was the key's first delivery (its trace length was
-    /// unknown before — the "unique instructions" accounting trigger).
-    first_delivery: bool,
-}
-
-/// Attempts to answer every pending demand of `k` from the store,
-/// filling its stats in place. Succeeds only when *all* pending configs
-/// decode from verified entries and no sink is pending (sinks observe
+/// Attempts to answer every demand of `k` from the store, filling its
+/// stats and trace length in place. Succeeds only when *all* configs
+/// decode from verified entries and no sink is attached (sinks observe
 /// the raw stream, which the result entries do not carry). On any miss
 /// the key is left untouched and streams normally.
-fn disk_serve(store: &Store, k: &mut KeyEntry) -> Option<DiskServe> {
-    if k.streamed_sinks < k.sinks.len() {
-        return None;
+fn disk_serve(store: &Store, k: &mut KeyEntry) -> bool {
+    if !k.sinks.is_empty() || k.configs.is_empty() {
+        // Sinks need the stream; a key with no configs has no stored
+        // result to read its trace length from, so the artifact path
+        // handles it.
+        return false;
     }
-    let cid = &k.cid;
-    let pending = &k.configs[k.simulated..];
-    if pending.is_empty() {
-        // Pending only for its trace length (an empty-config request in
-        // a fresh process): the artifact-reload path handles it.
-        return None;
-    }
-    let first_delivery = k.instructions.is_none();
-    let mut instructions = k.instructions;
-    let mut loaded = Vec::with_capacity(pending.len());
-    for config in pending {
-        let payload = store.get(&persist::result_cid(cid, config))?;
-        let (stats, instrs) = persist::decode_result(&payload)?;
+    let mut instructions = None;
+    let mut loaded = Vec::with_capacity(k.configs.len());
+    for config in &k.configs {
+        let Some((stats, instrs)) = store
+            .get(&persist::result_cid(&k.cid, config))
+            .and_then(|payload| persist::decode_result(&payload))
+        else {
+            return false;
+        };
         // Every result of one trace must agree on the trace length; a
         // disagreement means a foreign or stale entry — don't serve it.
         if *instructions.get_or_insert(instrs) != instrs {
-            return None;
+            return false;
         }
         loaded.push(stats);
     }
-    let configs = loaded.len() as u64;
-    k.stats.extend(loaded);
-    k.simulated = k.configs.len();
-    k.instructions = instructions;
-    Some(DiskServe {
-        configs,
-        instructions: instructions.expect("at least one result decoded"),
-        first_delivery,
-    })
-}
-
-/// A [`SimSession`] behind interior locking, shareable across threads.
-///
-/// The table runners own their session and drive the plan / execute /
-/// serve phases explicitly; a long-lived service (`impact serve`) instead
-/// wants one engine that many request-handler threads hit concurrently.
-/// `SharedSimSession` wraps the session in a [`Mutex`](std::sync::Mutex)
-/// and exposes the one-shot [`evaluate`](SharedSimSession::evaluate)
-/// cycle: request → execute → serve under a single lock hold.
-///
-/// Memoization carries across calls — and across threads — because every
-/// evaluation is interned in the same underlying session: a repeated
-/// `(program, placement, seed, limits, config)` demand is served from the
-/// memo without re-streaming its trace ([`SimSession::execute`] returns
-/// immediately when nothing is pending). Holding the lock for the whole
-/// cycle serializes trace streaming, which is deliberate: the engine's
-/// own worker fan-out ([`SimSession::with_jobs`]) parallelizes *inside*
-/// an evaluation, and callers above it (HTTP workers) parallelize
-/// parsing, placement, and rendering outside the lock.
-pub struct SharedSimSession {
-    inner: std::sync::Mutex<SimSession>,
-}
-
-impl std::fmt::Debug for SharedSimSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedSimSession").finish_non_exhaustive()
-    }
-}
-
-impl SharedSimSession {
-    /// Wraps a fresh session that executes with up to `jobs` workers.
-    #[must_use]
-    pub fn with_jobs(jobs: usize) -> Self {
-        Self::from_session(SimSession::with_jobs(jobs))
-    }
-
-    /// Wraps an already-configured session (e.g. one with a persistent
-    /// store) — the constructor `impact serve` uses.
-    #[must_use]
-    pub fn from_session(session: SimSession) -> Self {
-        Self {
-            inner: std::sync::Mutex::new(session),
-        }
-    }
-
-    /// Statistics for `configs` over the evaluation trace of
-    /// `(program, placement)` under `seed` and `limits`, plus the trace
-    /// length — the locked counterpart of `sim::simulate_counted`,
-    /// memo-served whenever this session has already streamed the key.
-    #[must_use]
-    pub fn evaluate(
-        &self,
-        program: &Program,
-        placement: &Placement,
-        seed: u64,
-        limits: ExecLimits,
-        configs: &[CacheConfig],
-    ) -> (Vec<CacheStats>, u64) {
-        let mut s = self.lock();
-        let handle = s.request(program, placement, seed, limits, configs);
-        s.execute();
-        s.counted(&handle)
-    }
-
-    /// The underlying session's [`SimSession::counters`].
-    #[must_use]
-    pub fn counters(&self) -> SimMetrics {
-        self.lock().counters()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SimSession> {
-        // A panic while streaming poisons the lock; the session's own
-        // state stays coherent (results are filed serially after the
-        // parallel phase), so recover rather than wedging the service.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    k.stats = loaded;
+    k.instructions = instructions.expect("at least one result decoded");
+    true
 }
 
 #[cfg(test)]
@@ -1101,7 +992,6 @@ mod tests {
         let m = s.metrics();
         assert_eq!(m.unique_traces, 1);
         assert_eq!(m.traces_streamed, 1);
-        assert_eq!(m.restreams, 0);
         assert_eq!(m.memo_key_hits, 1);
         assert_eq!(m.configs_requested, 4);
         assert_eq!(m.configs_simulated, 3, "512B config is shared");
@@ -1176,78 +1066,6 @@ mod tests {
         assert!(s.stats(&h).is_empty());
     }
 
-    #[test]
-    fn storeless_late_demands_rewalk_the_interpreter() {
-        let w = impact_workloads::by_name("cmp").unwrap();
-        let placement = baseline::natural(&w.program);
-        let c1 = [CacheConfig::direct_mapped(2048, 64)];
-        let c2 = [CacheConfig::direct_mapped(512, 64)];
-        let mut s = SimSession::new();
-        let h1 = s.request(&w.program, &placement, 2, LIMITS, &c1);
-        s.execute();
-        let h2 = s.request(&w.program, &placement, 2, LIMITS, &c2);
-        s.execute();
-        let m = s.metrics();
-        // Without a store there is no artifact to replay: the late demand
-        // walks the interpreter again.
-        assert_eq!(m.traces_streamed, 2);
-        assert_eq!(m.restreams, 1);
-        assert_eq!(m.replays, 0);
-        assert_eq!(m.artifacts_loaded, 0);
-        assert_eq!(m.instructions_interpreted, 2 * m.instructions);
-        assert_eq!(
-            s.stats(&h1),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c1)
-        );
-        assert_eq!(
-            s.stats(&h2),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c2)
-        );
-    }
-
-    #[test]
-    fn memo_served_instructions_are_accounted() {
-        let w = impact_workloads::by_name("cmp").unwrap();
-        let placement = baseline::natural(&w.program);
-        let cfg = [CacheConfig::direct_mapped(2048, 64)];
-        let mut s = SimSession::new();
-        let _ = s.request(&w.program, &placement, 2, LIMITS, &cfg);
-        s.execute();
-        // Same key, same config: served from the memo, no simulation.
-        let _ = s.request(&w.program, &placement, 2, LIMITS, &cfg);
-        s.execute();
-        let m = s.metrics();
-        assert_eq!(m.traces_streamed, 1);
-        assert_eq!(m.replays, 0, "fully memo-served demands do not replay");
-        assert_eq!(m.instructions_memo_served, m.instructions);
-        assert_eq!(m.instructions_replayed, 0);
-    }
-
-    #[test]
-    fn shared_session_memoizes_across_threads() {
-        let w = impact_workloads::by_name("cmp").unwrap();
-        let placement = baseline::natural(&w.program);
-        let cfg = [CacheConfig::direct_mapped(2048, 64)];
-        let direct = sim::simulate_counted(&w.program, &placement, 7, LIMITS, &cfg);
-
-        let shared = SharedSimSession::with_jobs(1);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..3 {
-                        let got = shared.evaluate(&w.program, &placement, 7, LIMITS, &cfg);
-                        assert_eq!(got, direct);
-                    }
-                });
-            }
-        });
-        let m = shared.counters();
-        assert_eq!(m.traces_streamed, 1, "11 of 12 evaluations memo-served");
-        assert_eq!(m.unique_traces, 1);
-        assert_eq!(m.requests, 12);
-        assert_eq!(m.memo_served, 11);
-    }
-
     /// A unique store directory removed on drop.
     struct TempStore(std::path::PathBuf);
 
@@ -1270,41 +1088,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn store_backed_late_demands_replay_the_stored_artifact() {
-        let w = impact_workloads::by_name("cmp").unwrap();
-        let placement = baseline::natural(&w.program);
-        let c1 = [CacheConfig::direct_mapped(2048, 64)];
-        let c2 = [CacheConfig::direct_mapped(512, 64)];
-        let tmp = TempStore::new("late");
-        let mut s = SimSession::new().with_store(tmp.open());
-        let h1 = s.request(&w.program, &placement, 2, LIMITS, &c1);
-        s.execute();
-        let h2 = s.request(&w.program, &placement, 2, LIMITS, &c2);
-        s.execute();
-        let m = s.metrics();
-        // The first execute interprets and persists the artifact; the
-        // late demand replays it from disk instead of re-walking.
-        assert_eq!(m.traces_streamed, 1);
-        assert_eq!(m.replays, 1);
-        assert_eq!(m.restreams, 0);
-        assert_eq!(m.artifacts_loaded, 1);
-        assert_eq!(m.instructions_interpreted, m.instructions);
-        assert_eq!(m.instructions_replayed, m.instructions);
-        assert_eq!(m.simulations[1].mode, SimMode::Replayed);
-        // Replayed results are bit-identical to direct simulation.
-        assert_eq!(
-            s.stats(&h1),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c1)
-        );
-        assert_eq!(
-            s.stats(&h2),
-            sim::simulate(&w.program, &placement, 2, LIMITS, &c2)
-        );
-    }
-
-    /// Parallel work items each load and replay their own key's
-    /// artifact from disk.
+    /// Parallel work items of a second session over the same store each
+    /// load and replay their own key's artifact from disk.
     #[test]
     fn parallel_late_demands_all_replay_from_disk() {
         let w = impact_workloads::by_name("wc").unwrap();
@@ -1315,23 +1100,22 @@ mod tests {
         ];
         let placements: Vec<Placement> = (0..8).map(|k| baseline::random(&w.program, k)).collect();
         let tmp = TempStore::new("parallel");
-        let mut s = SimSession::with_jobs(4).with_store(tmp.open());
+        let mut first = SimSession::with_jobs(4).with_store(tmp.open());
         for p in &placements {
-            let _ = s.request(&w.program, p, 13, LIMITS, &c1);
+            let _ = first.request(&w.program, p, 13, LIMITS, &c1);
         }
-        s.execute();
-        let walked = s.metrics().traces_streamed;
-        assert!(walked >= 6, "at least 6 distinct keys, got {walked}");
+        first.execute();
+        assert_eq!(first.metrics().traces_streamed, 8, "8 distinct keys walk");
+
+        let mut s = SimSession::with_jobs(4).with_store(tmp.open());
         let late: Vec<SimHandle> = placements
             .iter()
             .map(|p| s.request(&w.program, p, 13, LIMITS, &c2))
             .collect();
         s.execute();
         let m = s.metrics();
-        assert_eq!(m.traces_streamed, walked, "no late demand walks");
-        assert_eq!(m.restreams, 0);
-        assert_eq!(m.replays, walked);
-        assert_eq!(m.artifacts_loaded, walked);
+        assert_eq!(m.traces_streamed, 0, "no late demand walks");
+        assert_eq!(m.replays, 8);
         for (p, h) in placements.iter().zip(&late) {
             assert_eq!(s.stats(h), sim::simulate(&w.program, p, 13, LIMITS, &c2));
         }
@@ -1418,7 +1202,6 @@ mod tests {
         let m = s.metrics();
         assert_eq!(m.traces_streamed, 0, "no interpreter walk");
         assert_eq!(m.replays, 1);
-        assert_eq!(m.artifacts_loaded, 1);
         assert_eq!(m.instructions, m.instructions_replayed);
         assert_eq!(
             s.stats(&h),
@@ -1519,5 +1302,88 @@ mod tests {
         let json = m.to_json().to_string_pretty();
         assert!(json.contains("\"traces_streamed\": 1"), "{json}");
         assert!(json.contains("\"label\": \"table6\""), "{json}");
+    }
+
+    #[test]
+    #[should_panic(expected = "executes once")]
+    fn request_after_execute_panics() {
+        let w = impact_workloads::by_name("cmp").unwrap();
+        let placement = baseline::natural(&w.program);
+        let cfg = [CacheConfig::direct_mapped(2048, 64)];
+        let mut s = SimSession::new();
+        let _ = s.request(&w.program, &placement, 2, LIMITS, &cfg);
+        s.execute();
+        let _ = s.request(&w.program, &placement, 2, LIMITS, &cfg);
+    }
+
+    /// Both inputs are full struct literals, so a new `SimMetrics` field
+    /// does not compile here until this test (and `add`) account for it.
+    #[test]
+    fn add_sums_every_counter_field() {
+        let a = SimMetrics {
+            jobs: 1,
+            requests: 2,
+            unique_traces: 3,
+            traces_streamed: 4,
+            replays: 5,
+            disk_served: 6,
+            memo_key_hits: 7,
+            configs_requested: 8,
+            configs_simulated: 9,
+            memo_served: 10,
+            instructions: 11,
+            instructions_interpreted: 12,
+            instructions_replayed: 13,
+            instructions_disk_served: 14,
+            interp_nanos: 15,
+            replay_nanos: 16,
+            disk_nanos: 17,
+            sim_nanos: 18,
+            wall_nanos: 19,
+            simulations: Vec::new(),
+            tables: Vec::new(),
+            store: None,
+        };
+        let b = SimMetrics {
+            jobs: 4,
+            requests: 200,
+            unique_traces: 300,
+            traces_streamed: 400,
+            replays: 500,
+            disk_served: 600,
+            memo_key_hits: 700,
+            configs_requested: 800,
+            configs_simulated: 900,
+            memo_served: 1000,
+            instructions: 1100,
+            instructions_interpreted: 1200,
+            instructions_replayed: 1300,
+            instructions_disk_served: 1400,
+            interp_nanos: 1500,
+            replay_nanos: 1600,
+            disk_nanos: 1700,
+            sim_nanos: 1800,
+            wall_nanos: 1900,
+            simulations: Vec::new(),
+            tables: Vec::new(),
+            store: None,
+        };
+        let mut total = a.clone();
+        total.add(&b);
+        let (fa, fb) = (a.counter_fields(), b.counter_fields());
+        let mut checked = 0;
+        for ((name, got), ((_, x), (_, y))) in total.counter_fields().iter().zip(fa.iter().zip(&fb))
+        {
+            // Rates are derived from the summed counters, not summed.
+            if name.ends_with("_rate") || name.ends_with("_per_sec") {
+                continue;
+            }
+            let (x, y) = (x.as_u64().unwrap(), y.as_u64().unwrap());
+            // `jobs` is a setting: the total keeps the larger cap.
+            let want = if name == "jobs" { x.max(y) } else { x + y };
+            assert_eq!(got.as_u64(), Some(want), "{name}");
+            checked += 1;
+        }
+        assert_eq!(checked, 19, "every integer counter field is checked");
     }
 }

@@ -107,7 +107,6 @@ fn session_matches_sim_for_every_table_pair_on_two_workloads() {
     let m = session.metrics();
     assert!(m.unique_traces >= 6 && m.unique_traces <= 8, "{m:?}");
     assert_eq!(m.traces_streamed, m.unique_traces);
-    assert_eq!(m.restreams, 0);
     assert!(m.memo_served > 0, "batch configs must be memo-served");
 }
 

@@ -14,14 +14,14 @@
 //! | `POST /v1/advise` | `{"program", "name"?, "cache"?, "block"?, "diff"?}` | placement scores + layout advisors (the `impact advise --json` document) |
 //! | `GET /metrics` | — | counters, latency histogram, memo hit rate |
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use impact_analyze::{
     advise_static, analyze_static, reports_to_json, CheckedPipeline, ConflictConfig,
 };
 use impact_asm::parse_program;
 use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
-use impact_experiments::session::{SharedSimSession, SimSession};
+use impact_experiments::session::{SimMetrics, SimSession};
 use impact_ir::Program;
 use impact_layout::pipeline::{Pipeline, PipelineConfig};
 use impact_layout::{baseline, Placement};
@@ -42,12 +42,24 @@ pub const DEFAULT_MAX_INSTRS: u64 = 5_000_000;
 /// Default profiling runs (the CLI's `--runs` default).
 pub const DEFAULT_RUNS: u32 = 8;
 
-/// Everything a request handler can reach: the long-lived memoizing
-/// evaluation engine and the service counters.
-#[derive(Debug)]
+/// Everything a request handler can reach: what each `/v1/simulate`
+/// builds its own [`SimSession`] from, and the service counters. No
+/// per-trace data lives here; repeats are answered by the response memo
+/// ([`AppState::rcache`]) or, with `--store`, from disk. The one lock a
+/// trace walk holds is `walk`, which guards no data.
 pub struct AppState {
-    /// Fingerprint-keyed simulation engine, shared by every worker.
-    pub session: SharedSimSession,
+    /// Worker-thread cap of each request's session (`--sim-jobs`); no
+    /// effect, since a session delivers one trace on one thread.
+    sim_jobs: usize,
+    /// The persistent store every request's session attaches.
+    store: Option<Arc<Store>>,
+    /// Held by a session's `execute`, so one trace walks at a time: on
+    /// a 2-vCPU host, two concurrent walks ran faster but their
+    /// throughput swung with the host's load from run to run.
+    walk: Mutex<()>,
+    /// Running total of every request session's counters. Locked only to
+    /// fold a finished session in or to read, never while a trace walks.
+    sim_total: Mutex<SimMetrics>,
     /// Service counters rendered by `GET /metrics`.
     pub metrics: Metrics,
     /// Serving-layer response memo consulted by the reactor before
@@ -57,28 +69,37 @@ pub struct AppState {
     pub shard: Option<ShardRouter>,
 }
 
+impl std::fmt::Debug for AppState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AppState")
+            .field("sim_jobs", &self.sim_jobs)
+            .field("store", &self.store.is_some())
+            .field("shard", &self.shard)
+            .finish_non_exhaustive()
+    }
+}
+
 impl AppState {
-    /// Fresh state whose evaluation engine streams with `sim_jobs`
-    /// worker threads per evaluation; default response-memo budget.
+    /// Fresh storeless state whose sessions execute with `sim_jobs`
+    /// worker threads; default response-memo budget.
     #[must_use]
     pub fn new(sim_jobs: usize) -> Self {
-        Self::with_cache(sim_jobs, crate::rcache::DEFAULT_CACHE_BYTES)
-    }
-
-    /// Like [`AppState::new`] with an explicit response-memo byte
-    /// budget (`0` disables the memo).
-    #[must_use]
-    pub fn with_cache(sim_jobs: usize, response_cache_bytes: usize) -> Self {
         Self {
-            session: SharedSimSession::with_jobs(sim_jobs),
+            sim_jobs,
+            store: None,
+            walk: Mutex::new(()),
+            sim_total: Mutex::new(SimMetrics {
+                jobs: sim_jobs as u64,
+                ..SimMetrics::default()
+            }),
             metrics: Metrics::new(),
-            rcache: ResponseCache::new(response_cache_bytes),
+            rcache: ResponseCache::new(crate::rcache::DEFAULT_CACHE_BYTES),
             shard: None,
         }
     }
 
     /// Full state from a [`ServeConfig`]: opens the persistent store
-    /// (when `store_dir` is set) so the session disk-serves repeats and
+    /// (when `store_dir` is set) so every session disk-serves repeats and
     /// writes new results through, and validates the shard membership.
     ///
     /// # Errors
@@ -87,10 +108,7 @@ impl AppState {
     /// underlying I/O error; `peers` without a matching `advertise`
     /// entry (or vice versa) is `InvalidInput`.
     pub fn from_config(config: &ServeConfig) -> std::io::Result<Self> {
-        let mut session = SimSession::with_jobs(config.sim_jobs);
-        if let Some(dir) = &config.store_dir {
-            session = session.with_store(Arc::new(Store::open(dir)?));
-        }
+        let store = config.store_dir.as_ref().map(Store::open).transpose()?;
         let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         let shard = match (config.peers.is_empty(), &config.advertise) {
             (true, None) => None,
@@ -99,11 +117,28 @@ impl AppState {
             (false, Some(advertise)) => Some(ShardRouter::new(config.peers.clone(), advertise)?),
         };
         Ok(Self {
-            session: SharedSimSession::from_session(session),
-            metrics: Metrics::new(),
+            store: store.map(Arc::new),
             rcache: ResponseCache::new(config.response_cache_bytes),
             shard,
+            ..Self::new(config.sim_jobs)
         })
+    }
+
+    /// Every simulate's session counters summed ([`SimMetrics::add`]),
+    /// with `store` read from the shared store: the `/metrics` `sim`
+    /// object.
+    #[must_use]
+    pub fn sim_counters(&self) -> SimMetrics {
+        let mut total = self.total().clone();
+        total.store = self.store.as_ref().map(|s| s.counters());
+        total
+    }
+
+    fn total(&self) -> MutexGuard<'_, SimMetrics> {
+        // Holders only clone or `add`, which leave the total coherent.
+        self.sim_total
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -139,7 +174,7 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
         ("POST", "/v1/analyze") => (Endpoint::Analyze, analyze(req)),
         ("POST", "/v1/advise") => (Endpoint::Advise, advise(req)),
         ("GET", "/metrics") => {
-            let mut doc = state.metrics.to_json(&state.session.counters());
+            let mut doc = state.metrics.to_json(&state.sim_counters());
             if let Json::Obj(fields) = &mut doc {
                 fields.push(("response_cache".to_string(), state.rcache.to_json()));
                 if let Some(shard) = &state.shard {
@@ -407,7 +442,9 @@ fn layout(req: &Request) -> Response {
 }
 
 /// `POST /v1/simulate` — evaluate cache configurations over the
-/// program's trace through the long-lived memoizing session.
+/// program's trace in a session of its own: plan, execute once under
+/// the walk lock, read, then fold the session's counters into the
+/// service total.
 fn simulate(state: &AppState, req: &Request) -> Response {
     let doc = match decode_body(req) {
         Ok(d) => d,
@@ -448,10 +485,18 @@ fn simulate(state: &AppState, req: &Request) -> Response {
         (program, placement)
     };
 
-    let (stats, instructions) =
-        state
-            .session
-            .evaluate(&sim_program, &placement, seed, common.limits(), &configs);
+    let mut session = SimSession::with_jobs(state.sim_jobs);
+    if let Some(store) = &state.store {
+        session = session.with_store(Arc::clone(store));
+    }
+    let handle = session.request(&sim_program, &placement, seed, common.limits(), &configs);
+    {
+        // A panicked walk leaves nothing behind the lock to repair.
+        let _walk = state.walk.lock().unwrap_or_else(PoisonError::into_inner);
+        session.execute();
+    }
+    let (stats, instructions) = session.counted(&handle);
+    state.total().add(&session.counters());
     Response::json(
         200,
         &simulate_response_json(layout_kind, seed, &configs, &stats, instructions),
@@ -784,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_matches_direct_evaluation_and_memoizes() {
+    fn simulate_matches_direct_evaluation_and_repeats_by_walking() {
         let state = AppState::new(1);
         let text = program_text();
         let body = format!(
@@ -824,12 +869,12 @@ mod tests {
         );
         assert_eq!(resp.body, expected.body, "service must be bit-identical");
 
-        // A repeat of the same request must not stream a second trace.
-        let streamed = state.session.counters().traces_streamed;
+        // `route` sits below the response memo, and a storeless state
+        // keeps no trace results: a repeat walks again, to the same bytes.
+        let streamed = state.sim_counters().traces_streamed;
         let (_, resp2) = route(&state, &req);
         assert_eq!(resp2.body, resp.body);
-        assert_eq!(state.session.counters().traces_streamed, streamed);
-        assert!(state.session.counters().memo_served >= 2);
+        assert_eq!(state.sim_counters().traces_streamed, streamed + 1);
     }
 
     #[test]

@@ -23,13 +23,14 @@
 //!   the same [`impact_analyze::reports_to_json`] call).
 //! - `POST /v1/layout` — the five-step IMPACT-I pipeline, returning the
 //!   placement and its quality metrics.
-//! - `POST /v1/simulate` — cache evaluation through one long-lived
-//!   [`SimSession`](impact_experiments::session::SimSession), keyed by
-//!   each trace's SHA-256 id, so a placement evaluated twice is
-//!   memo-served rather than re-streamed.
+//! - `POST /v1/simulate` — cache evaluation in a
+//!   [`SimSession`](impact_experiments::session::SimSession) of the
+//!   request's own, which delivers the trace once. The server keeps no
+//!   per-trace state: a repeated body is answered by the response memo,
+//!   and with `--store` a known trace is disk-served or replayed.
 //! - `GET /metrics` — request counters, global and per-endpoint latency
-//!   histograms, queue depth, connection gauges, response-memo and
-//!   session memo hit rates.
+//!   histograms, queue depth, connection gauges, the response-memo hit
+//!   rate and the summed session counters.
 //!
 //! The [`client`] module is a matching minimal HTTP client used by the
 //! integration tests and the shard proxy. The service's benchmark is

@@ -183,10 +183,10 @@ impl Metrics {
     }
 
     /// The `GET /metrics` document. `session` supplies the evaluation
-    /// engine's counters for the `sim` object (a
+    /// counters for the `sim` object: every request session's
     /// [`SimSession::counters`](impact_experiments::session::SimSession::counters)
-    /// snapshot: the per-stream records grow without bound in a
-    /// long-lived service, so they stay out).
+    /// summed by [`SimMetrics::add`], which leaves out the per-stream
+    /// records that would grow without bound in a long-lived service.
     #[must_use]
     pub fn to_json(&self, session: &SimMetrics) -> Json {
         let by_endpoint = Json::Obj(

@@ -1,16 +1,17 @@
 //! The serving-layer response memo: completed responses keyed by the
 //! exact request bytes.
 //!
-//! The evaluation engine already memoizes *simulation* (SimSession) and
-//! *trace* work (RunBuffer replay), so by PR 6 a warm `/v1/simulate`
-//! request spends nearly all of its time in the serving layer itself:
-//! decoding the JSON body, parsing the embedded program, hashing its
-//! trace key, and re-rendering the response document (~80 µs of CPU on the
-//! benchmark box). All of that is a pure function of `(target, body)`
-//! for the POST endpoints — `/v1/lint`, `/v1/layout`, `/v1/simulate`,
-//! and `/v1/analyze` read nothing but the body, and their handlers are
-//! deterministic (the session memo guarantees bit-identical simulate
-//! results regardless of interpret/replay/memo path). So the reactor
+//! The server keeps no per-trace state: each `/v1/simulate` runs a
+//! session of its own, and only `--store` remembers traces across
+//! requests, on disk. This memo is the one in-memory tier. A repeated
+//! request would otherwise pay its whole handler again: decoding the
+//! JSON body, parsing the embedded program, hashing its trace key,
+//! walking or replaying the trace, and rendering the response document.
+//! All of that is a pure function of `(target, body)` for the POST
+//! endpoints — `/v1/lint`, `/v1/layout`, `/v1/simulate`, and
+//! `/v1/analyze` read nothing but the body, and their handlers are
+//! deterministic (a session's results are bit-identical whether the
+//! trace was interpreted, replayed or disk-served). So the reactor
 //! consults this cache *before* dispatching to a worker: a hit is
 //! serialized straight into the connection's write buffer, and the
 //! worker pool only ever sees novel bodies.

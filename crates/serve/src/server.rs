@@ -57,7 +57,9 @@ pub struct ServeConfig {
     /// Write deadline: how long a client may refuse to drain a pending
     /// response before the reactor evicts the connection.
     pub write_timeout: Duration,
-    /// Streaming threads inside each simulation evaluation.
+    /// Worker-thread cap of each simulate's session. One simulate is one
+    /// trace key, which a session delivers on one thread, so this has no
+    /// effect; `--sim-jobs` is still accepted.
     pub sim_jobs: usize,
     /// Byte budget for the serving-layer response memo; `0` disables it.
     pub response_cache_bytes: usize,
@@ -279,7 +281,8 @@ impl Server {
         self.addr
     }
 
-    /// The shared application state (session + metrics + memo).
+    /// The shared application state (session counter total + metrics +
+    /// memo).
     #[must_use]
     pub fn state(&self) -> &Arc<AppState> {
         &self.state
@@ -471,7 +474,7 @@ mod tests {
             "{}",
             String::from_utf8_lossy(&first.body)
         );
-        let cold = server.state().session.counters();
+        let cold = server.state().sim_counters();
         assert_eq!(cold.traces_streamed, 1);
         assert_eq!(cold.disk_served, 0);
         server.stop();
@@ -483,7 +486,7 @@ mod tests {
         let again = client.post_json("/v1/simulate", &body).unwrap();
         assert_eq!(again.status, 200);
         assert_eq!(again.body, first.body, "restart must not change bytes");
-        let warm = server.state().session.counters();
+        let warm = server.state().sim_counters();
         assert_eq!(warm.traces_streamed, 0, "no re-streaming after restart");
         assert_eq!(warm.disk_served, 1);
         let store = warm.store.expect("store counters present");
@@ -525,8 +528,8 @@ mod tests {
 
         // Exactly one node simulated; the other proxied its request.
         let (ma, mb) = (
-            server_a.state().session.counters(),
-            server_b.state().session.counters(),
+            server_a.state().sim_counters(),
+            server_b.state().sim_counters(),
         );
         assert_eq!(ma.traces_streamed + mb.traces_streamed, 1);
         let shard_doc = |srv: &Server| srv.state().shard.as_ref().unwrap().to_json();

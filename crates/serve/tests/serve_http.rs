@@ -130,7 +130,7 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
     // must not touch the evaluation engine again: the reactor answers
     // repeats from the byte-exact response memo (and every repeat body
     // must match the first response bit for bit).
-    let streamed_before = server.state().session.counters().traces_streamed;
+    let streamed_before = server.state().sim_counters().traces_streamed;
     assert_eq!(streamed_before, 1);
     let first_body = resp.body.clone();
     thread::scope(|scope| {
@@ -148,7 +148,7 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
             });
         }
     });
-    let metrics = server.state().session.counters();
+    let metrics = server.state().sim_counters();
     assert_eq!(
         metrics.traces_streamed, streamed_before,
         "repeat placements must not re-stream"
@@ -182,7 +182,8 @@ fn late_config_demand(store_dir: Option<String>) -> Json {
     };
     let mut client = Client::connect(server.addr()).unwrap();
     // The first demand walks the interpreter; the second is the same
-    // trace key with a config the memo has never seen.
+    // trace key with another config, so the response memo misses and its
+    // own session must deliver the trace again.
     for size in [2048u64, 1024] {
         let body = format!(
             r#"{{"program": {program}, "seed": 5, "max_instrs": 40000,
@@ -216,9 +217,7 @@ fn cold_repeat_config_demand_replays_the_stored_artifact() {
     // The first demand persisted the artifact; the late demand replays
     // it from disk instead of re-walking the interpreter.
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(1));
-    assert!(sim.get("replays").and_then(Json::as_u64).unwrap() >= 1);
-    assert!(sim.get("artifacts_loaded").and_then(Json::as_u64).unwrap() >= 1);
-    assert_eq!(sim.get("restreams").and_then(Json::as_u64), Some(0));
+    assert_eq!(sim.get("replays").and_then(Json::as_u64), Some(1));
     assert!(
         sim.get("instructions_replayed")
             .and_then(Json::as_u64)
@@ -231,7 +230,6 @@ fn cold_repeat_config_demand_replays_the_stored_artifact() {
 fn storeless_repeat_config_demand_rewalks_the_trace() {
     let sim = late_config_demand(None);
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(2));
-    assert_eq!(sim.get("restreams").and_then(Json::as_u64), Some(1));
     assert_eq!(sim.get("replays").and_then(Json::as_u64), Some(0));
 }
 

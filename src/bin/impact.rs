@@ -57,7 +57,7 @@
 //!                         for setting both                  (default 10000)
 //!   --read-timeout MS     idle/slow-client read deadline    (default 10000)
 //!   --write-timeout MS    unread-response write deadline    (default 10000)
-//!   --sim-jobs N          streaming threads per evaluation  (default 1)
+//!   --sim-jobs N          accepted, no effect (one trace per simulate)
 //!   --cache-bytes N       response-memo byte budget; 0 off  (default 64 MiB)
 //!   --store DIR           persistent content-addressed result store:
 //!                         finished results and trace artifacts are
