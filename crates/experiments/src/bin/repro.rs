@@ -83,19 +83,10 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "all" => selected.extend(runner::TABLE_IDS),
-            "ablation" => selected.push(10),
-            "paging" => selected.push(11),
-            "estimate" => selected.push(12),
-            "variability" => selected.push(13),
-            "assoc" => selected.push(14),
-            "minprob" => selected.push(15),
-            "static" => selected.push(16),
-            "score" => selected.push(17),
-            t if t.starts_with("table") => match t["table".len()..].parse::<u8>() {
-                Ok(n @ 1..=9) => selected.push(n),
-                _ => return usage(),
+            name => match runner::table_id(name) {
+                Some(n) => selected.push(n),
+                None => return usage(),
             },
-            _ => return usage(),
         }
     }
     if selected.is_empty() {

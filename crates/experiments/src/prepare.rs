@@ -104,33 +104,19 @@ pub fn prepare(workload: &Workload, budget: &Budget) -> Prepared {
     }
 }
 
-/// Prepares a set of workloads in parallel (one thread each — the
-/// pipeline is single-threaded and benchmarks are independent).
-#[must_use]
-pub fn prepare_many(workloads: &[Workload], budget: &Budget) -> Vec<Prepared> {
-    prepare_many_jobs(workloads, budget, workloads.len())
-}
-
-/// Like [`prepare_many`], but bounded to `jobs` worker threads (the
+/// Prepares a set of workloads on up to `jobs` worker threads (the
 /// `repro --jobs N` path; results stay in input order).
 #[must_use]
 pub fn prepare_many_jobs(workloads: &[Workload], budget: &Budget, jobs: usize) -> Vec<Prepared> {
     impact_support::parallel_map(jobs, workloads.iter().collect(), |w| prepare(w, budget))
 }
 
-/// Prepares all ten benchmarks.
+/// Prepares all ten benchmarks in parallel (one thread each — the
+/// pipeline is single-threaded and benchmarks are independent).
 #[must_use]
 pub fn prepare_all(budget: &Budget) -> Vec<Prepared> {
-    prepare_many(&impact_workloads::all(), budget)
-}
-
-/// Prepares the ten paper benchmarks plus the extended set (the paper's
-/// §5 benchmark expansion).
-#[must_use]
-pub fn prepare_all_extended(budget: &Budget) -> Vec<Prepared> {
-    let mut workloads = impact_workloads::all();
-    workloads.extend(impact_workloads::extended());
-    prepare_many(&workloads, budget)
+    let workloads = impact_workloads::all();
+    prepare_many_jobs(&workloads, budget, workloads.len())
 }
 
 #[cfg(test)]

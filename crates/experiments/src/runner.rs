@@ -47,6 +47,13 @@ pub fn label(n: u8) -> &'static str {
     }
 }
 
+/// The id in [`TABLE_IDS`] whose [`label`] is `name`.
+#[must_use]
+pub fn table_id(name: &str) -> Option<u8> {
+    let mut ids = TABLE_IDS;
+    ids.find(|&n| label(n) == name)
+}
+
 /// One rendered table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableOutput {
@@ -225,6 +232,16 @@ mod tests {
     use crate::prepare::{prepare, Budget};
 
     use super::*;
+
+    #[test]
+    fn table_names_resolve_to_their_ids() {
+        for n in TABLE_IDS {
+            assert_eq!(table_id(label(n)), Some(n));
+        }
+        for bad in ["table0", "table10", "foo"] {
+            assert_eq!(table_id(bad), None, "{bad}");
+        }
+    }
 
     #[test]
     fn shared_session_streams_each_key_once() {

@@ -180,7 +180,7 @@ impl SimRecord {
 pub struct TableRecord {
     /// Table label (`table1` ... `minprob`).
     pub label: String,
-    /// Nanoseconds spent planning (includes per-table pipeline re-runs).
+    /// Nanoseconds spent planning (includes table 9's scaled pipelines).
     pub plan_nanos: u64,
     /// Nanoseconds spent assembling rows and rendering text/JSON.
     pub render_nanos: u64,

@@ -5,7 +5,8 @@
 //!
 //! 1. **random** — functions and blocks shuffled (pessimistic bound),
 //! 2. **natural** — declaration order (a conventional compiler/linker),
-//! 3. **no-inline** — full placement pipeline with Step 2 disabled,
+//! 3. **no-inline** — Steps 3–5 on the original program under its
+//!    pre-inline profile (the pipeline with Step 2 disabled),
 //! 4. **full** — the complete IMPACT-I pipeline,
 //!
 //! plus a fully-associative LRU cache over the natural layout (the
@@ -13,10 +14,10 @@
 
 use impact_cache::{Associativity, Cache, CacheConfig, NextLinePrefetcher, VictimCache};
 use impact_layout::baseline;
-use impact_layout::pipeline::{Pipeline, PipelineConfig};
+use impact_layout::trace_select::MIN_PROB;
 
 use crate::fmt;
-use crate::prepare::{pipeline_config, Prepared};
+use crate::prepare::Prepared;
 use crate::session::{SimHandle, SimSession, SinkHandle};
 
 /// Headline geometry.
@@ -79,34 +80,23 @@ pub struct Plan {
     rows: Vec<RowPlan>,
 }
 
-/// Registers the whole placement ladder per benchmark. The expensive
-/// per-row placements (the inline-disabled pipeline re-run and the
-/// Pettis-Hansen layout) are computed across the session's worker
-/// threads; every ladder rung becomes its own trace key, while the
-/// natural direct-mapped and fully-associative demands share one key
-/// (and one stream) through the config union. The prefetcher and victim
-/// cache ride the natural-layout stream as sinks.
+/// Registers the whole placement ladder per benchmark. Every ladder
+/// rung becomes its own trace key, while the natural direct-mapped and
+/// fully-associative demands share one key (and one stream) through the
+/// config union. The prefetcher and victim cache ride the natural-layout
+/// stream as sinks.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let dm = [CacheConfig::direct_mapped(CACHE_BYTES, BLOCK_BYTES)];
     let fa = [CacheConfig::direct_mapped(CACHE_BYTES, BLOCK_BYTES)
         .with_associativity(Associativity::Full)];
-    let placements = impact_support::parallel_map(session.jobs(), prepared.iter().collect(), |p| {
-        let no_inline_cfg = PipelineConfig {
-            inline: None,
-            ..pipeline_config(&p.workload, &p.budget)
-        };
-        let ni = Pipeline::new(no_inline_cfg).run(&p.baseline_program);
-        let ph = impact_layout::ph::place(&p.result.program, &p.result.profile);
-        (ni, ph)
-    });
     let rows = prepared
         .iter()
-        .zip(placements)
-        .map(|(p, (ni, ph_placement))| {
+        .map(|p| {
             let limits = p.budget.eval_limits(&p.workload);
             let seed = p.eval_seed();
             let program = &p.baseline_program;
-
+            let ni = p.result.without_inlining(program, MIN_PROB);
+            let ph_placement = impact_layout::ph::place(&p.result.program, &p.result.profile);
             let random_placement = baseline::random(program, 0xab1a7e);
             RowPlan {
                 name: p.workload.name.to_owned(),

@@ -1,17 +1,16 @@
 //! `MIN_PROB` sweep: is the paper's 0.7 threshold the right one?
 //!
 //! The Appendix hard-codes `MIN_PROB = 0.7` — a trace only grows along an
-//! arc carrying ≥70 % of both endpoint weights. This ablation re-runs the
-//! whole pipeline across a threshold sweep and reports the ten-benchmark
-//! averages: trace quality (Table 4's metrics) and the headline cache
-//! performance. Thresholds too low chain cold paths into hot traces;
-//! too high degenerate into single-block traces.
+//! arc carrying ≥70 % of both endpoint weights. This ablation redoes trace
+//! selection and layout of each prepared program across a threshold sweep
+//! and reports the ten-benchmark averages: trace quality (Table 4's
+//! metrics) and the headline cache performance. Thresholds too low chain
+//! cold paths into hot traces; too high degenerate into single-block traces.
 
 use impact_cache::CacheConfig;
-use impact_layout::pipeline::{Pipeline, PipelineConfig};
 
 use crate::fmt;
-use crate::prepare::{pipeline_config, Prepared};
+use crate::prepare::Prepared;
 use crate::session::{SimHandle, SimSession};
 
 /// Thresholds swept (the paper's value is 0.7).
@@ -56,34 +55,22 @@ pub struct Plan {
     benchmarks: usize,
 }
 
-/// Re-runs the pipeline per `(threshold, benchmark)` — fanned across the
-/// session's worker threads — and registers the headline-cache request
-/// per re-optimized placement. Every threshold yields its own placements
-/// and therefore its own trace keys (0.7 reproduces the standard
-/// pipeline and coalesces with the headline tables in the memo).
+/// Re-places every prepared result per `(threshold, benchmark)` (only
+/// trace selection reads the threshold) and registers the headline-cache
+/// request per placement. Every threshold yields its own placements and
+/// therefore its own trace keys (0.7 reproduces the prepared placement
+/// and coalesces with the headline tables in the memo).
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let cache = [CacheConfig::direct_mapped(2048, 64)];
-    let work: Vec<(f64, &Prepared)> = THRESHOLDS
-        .iter()
-        .flat_map(|&t| prepared.iter().map(move |p| (t, p)))
-        .collect();
-    let results = impact_support::parallel_map(session.jobs(), work, |(min_prob, p)| {
-        let config = PipelineConfig {
-            min_prob,
-            ..pipeline_config(&p.workload, &p.budget)
-        };
-        Pipeline::new(config).run(&p.baseline_program)
-    });
     let rows = THRESHOLDS
         .iter()
-        .zip(results.chunks(prepared.len().max(1)))
-        .map(|(&min_prob, results)| {
+        .map(|&min_prob| {
             let mut desirable = 0.0;
             let mut trace_length = 0.0;
             let handles = prepared
                 .iter()
-                .zip(results)
-                .map(|(p, result)| {
+                .map(|p| {
+                    let result = p.result.with_min_prob(min_prob);
                     desirable += result.trace_quality.desirable;
                     trace_length += result.trace_quality.mean_trace_length;
                     session.request(
@@ -131,8 +118,8 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Re-runs the pipeline per threshold over all benchmarks (one-shot
-/// session wrapper around [`plan`] / [`finish`]).
+/// Re-places every benchmark per threshold (one-shot session wrapper
+/// around [`plan`] / [`finish`]).
 #[must_use]
 pub fn run(prepared: &[Prepared]) -> Vec<Row> {
     let mut session = SimSession::new();

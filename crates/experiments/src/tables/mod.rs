@@ -1,6 +1,8 @@
-//! One module per paper table. Every module exposes `run` (compute typed
-//! rows from prepared benchmarks) and `render` (text table in the paper's
-//! shape).
+//! One module per table. Each exposes `plan` (register simulations on a
+//! shared session), `finish` (read the executed session into typed rows),
+//! `run` (a one-shot session around both) and `render` (text in the
+//! paper's shape). Tables read the prepared benchmarks; only table 9 runs
+//! the pipeline again, on its scaled programs.
 
 pub mod ablation;
 pub mod assoc;

@@ -5,7 +5,7 @@
 //! without running it. This table puts that premise on trial: for every
 //! benchmark it builds several layout *variants* of the same workload —
 //! the paper pipeline's placement, the natural (declaration-order)
-//! baseline, two seeded random shuffles, and a pipeline run with
+//! baseline, two seeded random shuffles, and the placement with
 //! inlining disabled — scores each one statically with the ExtTSP cost
 //! model (see [`impact_analyze::score_placement`]), and simulates each
 //! one on the held-out evaluation input at the paper's 2 KB / 64 B
@@ -21,12 +21,12 @@ use impact_analyze::{score_placement, ScoreConfig};
 use impact_cache::CacheConfig;
 use impact_ir::Program;
 use impact_layout::baseline;
-use impact_layout::pipeline::{Pipeline, PipelineConfig};
+use impact_layout::trace_select::MIN_PROB;
 use impact_layout::Placement;
 use impact_profile::Profile;
 
 use crate::fmt;
-use crate::prepare::{pipeline_config, Prepared};
+use crate::prepare::Prepared;
 use crate::session::{SimHandle, SimSession};
 use crate::tables::static_validation::spearman;
 
@@ -87,13 +87,15 @@ impl std::fmt::Debug for Plan {
 }
 
 /// The layout variants of one prepared benchmark. The first four share
-/// the post-inline program (only the placement changes); the last
-/// re-runs the pipeline with inlining disabled, so both the program and
-/// the placement differ.
+/// the post-inline program (only the placement changes); the last lays
+/// out the original program under its pre-inline profile, as the
+/// pipeline does with inlining disabled, so both the program and the
+/// placement differ.
 fn variants(p: &Prepared) -> Vec<(&'static str, Program, Profile, Placement)> {
     let program = &p.result.program;
     let profile = &p.result.profile;
-    let mut out = vec![
+    let no_inline = p.result.without_inlining(&p.workload.program, MIN_PROB);
+    vec![
         (
             "paper",
             program.clone(),
@@ -106,31 +108,25 @@ fn variants(p: &Prepared) -> Vec<(&'static str, Program, Profile, Placement)> {
             profile.clone(),
             baseline::natural(program),
         ),
-    ];
-    out.push((
-        "random:7",
-        program.clone(),
-        profile.clone(),
-        baseline::random(program, RANDOM_SEEDS[0]),
-    ));
-    out.push((
-        "random:11",
-        program.clone(),
-        profile.clone(),
-        baseline::random(program, RANDOM_SEEDS[1]),
-    ));
-    let config = PipelineConfig {
-        inline: None,
-        ..pipeline_config(&p.workload, &p.budget)
-    };
-    let no_inline = Pipeline::new(config).run(&p.workload.program);
-    out.push((
-        "inline-off",
-        no_inline.program,
-        no_inline.profile,
-        no_inline.placement,
-    ));
-    out
+        (
+            "random:7",
+            program.clone(),
+            profile.clone(),
+            baseline::random(program, RANDOM_SEEDS[0]),
+        ),
+        (
+            "random:11",
+            program.clone(),
+            profile.clone(),
+            baseline::random(program, RANDOM_SEEDS[1]),
+        ),
+        (
+            "inline-off",
+            no_inline.program,
+            no_inline.profile,
+            no_inline.placement,
+        ),
+    ]
 }
 
 /// Builds every variant and registers its simulation.

@@ -2,9 +2,10 @@
 //! partial loading).
 //!
 //! Code scaling emulates different instruction-encoding densities: every
-//! basic block is scaled to 0.5× / 0.7× / 1.0× / 1.1× of its size and the
-//! whole pipeline re-runs (profile, inline, trace-select, lay out) on the
-//! scaled program, exactly as a compiler for a denser ISA would.
+//! basic block is scaled to 0.5× / 0.7× / 1.1× of its size and the whole
+//! pipeline re-runs (profile, inline, trace-select, lay out) on the scaled
+//! program, exactly as a compiler for a denser ISA would; 1.0× is the
+//! prepared placement itself.
 
 use impact_cache::{CacheConfig, FillPolicy};
 use impact_layout::pipeline::Pipeline;
@@ -34,12 +35,12 @@ pub struct Plan {
     rows: Vec<(String, Vec<SimHandle>)>,
 }
 
-/// Re-runs the pipeline per `(benchmark, factor)` — fanned across the
-/// session's worker threads — and registers one request per scaled
-/// placement. Each scaled program yields a distinct trace key (the
-/// key covers block sizes and placement addresses), so the
-/// session cannot conflate densities; the 1.0× run reproduces the
-/// standard optimized placement and is served from the shared memo.
+/// Re-runs the pipeline per `(benchmark, factor)` for every factor but
+/// 1.0, whose column is the prepared result — fanned across the session's
+/// worker threads — and registers one request per placement. Each scaled
+/// program yields a distinct trace key (the key covers block sizes and
+/// placement addresses), so the session cannot conflate densities; the
+/// 1.0× request shares the headline tables' optimized trace.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let config = [CacheConfig::direct_mapped(2048, 64).with_fill(FillPolicy::Partial)];
     let work: Vec<(&Prepared, f64)> = prepared
@@ -47,9 +48,11 @@ pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
         .flat_map(|p| FACTORS.iter().map(move |&f| (p, f)))
         .collect();
     let results = impact_support::parallel_map(session.jobs(), work, |(p, factor)| {
+        if factor == 1.0 {
+            return p.result.clone();
+        }
         let scaled = scale_code(&p.baseline_program, factor);
-        let pc = pipeline_config(&p.workload, &p.budget);
-        Pipeline::new(pc).run(&scaled)
+        Pipeline::new(pipeline_config(&p.workload, &p.budget)).run(&scaled)
     });
     let rows = prepared
         .iter()
@@ -91,8 +94,8 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Re-runs the pipeline per scaling factor and simulates the partial-
-/// loading configuration (one-shot session wrapper around
+/// Lays out each benchmark per scaling factor and simulates the
+/// partial-loading configuration (one-shot session wrapper around
 /// [`plan`] / [`finish`]).
 #[must_use]
 pub fn run(prepared: &[Prepared]) -> Vec<Row> {

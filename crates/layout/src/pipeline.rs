@@ -164,6 +164,36 @@ impl PipelineResult {
     pub fn total_static_bytes(&self) -> u64 {
         self.placement.total_bytes()
     }
+
+    /// This result re-placed at trace-selection threshold `min_prob`, as
+    /// the same pipeline computes it: Steps 1–2 never read the threshold.
+    #[must_use]
+    pub fn with_min_prob(&self, min_prob: f64) -> PipelineResult {
+        place(
+            self.program.clone(),
+            self.pre_inline_profile.clone(),
+            self.profile.clone(),
+            self.inline_report,
+            min_prob,
+            &mut NoopObserver,
+        )
+    }
+
+    /// What the same pipeline computes with `inline: None`: Steps 3–5 on
+    /// `original`, the program this result was computed from, under its
+    /// [`PipelineResult::pre_inline_profile`].
+    #[must_use]
+    pub fn without_inlining(&self, original: &Program, min_prob: f64) -> PipelineResult {
+        let profile = &self.pre_inline_profile;
+        place(
+            original.clone(),
+            profile.clone(),
+            profile.clone(),
+            InlineReport::measure(original, profile, original, profile),
+            min_prob,
+            &mut NoopObserver,
+        )
+    }
 }
 
 /// Orchestrates profiling, inlining, trace selection, function layout and
@@ -178,12 +208,6 @@ impl Pipeline {
     #[must_use]
     pub fn new(config: PipelineConfig) -> Self {
         Self { config }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Runs the full pipeline on `program`.
@@ -235,22 +259,15 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Runs the full pipeline on `program` with profiles drawn from an
-    /// arbitrary [`ProfileSource`] instead of the configured measured
-    /// profiler.
+    /// Validates `program` and the configuration, then runs the full
+    /// pipeline with profiles drawn from an arbitrary [`ProfileSource`]
+    /// instead of the configured measured profiler.
     ///
     /// This is what makes *profile-free* layout possible: pass a static
     /// frequency estimator (see `impact-analyze`) and the five steps run
     /// end to end without ever executing the program. The config's
     /// `profile_runs` / `profile_base_seed` / `limits` are ignored — they
     /// parameterize the measured profiler only.
-    #[must_use]
-    pub fn run_with_source(&self, program: &Program, source: &dyn ProfileSource) -> PipelineResult {
-        self.run_observed_with_source(program, source, &mut NoopObserver)
-    }
-
-    /// [`Pipeline::run_with_source`] with input program and configuration
-    /// validation up front.
     pub fn try_run_with_source(
         &self,
         program: &Program,
@@ -312,42 +329,62 @@ impl Pipeline {
         });
 
         let inline_report = InlineReport::measure(program, &pre_inline_profile, &inlined, &profile);
-
-        // Step 3: trace selection.
-        let selector = TraceSelector::new().min_prob(self.config.min_prob);
-        let traces = selector.select_program(&inlined, &profile);
-        observer.checkpoint(&Checkpoint::TracesSelected {
-            program: &inlined,
-            profile: &profile,
-            traces: &traces,
-        });
-
-        // Step 4: function layout.
-        let layouts: Vec<FunctionLayout> = inlined
-            .functions()
-            .map(|(fid, func)| FunctionLayout::compute(func, fid, &traces[fid.index()], &profile))
-            .collect();
-
-        // Step 5: global layout and address assignment.
-        let global = GlobalOrder::compute(&inlined, &profile);
-        let placement = Placement::assemble(&inlined, &global, &layouts);
-
-        let trace_quality = TraceQuality::measure(&inlined, &profile, &traces);
-
-        let result = PipelineResult {
-            program: inlined,
+        place(
+            inlined,
             pre_inline_profile,
             profile,
-            traces,
-            layouts,
-            global,
-            placement,
             inline_report,
-            trace_quality,
-        };
-        observer.checkpoint(&Checkpoint::Placed { result: &result });
-        result
+            self.config.min_prob,
+            observer,
+        )
     }
+}
+
+/// Steps 3–5 on `program` under `profile`: trace selection at
+/// `min_prob`, function layout and global layout. Reports
+/// [`Checkpoint::TracesSelected`] and then [`Checkpoint::Placed`].
+fn place(
+    program: Program,
+    pre_inline_profile: Profile,
+    profile: Profile,
+    inline_report: InlineReport,
+    min_prob: f64,
+    observer: &mut dyn PipelineObserver,
+) -> PipelineResult {
+    // Step 3: trace selection.
+    let selector = TraceSelector::new().min_prob(min_prob);
+    let traces = selector.select_program(&program, &profile);
+    observer.checkpoint(&Checkpoint::TracesSelected {
+        program: &program,
+        profile: &profile,
+        traces: &traces,
+    });
+
+    // Step 4: function layout.
+    let layouts: Vec<FunctionLayout> = program
+        .functions()
+        .map(|(fid, func)| FunctionLayout::compute(func, fid, &traces[fid.index()], &profile))
+        .collect();
+
+    // Step 5: global layout and address assignment.
+    let global = GlobalOrder::compute(&program, &profile);
+    let placement = Placement::assemble(&program, &global, &layouts);
+
+    let trace_quality = TraceQuality::measure(&program, &profile, &traces);
+
+    let result = PipelineResult {
+        program,
+        pre_inline_profile,
+        profile,
+        traces,
+        layouts,
+        global,
+        placement,
+        inline_report,
+        trace_quality,
+    };
+    observer.checkpoint(&Checkpoint::Placed { result: &result });
+    result
 }
 
 #[cfg(test)]
