@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use impact_ir::{BlockId, FuncId, Function, Program, Terminator};
+use impact_ir::{BlockId, FuncId, Function, Program};
 
 /// The dominator tree of one function, computed with the iterative
 /// Cooper–Harvey–Kennedy algorithm over a reverse-postorder numbering.
@@ -324,12 +324,6 @@ impl LoopForest {
         self.innermost[b.index()]
     }
 
-    /// The deepest nesting level in the function.
-    #[must_use]
-    pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
-    }
-
     /// `true` when the edge `from -> to` is a back edge (closes a loop
     /// whose header is `to` and whose body contains `from`).
     #[must_use]
@@ -480,47 +474,6 @@ impl CallSccs {
     }
 }
 
-/// `true` when the edge `from -> to` exists in `func`'s CFG (successor
-/// relation, calls reporting their return continuation).
-#[must_use]
-pub fn has_edge(func: &Function, from: BlockId, to: BlockId) -> bool {
-    func.block(from).terminator().successors().contains(&to)
-}
-
-/// Summary of one function's loop structure (for reports and the
-/// `impact analyze` CLI).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopSummary {
-    /// Number of natural loops.
-    pub loops: usize,
-    /// Deepest nesting level.
-    pub max_depth: u32,
-}
-
-/// Loop summaries for every function of `program`, indexed by function
-/// id.
-#[must_use]
-pub fn loop_summaries(program: &Program) -> Vec<LoopSummary> {
-    program
-        .functions()
-        .map(|(_, func)| {
-            let doms = Dominators::compute(func);
-            let forest = LoopForest::compute(func, &doms);
-            LoopSummary {
-                loops: forest.loops().len(),
-                max_depth: forest.max_depth(),
-            }
-        })
-        .collect()
-}
-
-/// Convenience: whether a terminator transfers control out of the
-/// function (used by the branch heuristics).
-#[must_use]
-pub fn is_exit_like(term: &Terminator) -> bool {
-    term.is_function_exit()
-}
-
 #[cfg(test)]
 mod tests {
     use impact_ir::{BranchBias, Instr, ProgramBuilder, Terminator};
@@ -633,7 +586,6 @@ mod tests {
         assert_eq!(forest.parent(1), Some(0));
         assert_eq!(forest.depth(BlockId::new(3)), 2);
         assert_eq!(forest.depth(BlockId::new(4)), 1);
-        assert_eq!(forest.max_depth(), 2);
         assert_eq!(forest.innermost(BlockId::new(3)), Some(1));
         // Inner latch exits the inner loop to the outer latch.
         assert!(forest.is_loop_exit(BlockId::new(3), BlockId::new(4)));
@@ -728,17 +680,5 @@ mod tests {
         let p = pb.finish().unwrap();
         let sccs = CallSccs::compute(&p);
         assert!(sccs.is_cyclic(sccs.component_of(p.entry())));
-    }
-
-    #[test]
-    fn loop_summaries_cover_all_functions() {
-        let p = scc_program();
-        let s = loop_summaries(&p);
-        assert_eq!(s.len(), p.function_count());
-        assert!(s.iter().all(|x| x.loops == 0));
-        let q = nested_loops();
-        let s = loop_summaries(&q);
-        assert_eq!(s[q.entry().index()].loops, 2);
-        assert_eq!(s[q.entry().index()].max_depth, 2);
     }
 }

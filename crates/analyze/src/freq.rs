@@ -72,14 +72,6 @@ pub struct FunctionEstimate {
     pub local_freq: Vec<f64>,
 }
 
-impl FunctionEstimate {
-    /// Expected traversals of edge `from -> to` per invocation.
-    #[must_use]
-    pub fn edge_freq(&self, from: BlockId, to: BlockId) -> f64 {
-        self.local_freq[from.index()] * self.edge_prob.get(&(from, to)).copied().unwrap_or(0.0)
-    }
-}
-
 /// Whole-program static estimate: per-function local frequencies plus
 /// propagated invocation counts (entry function = 1.0 per run).
 #[derive(Debug, Clone)]
@@ -88,14 +80,6 @@ pub struct ProgramEstimate {
     pub funcs: Vec<FunctionEstimate>,
     /// Estimated invocations of each function per program run.
     pub invocations: Vec<f64>,
-}
-
-impl ProgramEstimate {
-    /// Estimated executions of `block` per program run.
-    #[must_use]
-    pub fn block_freq(&self, func: FuncId, block: BlockId) -> f64 {
-        self.invocations[func.index()] * self.funcs[func.index()].local_freq[block.index()]
-    }
 }
 
 /// Assigns a heuristic probability to every outgoing CFG edge of every

@@ -83,20 +83,6 @@ impl<'a> Context<'a> {
         self
     }
 
-    /// Adds trace assignments.
-    #[must_use]
-    pub fn with_traces(mut self, traces: &'a [TraceAssignment]) -> Self {
-        self.traces = Some(traces);
-        self
-    }
-
-    /// Adds function layouts.
-    #[must_use]
-    pub fn with_layouts(mut self, layouts: &'a [FunctionLayout]) -> Self {
-        self.layouts = Some(layouts);
-        self
-    }
-
     /// Overrides the conflict-pressure lint configuration.
     #[must_use]
     pub fn with_conflict(mut self, conflict: ConflictConfig) -> Self {

@@ -223,15 +223,6 @@ impl CacheConfig {
         }
         Ok(())
     }
-
-    /// Number of tags needed to manage the cache (the paper's control
-    /// overhead argument: a 2 KB / 64 B cache needs only 32 blocks but 16
-    /// tags per its §4.2.1 discussion counts data blocks; we report block
-    /// count).
-    #[must_use]
-    pub fn tag_count(&self) -> u64 {
-        self.size_bytes / self.block_bytes
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +236,6 @@ mod tests {
         assert_eq!(c.sets(), 32);
         assert_eq!(c.ways(), 1);
         assert_eq!(c.words_per_block(), 16);
-        assert_eq!(c.tag_count(), 32);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod hierarchy;
 mod lanes;
 pub mod opt;
 pub mod paging;
@@ -48,7 +47,6 @@ mod timing;
 mod victim;
 
 pub use config::{Associativity, CacheConfig, ConfigError, FillPolicy, Replacement};
-pub use hierarchy::{HierarchyLatency, TwoLevel};
 pub use lanes::MultiLane;
 pub use prefetch::NextLinePrefetcher;
 pub use sim::{AccessSink, Cache, FnSink};

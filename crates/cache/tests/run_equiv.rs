@@ -163,9 +163,7 @@ fn drive_pair<S: AccessSink + Clone>(proto: &S, runs: &[(u64, u64)]) -> (S, S) {
 #[test]
 fn wrapper_sinks_are_split_invariant() {
     use impact_cache::paging::{PageConfig, PagingSim, WorkingSetTracker};
-    use impact_cache::{
-        MultiLane, NextLinePrefetcher, TimingConfig, TimingModel, TwoLevel, VictimCache,
-    };
+    use impact_cache::{MultiLane, NextLinePrefetcher, TimingConfig, TimingModel, VictimCache};
 
     check::forall(48, gen_runs, |runs| {
         let lanes = MultiLane::new([
@@ -181,20 +179,6 @@ fn wrapper_sinks_are_split_invariant() {
             "MultiLane state"
         );
         assert_eq!(s.take_stats(), b.take_stats(), "MultiLane stats");
-
-        for l1_fill in [
-            FillPolicy::FullBlock,
-            FillPolicy::Sectored { sector_bytes: 16 },
-            FillPolicy::Partial,
-        ] {
-            let two = TwoLevel::new(
-                Cache::new(CacheConfig::direct_mapped(512, 64).with_fill(l1_fill)),
-                Cache::new(CacheConfig::direct_mapped(4096, 64)),
-            );
-            let (s, b) = drive_pair(&two, runs);
-            assert_eq!(s.l1_stats(), b.l1_stats(), "TwoLevel L1 ({l1_fill:?})");
-            assert_eq!(s.l2_stats(), b.l2_stats(), "TwoLevel L2 ({l1_fill:?})");
-        }
 
         let pf = NextLinePrefetcher::new(Cache::new(CacheConfig::direct_mapped(1024, 64)));
         let (s, b) = drive_pair(&pf, runs);

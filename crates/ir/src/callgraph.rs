@@ -98,26 +98,6 @@ impl CallGraph {
         }
         false
     }
-
-    /// Functions reachable from `roots` via call edges (roots included).
-    #[must_use]
-    pub fn reachable_from(&self, roots: &[FuncId]) -> Vec<FuncId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut order = Vec::new();
-        let mut stack: Vec<FuncId> = roots.to_vec();
-        while let Some(f) = stack.pop() {
-            if seen.insert(f) {
-                order.push(f);
-                for callee in self.callees_of(f) {
-                    if !seen.contains(&callee) {
-                        stack.push(callee);
-                    }
-                }
-            }
-        }
-        order.sort();
-        order
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +169,6 @@ mod tests {
         assert!(cg.is_recursive(a));
         assert!(cg.is_recursive(b));
         assert!(!cg.is_recursive(p.entry()));
-    }
-
-    #[test]
-    fn reachability_excludes_dead_functions() {
-        let p = sample();
-        let cg = p.call_graph();
-        let c = p.function_by_name("c").unwrap();
-        let reach = cg.reachable_from(&[p.entry()]);
-        assert_eq!(reach.len(), 3);
-        assert!(!reach.contains(&c));
     }
 
     #[test]

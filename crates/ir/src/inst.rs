@@ -29,26 +29,9 @@ pub enum Instr {
     Nop,
 }
 
-impl Instr {
-    /// Returns `true` if the instruction accesses data memory.
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(self, Instr::Load | Instr::Store)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_classification() {
-        assert!(Instr::Load.is_memory());
-        assert!(Instr::Store.is_memory());
-        assert!(!Instr::IntAlu.is_memory());
-        assert!(!Instr::FpAlu.is_memory());
-        assert!(!Instr::Nop.is_memory());
-    }
 
     #[test]
     fn default_is_int_alu() {

@@ -43,13 +43,6 @@ impl TransferKind {
                 | TransferKind::Switch
         )
     }
-
-    /// `true` when the transfer redirects the fetch stream (a not-taken
-    /// branch keeps fetching sequentially; every other transfer jumps).
-    #[must_use]
-    pub fn is_taken(self) -> bool {
-        !matches!(self, TransferKind::BranchNotTaken)
-    }
 }
 
 /// One dynamic control transfer observed by the walker.

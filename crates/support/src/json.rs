@@ -75,15 +75,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a `Bool`.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an `Arr`.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Json]> {
@@ -743,7 +734,6 @@ mod tests {
         assert_eq!(doc.get("f").and_then(Json::as_u64), None);
         assert_eq!(doc.get("f").and_then(Json::as_f64), Some(0.5));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
-        assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(
             doc.get("xs").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)

@@ -10,8 +10,6 @@
 //!   `serde`/`serde_json` for the experiment tables and lint output.
 //! * [`check`] — a tiny property-testing harness (seeded generators,
 //!   deterministic shrink-free `forall`) replacing `proptest`.
-//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness replacing
-//!   `criterion` for the `impact-bench` binaries.
 //! * [`par`] — a deterministic-order, bounded fork/join `parallel_map`
 //!   over scoped threads, replacing `rayon` for the evaluation engine.
 //!
@@ -21,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod json;
 pub mod par;
