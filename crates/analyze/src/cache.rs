@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::conflict::line_weights;
 use crate::diag::{Diagnostic, Location};
 use crate::pass::{Context, Pass};
 
@@ -90,28 +91,7 @@ impl Pass for ConflictPressure {
             )];
         }
 
-        // Weight of each memory line: executions of every block that
-        // touches it (a block spanning n lines contributes to all n).
-        let mut line_weight: BTreeMap<u64, u64> = BTreeMap::new();
-        for (fid, func) in ctx.program.functions() {
-            if fid.index() >= profile.funcs.len() {
-                continue;
-            }
-            for (bid, block) in func.blocks() {
-                let w = profile.block_weight(fid, bid);
-                if w == 0 {
-                    continue;
-                }
-                let Some(addr) = placement.try_addr(fid, bid) else {
-                    continue; // IPA101's problem.
-                };
-                let first = addr / cfg.line_bytes;
-                let last = (addr + block.size_bytes() - 1) / cfg.line_bytes;
-                for line in first..=last {
-                    *line_weight.entry(line).or_insert(0) += w;
-                }
-            }
-        }
+        let line_weight = line_weights(ctx.program, profile, placement, cfg.line_bytes);
         let Some(&max_weight) = line_weight.values().max() else {
             return Vec::new();
         };

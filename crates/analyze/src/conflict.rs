@@ -225,6 +225,39 @@ impl MissBound {
     }
 }
 
+/// Weight of each memory line of `line_bytes`: executions of every
+/// block that touches it (a block spanning n lines contributes to all n).
+/// Blocks of functions the profile does not cover, unexecuted blocks and
+/// blocks without an address (IPA101's problem) contribute nothing.
+pub(crate) fn line_weights(
+    program: &Program,
+    profile: &Profile,
+    placement: &Placement,
+    line_bytes: u64,
+) -> BTreeMap<u64, u64> {
+    let mut line_weight: BTreeMap<u64, u64> = BTreeMap::new();
+    for (f, func) in program.functions() {
+        if f.index() >= profile.funcs.len() {
+            continue;
+        }
+        for (b, block) in func.blocks() {
+            let w = profile.block_weight(f, b);
+            if w == 0 {
+                continue;
+            }
+            let Some(addr) = placement.try_addr(f, b) else {
+                continue;
+            };
+            let first = addr / line_bytes;
+            let last = (addr + block.size_bytes() - 1) / line_bytes;
+            for line in first..=last {
+                *line_weight.entry(line).or_insert(0) += w;
+            }
+        }
+    }
+    line_weight
+}
+
 /// Bounds the miss ratio of `placement` under `profile` analytically.
 ///
 /// Every line touched at least once costs one cold miss. Within each
@@ -248,26 +281,7 @@ pub fn estimate_miss_bound(
             accesses: 0,
         };
     }
-    let mut line_weight: BTreeMap<u64, u64> = BTreeMap::new();
-    for (f, func) in program.functions() {
-        if f.index() >= profile.funcs.len() {
-            continue;
-        }
-        for (b, block) in func.blocks() {
-            let w = profile.block_weight(f, b);
-            if w == 0 {
-                continue;
-            }
-            let Some(addr) = placement.try_addr(f, b) else {
-                continue;
-            };
-            let first = addr / cfg.line_bytes;
-            let last = (addr + block.size_bytes() - 1) / cfg.line_bytes;
-            for line in first..=last {
-                *line_weight.entry(line).or_insert(0) += w;
-            }
-        }
-    }
+    let line_weight = line_weights(program, profile, placement, cfg.line_bytes);
 
     let sets = cfg.sets();
     let mut per_set: BTreeMap<u64, Vec<u64>> = BTreeMap::new();

@@ -1,7 +1,7 @@
 //! One-word vs. whole-run fetch-path throughput, plus artifact-replay
 //! and cold-table delivery rates.
 //!
-//! Three sections, all written to `BENCH_cache.json`:
+//! Three sections, all written to `BENCH_cache.json` by a full run:
 //!
 //! 1. **scalar vs batched** — streams the grep benchmark's evaluation
 //!    trace as sequential runs (exactly what `TraceGenerator::stream`
@@ -17,10 +17,11 @@
 //! 3. **table6_cold** — the full Table 6 pipeline through a fresh
 //!    storeless `SimSession`.
 //!
-//! Run with `--fast` (CI smoke) for a short trace and few repetitions;
-//! the process exits non-zero if the batched path is slower than scalar
-//! on the headline direct-mapped organization, or if artifact replay is
-//! slower than the interpreted walk on the sweep.
+//! Run with `--fast` (CI smoke) for a short trace, few repetitions and
+//! no write to `BENCH_cache.json`. Either way the process exits non-zero
+//! if the batched path is slower than scalar on the headline
+//! direct-mapped organization, or if artifact replay is slower than the
+//! interpreted walk on the sweep.
 
 use impact_cache::{
     AccessSink, Associativity, Cache, CacheConfig, FillPolicy, MultiLane, WORD_BYTES,
@@ -287,10 +288,15 @@ fn main() {
         ),
     ]);
     // Cargo runs benches with the package directory as cwd; anchor the
-    // result file at the workspace root where it is committed.
+    // result file at the workspace root where it is committed. Only a
+    // full run's figures belong there.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json");
-    std::fs::write(out, json.to_string_pretty() + "\n").expect("write BENCH_cache.json");
-    eprintln!("wrote {out}");
+    if fast {
+        eprintln!("--fast: left {out} as it is");
+    } else {
+        std::fs::write(out, json.to_string_pretty() + "\n").expect("write BENCH_cache.json");
+        eprintln!("wrote {out}");
+    }
 
     let headline = rows
         .iter()

@@ -1,11 +1,12 @@
 //! `repro` — regenerate any table of the ISCA 1989 IMPACT-I paper.
 //!
 //! ```text
-//! repro [table1 .. table9 | ablation | paging | estimate | variability | assoc | minprob | static | score | all]
-//!       [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE]
-//!       [--store DIR]
+//! repro [TABLE ... | all] [--fast] [--extended] [--json DIR] [--jobs N]
+//!       [--metrics FILE] [--store DIR]
 //! ```
 //!
+//! * `TABLE` is any label in [`runner::TABLES`] (`usage` lists them);
+//!   without one, `repro` renders the paper's tables `table1` .. `table9`.
 //! * `--fast` caps walk lengths (quick smoke run; ratios are noisier).
 //! * `--json DIR` additionally writes each table's rows as `tableN.json`.
 //! * `--jobs N` bounds the worker threads for preparation and simulation
@@ -30,6 +31,7 @@
 //! drop exits 1 so scorer regressions cannot land silently.
 //!
 //! [`SimSession`]: impact_experiments::session::SimSession
+//! [`runner::TABLES`]: impact_experiments::runner::TABLES
 
 use std::process::ExitCode;
 
@@ -39,8 +41,10 @@ use impact_experiments::session::SimSession;
 use impact_support::ToJson;
 
 fn usage() -> ExitCode {
+    let labels: Vec<&str> = runner::TABLES.iter().map(|(label, _)| *label).collect();
     eprintln!(
-        "usage: repro [table1..table9 | ablation | paging | estimate | variability | assoc | minprob | static | score | all] [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE] [--store DIR]"
+        "usage: repro [{} | all] [--fast] [--extended] [--json DIR] [--jobs N] [--metrics FILE] [--store DIR]",
+        labels.join(" | ")
     );
     ExitCode::FAILURE
 }
@@ -82,7 +86,7 @@ fn main() -> ExitCode {
                 }
                 _ => return usage(),
             },
-            "all" => selected.extend(runner::TABLE_IDS),
+            "all" => selected.extend((1..).zip(runner::TABLES).map(|(n, _)| n)),
             name => match runner::table_id(name) {
                 Some(n) => selected.push(n),
                 None => return usage(),
@@ -90,7 +94,12 @@ fn main() -> ExitCode {
         }
     }
     if selected.is_empty() {
-        selected.extend(1..=9);
+        let paper = (1..).zip(runner::TABLES);
+        selected.extend(
+            paper
+                .filter(|(_, (label, _))| label.starts_with("table"))
+                .map(|(n, _)| n),
+        );
     }
     selected.sort_unstable();
     selected.dedup();

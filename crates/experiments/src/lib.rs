@@ -1,7 +1,7 @@
 //! Reproduction harness for every table of the ISCA 1989 IMPACT-I paper.
 //!
 //! The paper's evaluation is nine tables (it has no numbered figures);
-//! each has a runner in [`tables`]:
+//! each has a module in [`tables`]:
 //!
 //! | module | paper table | content |
 //! |--------|-------------|---------|
@@ -17,16 +17,22 @@
 //!
 //! [`prepare`] runs the full placement pipeline once per benchmark and is
 //! shared by all cache-simulation tables; [`sim`] streams evaluation
-//! traces into banks of cache configurations. The `repro` binary renders
-//! any table (or all) as text and optionally as JSON.
+//! traces into banks of cache configurations. The one list
+//! [`runner::TABLES`] names all seventeen tables (the paper's nine, then
+//! the reproduction's extras), and the `repro` binary renders any of them
+//! (or all) as text and optionally as JSON.
 //!
 //! # Example: regenerate the headline result
 //!
 //! ```no_run
+//! use impact_experiments::session::SimSession;
 //! use impact_experiments::{prepare, tables};
 //!
 //! let prepared = prepare::prepare_all(&prepare::Budget::default());
-//! let rows = tables::t6::run(&prepared);
+//! let mut session = SimSession::new();
+//! let plan = tables::t6::plan(&mut session, &prepared);
+//! session.execute();
+//! let rows = tables::t6::finish(&session, &plan);
 //! println!("{}", tables::t6::render(&rows));
 //! ```
 

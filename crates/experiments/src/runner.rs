@@ -7,186 +7,146 @@
 //! trace alone is wanted by seven tables) collapse into one stream per
 //! unique `(program, placement, seed, limits)` key. The `repro` binary
 //! is a thin CLI shell around [`run_tables`].
+//!
+//! [`TABLES`] is the one list of tables. Each entry pairs a stable label
+//! with a [`PlanFn`] that calls its module's `plan` and hands back a
+//! [`Finisher`] around the module's `finish` and `render`; table ids,
+//! `repro`'s selectors and its usage line all derive from that list.
 
 use std::time::Instant;
 
+use impact_support::ToJson;
+
 use crate::prepare::Prepared;
 use crate::session::SimSession;
-use crate::tables;
+use crate::tables::{
+    ablation, assoc, estimate_validation, min_prob, paging, score_validation, static_validation,
+    t1, t2, t3, t4, t5, t6, t7, t8, t9, variability,
+};
 
-/// Table selector used by the `repro` CLI: `1..=9` are the paper's
-/// tables, `10..=17` the reproduction's extra experiments.
-pub const TABLE_IDS: std::ops::RangeInclusive<u8> = 1..=17;
+/// Reads the executed session into one table's rendered text and its
+/// typed rows as pretty-printed JSON.
+pub type Finisher = Box<dyn FnOnce(&mut SimSession, &[Prepared]) -> (String, String)>;
 
-/// The stable label of table `n` (file names, metrics, CLI).
-///
-/// # Panics
-///
-/// Panics if `n` is outside [`TABLE_IDS`].
-#[must_use]
-pub fn label(n: u8) -> &'static str {
-    match n {
-        1 => "table1",
-        2 => "table2",
-        3 => "table3",
-        4 => "table4",
-        5 => "table5",
-        6 => "table6",
-        7 => "table7",
-        8 => "table8",
-        9 => "table9",
-        10 => "ablation",
-        11 => "paging",
-        12 => "estimate",
-        13 => "variability",
-        14 => "assoc",
-        15 => "minprob",
-        16 => "static",
-        17 => "score",
-        _ => panic!("unknown table id {n}"),
-    }
+/// Registers one table's demands on a session that has not executed yet.
+pub type PlanFn = fn(&mut SimSession, &[Prepared]) -> Finisher;
+
+/// Every table, in id order: table id `n` is entry `n - 1`. The paper's
+/// tables come first, labelled `table1` .. `table9`; the reproduction's
+/// extra experiments follow. The label names the table in file names,
+/// metrics and the CLI.
+pub const TABLES: &[(&str, PlanFn)] = &[
+    ("table1", |s, p| {
+        let plan = t1::plan(s, p);
+        finisher(t1::render, move |s, _| t1::finish(s, &plan))
+    }),
+    ("table2", |s, p| {
+        let plan = t2::plan(s, p);
+        finisher(t2::render, move |s, _| t2::finish(s, plan))
+    }),
+    ("table3", |s, p| {
+        let plan = t3::plan(s, p);
+        finisher(t3::render, move |s, _| t3::finish(s, plan))
+    }),
+    ("table4", |s, p| {
+        let plan = t4::plan(s, p);
+        finisher(t4::render, move |s, _| t4::finish(s, plan))
+    }),
+    ("table5", |s, p| {
+        let plan = t5::plan(s, p);
+        finisher(t5::render, move |s, _| t5::finish(s, &plan))
+    }),
+    ("table6", |s, p| {
+        let plan = t6::plan(s, p);
+        finisher(t6::render, move |s, _| t6::finish(s, &plan))
+    }),
+    ("table7", |s, p| {
+        let plan = t7::plan(s, p);
+        finisher(t7::render, move |s, _| t7::finish(s, &plan))
+    }),
+    ("table8", |s, p| {
+        let plan = t8::plan(s, p);
+        finisher(t8::render, move |s, _| t8::finish(s, &plan))
+    }),
+    ("table9", |s, p| {
+        let plan = t9::plan(s, p);
+        finisher(t9::render, move |s, _| t9::finish(s, &plan))
+    }),
+    ("ablation", |s, p| {
+        let plan = ablation::plan(s, p);
+        finisher(ablation::render, move |s, _| ablation::finish(s, plan))
+    }),
+    ("paging", |s, p| {
+        let plan = paging::plan(s, p);
+        finisher(paging::render, move |s, _| paging::finish(s, plan))
+    }),
+    ("estimate", |s, p| {
+        let plan = estimate_validation::plan(s, p);
+        finisher(estimate_validation::render, move |s, p| {
+            estimate_validation::finish(s, &plan, p)
+        })
+    }),
+    ("variability", |s, p| {
+        let plan = variability::plan(s, p);
+        finisher(variability::render, move |s, _| {
+            variability::finish(s, &plan)
+        })
+    }),
+    ("assoc", |s, p| {
+        let plan = assoc::plan(s, p);
+        finisher(assoc::render, move |s, _| assoc::finish(s, &plan))
+    }),
+    ("minprob", |s, p| {
+        let plan = min_prob::plan(s, p);
+        finisher(min_prob::render, move |s, _| min_prob::finish(s, &plan))
+    }),
+    ("static", |s, p| {
+        let plan = static_validation::plan(s, p);
+        finisher(static_validation::render, move |s, p| {
+            static_validation::finish(s, &plan, p)
+        })
+    }),
+    ("score", |s, p| {
+        let plan = score_validation::plan(s, p);
+        finisher(score_validation::render, move |s, p| {
+            score_validation::finish(s, &plan, p)
+        })
+    }),
+];
+
+/// Wraps a table's `finish` and `render` into its [`Finisher`].
+fn finisher<R: ToJson + 'static>(
+    render: fn(&[R]) -> String,
+    finish: impl FnOnce(&mut SimSession, &[Prepared]) -> Vec<R> + 'static,
+) -> Finisher {
+    Box::new(move |session, prepared| {
+        let rows = finish(session, prepared);
+        (
+            render(&rows),
+            impact_support::json::rows_to_json_pretty(&rows),
+        )
+    })
 }
 
-/// The id in [`TABLE_IDS`] whose [`label`] is `name`.
+/// The id of the table labelled `name` (its position in [`TABLES`],
+/// counted from 1).
 #[must_use]
 pub fn table_id(name: &str) -> Option<u8> {
-    let mut ids = TABLE_IDS;
-    ids.find(|&n| label(n) == name)
+    (1..)
+        .zip(TABLES)
+        .find(|(_, (label, _))| *label == name)
+        .map(|(n, _)| n)
 }
 
 /// One rendered table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableOutput {
-    /// Stable label (`table1` ... `minprob`).
+    /// Stable label (`table1` ... `score`).
     pub label: &'static str,
     /// Rendered text in the paper's shape.
     pub text: String,
     /// The typed rows as pretty-printed JSON.
     pub json: String,
-}
-
-/// A planned table waiting for the session to execute.
-enum TablePlan {
-    T1(tables::t1::Plan),
-    T2(tables::t2::Plan),
-    T3(tables::t3::Plan),
-    T4(tables::t4::Plan),
-    T5(tables::t5::Plan),
-    T6(tables::t6::Plan),
-    T7(tables::t7::Plan),
-    T8(tables::t8::Plan),
-    T9(tables::t9::Plan),
-    Ablation(tables::ablation::Plan),
-    Paging(tables::paging::Plan),
-    Estimate(tables::estimate_validation::Plan),
-    Variability(tables::variability::Plan),
-    Assoc(tables::assoc::Plan),
-    MinProb(tables::min_prob::Plan),
-    Static(tables::static_validation::Plan),
-    Score(tables::score_validation::Plan),
-}
-
-fn plan_one(n: u8, session: &mut SimSession, prepared: &[Prepared]) -> TablePlan {
-    match n {
-        1 => TablePlan::T1(tables::t1::plan(session, prepared)),
-        2 => TablePlan::T2(tables::t2::plan(session, prepared)),
-        3 => TablePlan::T3(tables::t3::plan(session, prepared)),
-        4 => TablePlan::T4(tables::t4::plan(session, prepared)),
-        5 => TablePlan::T5(tables::t5::plan(session, prepared)),
-        6 => TablePlan::T6(tables::t6::plan(session, prepared)),
-        7 => TablePlan::T7(tables::t7::plan(session, prepared)),
-        8 => TablePlan::T8(tables::t8::plan(session, prepared)),
-        9 => TablePlan::T9(tables::t9::plan(session, prepared)),
-        10 => TablePlan::Ablation(tables::ablation::plan(session, prepared)),
-        11 => TablePlan::Paging(tables::paging::plan(session, prepared)),
-        12 => TablePlan::Estimate(tables::estimate_validation::plan(session, prepared)),
-        13 => TablePlan::Variability(tables::variability::plan(session, prepared)),
-        14 => TablePlan::Assoc(tables::assoc::plan(session, prepared)),
-        15 => TablePlan::MinProb(tables::min_prob::plan(session, prepared)),
-        16 => TablePlan::Static(tables::static_validation::plan(session, prepared)),
-        17 => TablePlan::Score(tables::score_validation::plan(session, prepared)),
-        _ => panic!("unknown table id {n}"),
-    }
-}
-
-fn finish_one(
-    plan: TablePlan,
-    session: &mut SimSession,
-    prepared: &[Prepared],
-) -> (String, String) {
-    fn pack<R: impact_support::ToJson>(text: String, rows: &[R]) -> (String, String) {
-        (text, impact_support::json::rows_to_json_pretty(rows))
-    }
-    match plan {
-        TablePlan::T1(p) => {
-            let rows = tables::t1::finish(session, &p);
-            pack(tables::t1::render(&rows), &rows)
-        }
-        TablePlan::T2(p) => {
-            let rows = tables::t2::finish(session, p);
-            pack(tables::t2::render(&rows), &rows)
-        }
-        TablePlan::T3(p) => {
-            let rows = tables::t3::finish(session, p);
-            pack(tables::t3::render(&rows), &rows)
-        }
-        TablePlan::T4(p) => {
-            let rows = tables::t4::finish(session, p);
-            pack(tables::t4::render(&rows), &rows)
-        }
-        TablePlan::T5(p) => {
-            let rows = tables::t5::finish(session, &p);
-            pack(tables::t5::render(&rows), &rows)
-        }
-        TablePlan::T6(p) => {
-            let rows = tables::t6::finish(session, &p);
-            pack(tables::t6::render(&rows), &rows)
-        }
-        TablePlan::T7(p) => {
-            let rows = tables::t7::finish(session, &p);
-            pack(tables::t7::render(&rows), &rows)
-        }
-        TablePlan::T8(p) => {
-            let rows = tables::t8::finish(session, &p);
-            pack(tables::t8::render(&rows), &rows)
-        }
-        TablePlan::T9(p) => {
-            let rows = tables::t9::finish(session, &p);
-            pack(tables::t9::render(&rows), &rows)
-        }
-        TablePlan::Ablation(p) => {
-            let rows = tables::ablation::finish(session, p);
-            pack(tables::ablation::render(&rows), &rows)
-        }
-        TablePlan::Paging(p) => {
-            let rows = tables::paging::finish(session, p);
-            pack(tables::paging::render(&rows), &rows)
-        }
-        TablePlan::Estimate(p) => {
-            let rows = tables::estimate_validation::finish(session, &p, prepared);
-            pack(tables::estimate_validation::render(&rows), &rows)
-        }
-        TablePlan::Variability(p) => {
-            let rows = tables::variability::finish(session, &p);
-            pack(tables::variability::render(&rows), &rows)
-        }
-        TablePlan::Assoc(p) => {
-            let rows = tables::assoc::finish(session, &p);
-            pack(tables::assoc::render(&rows), &rows)
-        }
-        TablePlan::MinProb(p) => {
-            let rows = tables::min_prob::finish(session, &p);
-            pack(tables::min_prob::render(&rows), &rows)
-        }
-        TablePlan::Static(p) => {
-            let rows = tables::static_validation::finish(session, &p, prepared);
-            pack(tables::static_validation::render(&rows), &rows)
-        }
-        TablePlan::Score(p) => {
-            let rows = tables::score_validation::finish(session, &p, prepared);
-            pack(tables::score_validation::render(&rows), &rows)
-        }
-    }
 }
 
 /// Plans every selected table on `session` (which must not have
@@ -195,34 +155,35 @@ fn finish_one(
 ///
 /// Per-table plan and finish/render wall-clock is recorded on the
 /// session's metrics ([`SimSession::record_table`]).
+///
+/// # Panics
+///
+/// Panics if a selected id is 0 or above `TABLES.len()`.
 #[must_use]
 pub fn run_tables(
     session: &mut SimSession,
     prepared: &[Prepared],
     selected: &[u8],
 ) -> Vec<TableOutput> {
-    let plans: Vec<(u8, TablePlan, u64)> = selected
+    let planned: Vec<(&'static str, Finisher, u64)> = selected
         .iter()
         .map(|&n| {
+            let (label, plan) = TABLES[usize::from(n) - 1];
             let t0 = Instant::now();
-            let plan = plan_one(n, session, prepared);
-            (n, plan, t0.elapsed().as_nanos() as u64)
+            let finish = plan(session, prepared);
+            (label, finish, t0.elapsed().as_nanos() as u64)
         })
         .collect();
 
     session.execute();
 
-    plans
+    planned
         .into_iter()
-        .map(|(n, plan, plan_nanos)| {
+        .map(|(label, finish, plan_nanos)| {
             let t0 = Instant::now();
-            let (text, json) = finish_one(plan, session, prepared);
-            session.record_table(label(n), plan_nanos, t0.elapsed().as_nanos() as u64);
-            TableOutput {
-                label: label(n),
-                text,
-                json,
-            }
+            let (text, json) = finish(session, prepared);
+            session.record_table(label, plan_nanos, t0.elapsed().as_nanos() as u64);
+            TableOutput { label, text, json }
         })
         .collect()
 }
@@ -233,10 +194,14 @@ mod tests {
 
     use super::*;
 
+    fn all_ids() -> Vec<u8> {
+        (1..=TABLES.len() as u8).collect()
+    }
+
     #[test]
     fn table_names_resolve_to_their_ids() {
-        for n in TABLE_IDS {
-            assert_eq!(table_id(label(n)), Some(n));
+        for n in all_ids() {
+            assert_eq!(table_id(TABLES[usize::from(n) - 1].0), Some(n));
         }
         for bad in ["table0", "table10", "foo"] {
             assert_eq!(table_id(bad), None, "{bad}");
@@ -251,8 +216,7 @@ mod tests {
             .map(|n| prepare(&impact_workloads::by_name(n).unwrap(), &budget))
             .collect();
         let mut session = SimSession::new();
-        let selected: Vec<u8> = TABLE_IDS.collect();
-        let outputs = run_tables(&mut session, &prepared, &selected);
+        let outputs = run_tables(&mut session, &prepared, &all_ids());
         assert_eq!(outputs.len(), 17);
 
         let m = session.metrics();
@@ -269,9 +233,9 @@ mod tests {
     fn outputs_match_standalone_run_and_any_job_count() {
         let budget = Budget::fast();
         let prepared = vec![prepare(&impact_workloads::by_name("wc").unwrap(), &budget)];
-        // 12 (estimate) guards the order-independent float accumulation:
+        // `estimate` guards the order-independent float accumulation:
         // its sums must not depend on the session's job count.
-        let selected = [1u8, 5, 6, 8, 12];
+        let selected = all_ids();
 
         let mut serial = SimSession::new();
         let a = run_tables(&mut serial, &prepared, &selected);
@@ -280,8 +244,9 @@ mod tests {
         assert_eq!(a, b, "jobs must not change any table byte");
 
         // The shared session reproduces each table's standalone output.
-        let t6 = tables::t6::run(&prepared);
-        let shared_t6 = a.iter().find(|o| o.label == "table6").unwrap();
-        assert_eq!(shared_t6.text, tables::t6::render(&t6));
+        for (&n, shared) in selected.iter().zip(&a) {
+            let alone = run_tables(&mut SimSession::new(), &prepared, &[n]);
+            assert_eq!(alone, std::slice::from_ref(shared), "{}", shared.label);
+        }
     }
 }

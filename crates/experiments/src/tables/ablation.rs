@@ -152,16 +152,6 @@ pub fn finish(session: &mut SimSession, plan: Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Runs the ablation ladder (one-shot session wrapper around
-/// [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&mut session, plan)
-}
-
 /// Renders the ladder with a mean row.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -219,6 +209,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -226,7 +217,7 @@ mod tests {
     fn full_pipeline_beats_random_layout() {
         let w = impact_workloads::by_name("make").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, finish);
         let r = &rows[0];
         assert!(
             r.full < r.random,

@@ -99,16 +99,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Sweeps both layouts across the associativity ladder (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the table with a mean row.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -153,6 +143,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -160,7 +151,7 @@ mod tests {
     fn associativity_helps_natural_layouts_most() {
         let w = impact_workloads::by_name("yacc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         let r = &rows[0];
         assert_eq!(r.natural.len(), 5);
         // Fully associative natural never misses more than direct natural.

@@ -90,16 +90,6 @@ pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<R
         .collect()
 }
 
-/// Runs prediction and simulation for every benchmark (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan, prepared)
-}
-
 /// Mean absolute error (in percentage points of miss ratio) per cache
 /// size.
 #[must_use]
@@ -149,6 +139,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -156,7 +147,8 @@ mod tests {
     fn estimator_tracks_simulation_within_a_point_for_cache_friendly_code() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let prepared = std::slice::from_ref(&p);
+        let rows = run_alone(prepared, plan, |s, plan| finish(s, &plan, prepared));
         for &(pred, sim) in &rows[0].cells {
             assert!(
                 (pred - sim).abs() < 0.01,

@@ -118,16 +118,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Re-places every benchmark per threshold (one-shot session wrapper
-/// around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the sweep.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -169,6 +159,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -176,7 +167,7 @@ mod tests {
     fn higher_thresholds_shorten_traces() {
         let w = impact_workloads::by_name("grep").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         assert_eq!(rows.len(), 5);
         // Trace length is non-increasing in the threshold.
         for pair in rows.windows(2) {

@@ -153,16 +153,6 @@ pub fn finish(session: &mut SimSession, plan: Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Runs the paging experiment for every prepared benchmark (one-shot
-/// session wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&mut session, plan)
-}
-
 /// Renders the table.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -200,6 +190,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -207,7 +198,7 @@ mod tests {
     fn optimization_shrinks_working_set_and_sectoring_cuts_traffic() {
         let w = impact_workloads::by_name("lex").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, finish);
         let r = &rows[0];
         // lex's hot set packs into fewer pages after placement.
         assert!(r.optimized_ws_pages <= r.natural_ws_pages + 0.5, "{r:?}");

@@ -203,16 +203,6 @@ pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<R
         .collect()
 }
 
-/// Runs scoring and simulation for every benchmark (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan, prepared)
-}
-
 /// Mean per-benchmark cost-vs-miss rank correlation — the number the
 /// `repro score` regression gate compares against the committed
 /// baseline.
@@ -264,6 +254,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -271,7 +262,8 @@ mod tests {
     fn scores_rank_wc_layouts_like_the_simulator() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let prepared = std::slice::from_ref(&p);
+        let rows = run_alone(prepared, plan, |s, plan| finish(s, &plan, prepared));
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.variants, 5);
@@ -289,8 +281,9 @@ mod tests {
     fn variants_are_deterministic() {
         let w = impact_workloads::by_name("cmp").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let a = run(std::slice::from_ref(&p));
-        let b = run(std::slice::from_ref(&p));
+        let prepared = std::slice::from_ref(&p);
+        let a = run_alone(prepared, plan, |s, plan| finish(s, &plan, prepared));
+        let b = run_alone(prepared, plan, |s, plan| finish(s, &plan, prepared));
         assert_eq!(a, b, "same inputs must produce identical rows");
     }
 }

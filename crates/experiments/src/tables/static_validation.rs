@@ -163,16 +163,6 @@ pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<R
         .collect()
 }
 
-/// Runs estimation and simulation for every benchmark (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan, prepared)
-}
-
 /// Cross-benchmark Spearman correlation of the static miss-ratio bound
 /// against the simulated miss ratio: does the static analysis rank the
 /// benchmarks the way the simulator does?
@@ -222,6 +212,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -240,7 +231,8 @@ mod tests {
     fn static_estimates_rank_wc_functions_like_the_profile() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let prepared = std::slice::from_ref(&p);
+        let rows = run_alone(prepared, plan, |s, plan| finish(s, &plan, prepared));
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert!(

@@ -98,16 +98,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Computes all 16 grid cells (one-shot session wrapper around
-/// [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the grid with target and measured values side by side.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -145,6 +135,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -152,7 +143,7 @@ mod tests {
     fn grid_is_complete_and_monotone_in_cache_size() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(&[p]);
+        let rows = run_alone(&[p], plan, |s, plan| finish(s, &plan));
         assert_eq!(rows.len(), 16);
         // LRU stack property: fully-associative misses shrink as the
         // cache grows, per block size.

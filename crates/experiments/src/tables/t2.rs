@@ -40,24 +40,10 @@ pub struct Plan {
     rows: Vec<Row>,
 }
 
-/// Computes all rows from the profiles (nothing to simulate).
-pub fn plan(_session: &mut SimSession, prepared: &[Prepared]) -> Plan {
-    Plan {
-        rows: run(prepared),
-    }
-}
-
-/// Returns the rows computed in [`plan`].
-#[must_use]
-pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
-    plan.rows
-}
-
 /// Computes one row per prepared benchmark from its pre-inlining profile
-/// (Table 2 describes the original programs).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    prepared
+/// (Table 2 describes the original programs); nothing to simulate.
+pub fn plan(_session: &mut SimSession, prepared: &[Prepared]) -> Plan {
+    let rows = prepared
         .iter()
         .map(|p| {
             let profile = &p.result.pre_inline_profile;
@@ -73,7 +59,14 @@ pub fn run(prepared: &[Prepared]) -> Vec<Row> {
                 control: profile.totals.intra_transfers,
             }
         })
-        .collect()
+        .collect();
+    Plan { rows }
+}
+
+/// Returns the rows computed in [`plan`].
+#[must_use]
+pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
+    plan.rows
 }
 
 /// Renders the table.
@@ -103,6 +96,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -110,7 +104,7 @@ mod tests {
     fn rows_reflect_profiles() {
         let w = impact_workloads::by_name("cmp").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, plan));
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.name, "cmp");

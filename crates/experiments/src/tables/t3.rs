@@ -35,23 +35,10 @@ pub struct Plan {
     rows: Vec<Row>,
 }
 
-/// Computes all rows from the inline reports (nothing to simulate).
+/// Extracts one row per prepared benchmark from its inline report
+/// (nothing to simulate).
 pub fn plan(_session: &mut SimSession, prepared: &[Prepared]) -> Plan {
-    Plan {
-        rows: run(prepared),
-    }
-}
-
-/// Returns the rows computed in [`plan`].
-#[must_use]
-pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
-    plan.rows
-}
-
-/// Extracts one row per prepared benchmark.
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    prepared
+    let rows = prepared
         .iter()
         .map(|p| {
             let r = &p.result.inline_report;
@@ -63,7 +50,14 @@ pub fn run(prepared: &[Prepared]) -> Vec<Row> {
                 transfers_per_call: r.transfers_per_call,
             }
         })
-        .collect()
+        .collect();
+    Plan { rows }
+}
+
+/// Returns the rows computed in [`plan`].
+#[must_use]
+pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
+    plan.rows
 }
 
 /// Renders the table.
@@ -106,6 +100,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -114,7 +109,7 @@ mod tests {
         let budget = Budget::fast();
         let grep = prepare(&impact_workloads::by_name("grep").unwrap(), &budget);
         let tee = prepare(&impact_workloads::by_name("tee").unwrap(), &budget);
-        let rows = run(&[grep, tee]);
+        let rows = run_alone(&[grep, tee], plan, |s, plan| finish(s, plan));
         assert!(
             rows[0].call_decrease > 0.5,
             "grep should inline most calls: {rows:?}"

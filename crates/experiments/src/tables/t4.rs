@@ -34,24 +34,10 @@ pub struct Plan {
     rows: Vec<Row>,
 }
 
-/// Computes all rows from the trace-quality reports (nothing to
-/// simulate).
+/// Extracts one row per prepared benchmark from its trace-quality report
+/// (nothing to simulate).
 pub fn plan(_session: &mut SimSession, prepared: &[Prepared]) -> Plan {
-    Plan {
-        rows: run(prepared),
-    }
-}
-
-/// Returns the rows computed in [`plan`].
-#[must_use]
-pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
-    plan.rows
-}
-
-/// Extracts one row per prepared benchmark.
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    prepared
+    let rows = prepared
         .iter()
         .map(|p| {
             let q = &p.result.trace_quality;
@@ -63,7 +49,14 @@ pub fn run(prepared: &[Prepared]) -> Vec<Row> {
                 trace_length: q.mean_trace_length,
             }
         })
-        .collect()
+        .collect();
+    Plan { rows }
+}
+
+/// Returns the rows computed in [`plan`].
+#[must_use]
+pub fn finish(_session: &SimSession, plan: Plan) -> Vec<Row> {
+    plan.rows
 }
 
 /// Renders the table.
@@ -99,6 +92,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -107,7 +101,7 @@ mod tests {
         let budget = Budget::fast();
         let cmp = prepare(&impact_workloads::by_name("cmp").unwrap(), &budget);
         let tar = prepare(&impact_workloads::by_name("tar").unwrap(), &budget);
-        let rows = run(&[cmp, tar]);
+        let rows = run_alone(&[cmp, tar], plan, |s, plan| finish(s, plan));
         for r in &rows {
             let sum = r.neutral + r.undesirable + r.desirable;
             assert!((sum - 1.0).abs() < 1e-6, "{r:?}");

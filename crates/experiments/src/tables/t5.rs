@@ -68,16 +68,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Computes one row per prepared benchmark (one-shot session wrapper
-/// around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the table.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -109,6 +99,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -116,7 +107,7 @@ mod tests {
     fn effective_is_at_most_total() {
         let w = impact_workloads::by_name("compress").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         let r = &rows[0];
         assert!(r.effective_static_bytes <= r.total_static_bytes);
         assert!(

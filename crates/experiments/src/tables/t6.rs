@@ -70,16 +70,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Simulates every benchmark across all cache sizes (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Per-size `(mean miss, mean traffic)` across benchmarks — the numbers
 /// behind the paper's "average 0.5 % miss, 8 % traffic at 2 K" claim.
 #[must_use]
@@ -134,6 +124,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -141,7 +132,7 @@ mod tests {
     fn wc_misses_nothing_everywhere() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         assert_eq!(rows[0].cells.len(), 5);
         // wc's hot loop fits even the 512-byte cache after placement.
         let (miss_512, _) = rows[0].cells[4];

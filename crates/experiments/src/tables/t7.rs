@@ -70,16 +70,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Simulates every benchmark across all block sizes (one-shot session
-/// wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Per-block-size `(mean miss, mean traffic)` across benchmarks.
 #[must_use]
 pub fn averages(rows: &[Row]) -> Vec<(f64, f64)> {
@@ -128,6 +118,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -135,7 +126,7 @@ mod tests {
     fn miss_falls_and_traffic_rises_with_block_size_where_misses_exist() {
         let w = impact_workloads::by_name("cccp").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         let cells = &rows[0].cells;
         assert_eq!(cells.len(), 4);
         // The paper's trend: larger blocks lower the miss ratio...

@@ -94,16 +94,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Simulates both schemes for every benchmark (one-shot session wrapper
-/// around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the table.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -141,7 +131,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
-    use crate::tables::t6;
+    use crate::tables::{run_alone, t6};
 
     use super::*;
 
@@ -149,9 +139,11 @@ mod tests {
     fn schemes_trade_misses_for_traffic() {
         let w = impact_workloads::by_name("make").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let full = t6::run(std::slice::from_ref(&p));
+        let full = run_alone(std::slice::from_ref(&p), t6::plan, |s, plan| {
+            t6::finish(s, &plan)
+        });
         let (full_miss, full_traffic) = full[0].cells[2]; // 2K column
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         let r = &rows[0];
         // Sectoring: higher miss ratio, lower traffic than full-block.
         assert!(r.sector_miss > full_miss, "{r:?} vs full {full_miss}");

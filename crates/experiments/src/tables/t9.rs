@@ -94,17 +94,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Lays out each benchmark per scaling factor and simulates the
-/// partial-loading configuration (one-shot session wrapper around
-/// [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the table.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -133,6 +122,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -140,7 +130,7 @@ mod tests {
     fn scaling_keeps_ratios_stable_for_cache_friendly_benchmarks() {
         let w = impact_workloads::by_name("wc").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         assert_eq!(rows[0].cells.len(), 4);
         // wc fits every cache at every density: all cells stay tiny.
         for &(m, _) in &rows[0].cells {

@@ -114,16 +114,6 @@ pub fn finish(session: &SimSession, plan: &Plan) -> Vec<Row> {
         .collect()
 }
 
-/// Evaluates every benchmark over [`SEEDS`] held-out inputs (one-shot
-/// session wrapper around [`plan`] / [`finish`]).
-#[must_use]
-pub fn run(prepared: &[Prepared]) -> Vec<Row> {
-    let mut session = SimSession::new();
-    let plan = plan(&mut session, prepared);
-    session.execute();
-    finish(&session, &plan)
-}
-
 /// Renders the table.
 #[must_use]
 pub fn render(rows: &[Row]) -> String {
@@ -151,6 +141,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::prepare::{prepare, Budget};
+    use crate::tables::run_alone;
 
     use super::*;
 
@@ -158,7 +149,7 @@ mod tests {
     fn spread_statistics_are_consistent() {
         let w = impact_workloads::by_name("compress").unwrap();
         let p = prepare(&w, &Budget::fast());
-        let rows = run(std::slice::from_ref(&p));
+        let rows = run_alone(std::slice::from_ref(&p), plan, |s, plan| finish(s, &plan));
         let r = &rows[0];
         assert_eq!(r.miss_ratios.len() as u64, SEEDS);
         assert!(r.min <= r.mean && r.mean <= r.max);

@@ -9,6 +9,7 @@
 
 use impact::cache::smith;
 use impact::experiments::prepare::{prepare_all, Budget};
+use impact::experiments::session::SimSession;
 use impact::experiments::tables::ablation;
 
 fn main() {
@@ -20,7 +21,10 @@ fn main() {
     };
     let prepared = prepare_all(&budget);
 
-    let rows = ablation::run(&prepared);
+    let mut session = SimSession::new();
+    let plan = ablation::plan(&mut session, &prepared);
+    session.execute();
+    let rows = ablation::finish(&mut session, plan);
     println!("{}", ablation::render(&rows));
 
     let n = rows.len() as f64;

@@ -3,8 +3,9 @@
 
 use impact::cache::{smith, CacheConfig, FillPolicy};
 use impact::experiments::prepare::{prepare_all, Budget};
+use impact::experiments::session::SimSession;
 use impact::experiments::sim;
-use impact::experiments::tables::{t6, t7};
+use impact::experiments::tables::{t6, t7, t9};
 
 fn budget() -> Budget {
     Budget {
@@ -18,7 +19,10 @@ fn budget() -> Budget {
 #[test]
 fn optimized_direct_mapped_beats_smith_targets() {
     let prepared = prepare_all(&budget());
-    let rows = t6::run(&prepared);
+    let mut session = SimSession::new();
+    let plan = t6::plan(&mut session, &prepared);
+    session.execute();
+    let rows = t6::finish(&session, &plan);
     let target = smith::target_miss_ratio(2048, 64).unwrap();
     let avg = t6::averages(&rows)[2].0; // 2K column
     assert!(
@@ -40,7 +44,10 @@ fn optimized_direct_mapped_beats_smith_targets() {
 #[test]
 fn miss_ratio_shrinks_with_cache_size() {
     let prepared = prepare_all(&budget());
-    for r in t6::run(&prepared) {
+    let mut session = SimSession::new();
+    let plan = t6::plan(&mut session, &prepared);
+    session.execute();
+    for r in t6::finish(&session, &plan) {
         // cells are ordered 8K, 4K, 2K, 1K, 0.5K.
         for w in r.cells.windows(2) {
             assert!(
@@ -58,7 +65,10 @@ fn miss_ratio_shrinks_with_cache_size() {
 #[test]
 fn block_size_trades_misses_for_traffic() {
     let prepared = prepare_all(&budget());
-    let rows = t7::run(&prepared);
+    let mut session = SimSession::new();
+    let plan = t7::plan(&mut session, &prepared);
+    session.execute();
+    let rows = t7::finish(&session, &plan);
     let avgs = t7::averages(&rows);
     for w in avgs.windows(2) {
         assert!(
@@ -133,7 +143,10 @@ fn code_scaling_preserves_cache_performance() {
     // (mid-range miss ratio).
     let w = impact::workloads::by_name("yacc").unwrap();
     let p = impact::experiments::prepare::prepare(&w, &budget());
-    let rows = impact::experiments::tables::t9::run(std::slice::from_ref(&p));
+    let mut session = SimSession::new();
+    let plan = t9::plan(&mut session, std::slice::from_ref(&p));
+    session.execute();
+    let rows = t9::finish(&session, &plan);
     let target = smith::target_miss_ratio(2048, 64).unwrap();
     for &(miss, _) in &rows[0].cells {
         assert!(
