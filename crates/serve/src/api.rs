@@ -14,6 +14,7 @@
 //! | `POST /v1/advise` | `{"program", "name"?, "cache"?, "block"?, "diff"?}` | placement scores + layout advisors (the `impact advise --json` document) |
 //! | `GET /metrics` | — | counters, latency histogram, memo hit rate |
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use impact_analyze::{
@@ -23,7 +24,7 @@ use impact_asm::parse_program;
 use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
 use impact_experiments::session::{SimMetrics, SimSession};
 use impact_ir::Program;
-use impact_layout::pipeline::{Pipeline, PipelineConfig};
+use impact_layout::pipeline::{Pipeline, PipelineConfig, PipelineError};
 use impact_layout::{baseline, Placement};
 use impact_profile::ExecLimits;
 use impact_store::Store;
@@ -33,7 +34,6 @@ use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::rcache::ResponseCache;
 use crate::server::ServeConfig;
-use crate::shard::{ShardRouter, FORWARDED_HEADER};
 
 /// Default evaluation input seed (the CLI's `--seed` default).
 pub const DEFAULT_SEED: u64 = 1_000_003;
@@ -65,8 +65,6 @@ pub struct AppState {
     /// Serving-layer response memo consulted by the reactor before
     /// dispatch (exact `(target, body)` bytes → first response).
     pub rcache: ResponseCache,
-    /// Rendezvous router when the node runs in shard mode (`--peers`).
-    pub shard: Option<ShardRouter>,
 }
 
 impl std::fmt::Debug for AppState {
@@ -74,7 +72,6 @@ impl std::fmt::Debug for AppState {
         f.debug_struct("AppState")
             .field("sim_jobs", &self.sim_jobs)
             .field("store", &self.store.is_some())
-            .field("shard", &self.shard)
             .finish_non_exhaustive()
     }
 }
@@ -94,32 +91,22 @@ impl AppState {
             }),
             metrics: Metrics::new(),
             rcache: ResponseCache::new(crate::rcache::DEFAULT_CACHE_BYTES),
-            shard: None,
         }
     }
 
     /// Full state from a [`ServeConfig`]: opens the persistent store
     /// (when `store_dir` is set) so every session disk-serves repeats and
-    /// writes new results through, and validates the shard membership.
+    /// writes new results through.
     ///
     /// # Errors
     ///
     /// Store directories that cannot be created/opened surface as the
-    /// underlying I/O error; `peers` without a matching `advertise`
-    /// entry (or vice versa) is `InvalidInput`.
+    /// underlying I/O error.
     pub fn from_config(config: &ServeConfig) -> std::io::Result<Self> {
         let store = config.store_dir.as_ref().map(Store::open).transpose()?;
-        let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-        let shard = match (config.peers.is_empty(), &config.advertise) {
-            (true, None) => None,
-            (true, Some(_)) => return Err(invalid("advertise set without a peer list")),
-            (false, None) => return Err(invalid("a peer list needs an advertised self address")),
-            (false, Some(advertise)) => Some(ShardRouter::new(config.peers.clone(), advertise)?),
-        };
         Ok(Self {
             store: store.map(Arc::new),
             rcache: ResponseCache::new(config.response_cache_bytes),
-            shard,
             ..Self::new(config.sim_jobs)
         })
     }
@@ -156,30 +143,25 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
         ("GET", "/healthz"),
     ];
     match (req.method.as_str(), req.path()) {
-        ("POST", "/v1/lint") => (Endpoint::Lint, lint(req)),
-        ("POST", "/v1/layout") => (Endpoint::Layout, layout(req)),
+        ("POST", "/v1/lint") => (Endpoint::Lint, answer(lint(req))),
+        ("POST", "/v1/layout") => (Endpoint::Layout, answer(layout(req))),
         ("POST", "/v1/simulate") => {
-            // Shard mode: hand the request to its rendezvous owner.
-            // Marked requests are already on their owner (one hop max).
-            if let Some(shard) = &state.shard {
-                if req.header(FORWARDED_HEADER).is_none() {
-                    if let Some(peer) = shard.owner_of(&req.body) {
-                        return (Endpoint::Simulate, shard.forward(peer, req));
-                    }
-                }
-                shard.note_local();
-            }
-            (Endpoint::Simulate, simulate(state, req))
+            let served = decode_body(req).and_then(|doc| {
+                let request = decode_simulate(&doc)?;
+                let (stats, instructions) = simulate(state, &request).map_err(bad_input)?;
+                Ok(Response::json(
+                    200,
+                    &request.response_json(&stats, instructions),
+                ))
+            });
+            (Endpoint::Simulate, answer(served))
         }
-        ("POST", "/v1/analyze") => (Endpoint::Analyze, analyze(req)),
-        ("POST", "/v1/advise") => (Endpoint::Advise, advise(req)),
+        ("POST", "/v1/analyze") => (Endpoint::Analyze, answer(analyze(req))),
+        ("POST", "/v1/advise") => (Endpoint::Advise, answer(advise(req))),
         ("GET", "/metrics") => {
             let mut doc = state.metrics.to_json(&state.sim_counters());
             if let Json::Obj(fields) = &mut doc {
                 fields.push(("response_cache".to_string(), state.rcache.to_json()));
-                if let Some(shard) = &state.shard {
-                    fields.push(("shard".to_string(), shard.to_json()));
-                }
             }
             (Endpoint::Metrics, Response::json(200, &doc))
         }
@@ -211,31 +193,21 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
 /// call [`impact_analyze::reports_to_json`]. With `"deny_warnings":
 /// true` (the CLI's `--deny-warnings`) a warning-bearing report comes
 /// back as 422 — the body bytes are unchanged, only the status flips.
-fn lint(req: &Request) -> Response {
-    let doc = match decode_body(req) {
-        Ok(d) => d,
-        Err(resp) => return *resp,
+fn lint(req: &Request) -> Result<Response, Reject> {
+    let doc = decode_body(req)?;
+    let (name, program, params) = decode_program(&doc)?;
+    let deny_warnings = field_bool(&doc, "deny_warnings")?.unwrap_or(false);
+    let checked = CheckedPipeline::new(Pipeline::new(params.pipeline_config()));
+    let (_, report) = checked.try_run(&program).map_err(bad_input)?;
+    let status = if deny_warnings && report.warning_count() > 0 {
+        422
+    } else {
+        200
     };
-    let (name, program, common) = match decode_program(&doc) {
-        Ok(p) => p,
-        Err(resp) => return *resp,
-    };
-    let deny_warnings = match field_bool(&doc, "deny_warnings") {
-        Ok(v) => v.unwrap_or(false),
-        Err(resp) => return *resp,
-    };
-    let checked = CheckedPipeline::new(Pipeline::new(common.pipeline_config()));
-    match checked.try_run(&program) {
-        Ok((_, report)) => {
-            let status = if deny_warnings && report.warning_count() > 0 {
-                422
-            } else {
-                200
-            };
-            Response::json(status, &reports_to_json([(name.as_str(), &report)]))
-        }
-        Err(e) => Response::error(400, e.to_string()),
-    }
+    Ok(Response::json(
+        status,
+        &reports_to_json([(name.as_str(), &report)]),
+    ))
 }
 
 /// `POST /v1/analyze` — profile-free static analysis: Ball/Larus-style
@@ -244,30 +216,13 @@ fn lint(req: &Request) -> Response {
 /// run over the result. The body is the per-target document `impact
 /// analyze --json` emits: both surfaces call
 /// [`StaticAnalysis::to_json_for_target`](impact_analyze::StaticAnalysis::to_json_for_target).
-fn analyze(req: &Request) -> Response {
-    let doc = match decode_body(req) {
-        Ok(d) => d,
-        Err(resp) => return *resp,
-    };
-    let (name, program, _) = match decode_program(&doc) {
-        Ok(p) => p,
-        Err(resp) => return *resp,
-    };
-    let mut conflict = ConflictConfig::default();
-    match field_u64(&doc, "cache") {
-        Ok(Some(v)) => conflict.cache_bytes = v,
-        Ok(None) => {}
-        Err(resp) => return *resp,
-    }
-    match field_u64(&doc, "block") {
-        Ok(Some(v)) => conflict.line_bytes = v,
-        Ok(None) => {}
-        Err(resp) => return *resp,
-    }
-    match analyze_static(&program, &PipelineConfig::default(), conflict) {
-        Ok(analysis) => Response::json(200, &analysis.to_json_for_target(&name)),
-        Err(e) => Response::error(400, e.to_string()),
-    }
+fn analyze(req: &Request) -> Result<Response, Reject> {
+    let doc = decode_body(req)?;
+    let (name, program, _) = decode_program(&doc)?;
+    let conflict = decode_conflict(&doc)?;
+    let analysis =
+        analyze_static(&program, &PipelineConfig::default(), conflict).map_err(bad_input)?;
+    Ok(Response::json(200, &analysis.to_json_for_target(&name)))
 }
 
 /// `POST /v1/advise` — [`analyze`] plus placement scoring (ExtTSP and
@@ -277,81 +232,58 @@ fn analyze(req: &Request) -> Response {
 /// [`Advice::to_json_for_target`](impact_analyze::Advice::to_json_for_target).
 /// An optional `"diff"` field (`natural` or `random[:seed]`, the CLI's
 /// `--diff`) switches to the differential document.
-fn advise(req: &Request) -> Response {
-    let doc = match decode_body(req) {
-        Ok(d) => d,
-        Err(resp) => return *resp,
-    };
-    let (name, program, _) = match decode_program(&doc) {
-        Ok(p) => p,
-        Err(resp) => return *resp,
-    };
-    let mut conflict = ConflictConfig::default();
-    match field_u64(&doc, "cache") {
-        Ok(Some(v)) => conflict.cache_bytes = v,
-        Ok(None) => {}
-        Err(resp) => return *resp,
-    }
-    match field_u64(&doc, "block") {
-        Ok(Some(v)) => conflict.line_bytes = v,
-        Ok(None) => {}
-        Err(resp) => return *resp,
-    }
+fn advise(req: &Request) -> Result<Response, Reject> {
+    let doc = decode_body(req)?;
+    let (name, program, _) = decode_program(&doc)?;
+    let conflict = decode_conflict(&doc)?;
     let diff = match doc.get("diff") {
         None => None,
-        Some(Json::Str(spec)) => Some(spec.clone()),
-        Some(_) => return Response::error(400, "field 'diff' must be a string".to_string()),
+        Some(Json::Str(spec)) => Some(spec),
+        Some(_) => return Err(reject(400, "field 'diff' must be a string")),
     };
-    let advice = match advise_static(&program, &PipelineConfig::default(), conflict) {
-        Ok(a) => a,
-        Err(e) => return Response::error(400, e.to_string()),
-    };
+    let advice =
+        advise_static(&program, &PipelineConfig::default(), conflict).map_err(bad_input)?;
     let Some(spec) = diff else {
-        return Response::json(200, &advice.to_json_for_target(&name));
+        return Ok(Response::json(200, &advice.to_json_for_target(&name)));
     };
-    let result = &advice.analysis.result;
-    let (bname, bp) = if spec == "natural" {
-        ("natural".to_string(), baseline::natural(&result.program))
-    } else if spec == "random" {
-        ("random:7".to_string(), baseline::random(&result.program, 7))
-    } else if let Some(seed) = spec.strip_prefix("random:").and_then(|s| s.parse().ok()) {
-        (
-            format!("random:{seed}"),
-            baseline::random(&result.program, seed),
-        )
-    } else {
-        return Response::error(
+    let (bname, bp) = diff_baseline(spec, &advice.analysis.result.program).ok_or_else(|| {
+        reject(
             400,
             format!("unknown diff baseline '{spec}' (use natural | random[:seed])"),
-        );
-    };
-    Response::json(
+        )
+    })?;
+    Ok(Response::json(
         200,
         &advice.diff_json_for_target(&name, &bname, &bp, conflict),
-    )
+    ))
+}
+
+/// Resolves an `impact advise --diff` / `/v1/advise` `"diff"` baseline
+/// spec against the post-inline program: `natural` or `random[:seed]`
+/// (seed defaults to 7). Returns the baseline's label and placement, or
+/// `None` for an unknown spec.
+#[must_use]
+pub fn diff_baseline(spec: &str, program: &Program) -> Option<(String, Placement)> {
+    match spec {
+        "natural" => Some(("natural".to_string(), baseline::natural(program))),
+        "random" => Some(("random:7".to_string(), baseline::random(program, 7))),
+        _ => {
+            let seed = spec.strip_prefix("random:")?.parse().ok()?;
+            Some((format!("random:{seed}"), baseline::random(program, seed)))
+        }
+    }
 }
 
 /// `POST /v1/layout` — run the five-step placement pipeline and return
 /// the placement plus its quality metrics.
-fn layout(req: &Request) -> Response {
-    let doc = match decode_body(req) {
-        Ok(d) => d,
-        Err(resp) => return *resp,
-    };
-    let (name, program, common) = match decode_program(&doc) {
-        Ok(p) => p,
-        Err(resp) => return *resp,
-    };
-    let mut config = common.pipeline_config();
-    match field_f64(&doc, "min_prob") {
-        Ok(Some(p)) => config.min_prob = p,
-        Ok(None) => {}
-        Err(resp) => return *resp,
+fn layout(req: &Request) -> Result<Response, Reject> {
+    let doc = decode_body(req)?;
+    let (name, program, params) = decode_program(&doc)?;
+    let mut config = params.pipeline_config();
+    if let Some(p) = field_f64(&doc, "min_prob")? {
+        config.min_prob = p;
     }
-    let result = match Pipeline::new(config).try_run(&program) {
-        Ok(r) => r,
-        Err(e) => return Response::error(400, e.to_string()),
-    };
+    let result = Pipeline::new(config).try_run(&program).map_err(bad_input)?;
 
     let placement_doc = Json::Arr(
         result
@@ -381,7 +313,7 @@ fn layout(req: &Request) -> Response {
             .map(|&f| result.program.function(f).name().to_json())
             .collect(),
     );
-    Response::json(
+    Ok(Response::json(
         200,
         &Json::Obj(vec![
             ("name".to_string(), name.to_json()),
@@ -438,69 +370,150 @@ fn layout(req: &Request) -> Response {
             ("function_order".to_string(), order),
             ("placement".to_string(), placement_doc),
         ]),
-    )
+    ))
 }
 
-/// `POST /v1/simulate` — evaluate cache configurations over the
-/// program's trace in a session of its own: plan, execute once under
-/// the walk lock, read, then fold the session's counters into the
-/// service total.
-fn simulate(state: &AppState, req: &Request) -> Response {
-    let doc = match decode_body(req) {
-        Ok(d) => d,
-        Err(resp) => return *resp,
-    };
-    let (_, program, common) = match decode_program(&doc) {
-        Ok(p) => p,
-        Err(resp) => return *resp,
-    };
-    let seed = match field_u64(&doc, "seed") {
-        Ok(v) => v.unwrap_or(DEFAULT_SEED),
-        Err(resp) => return *resp,
-    };
-    let configs = match decode_configs(&doc) {
-        Ok(c) => c,
-        Err(resp) => return *resp,
-    };
-    let layout_kind = match doc.get("layout") {
-        None => "natural",
-        Some(v) => match v.as_str() {
-            Some(k @ ("natural" | "optimized")) => k,
-            _ => {
-                return Response::error(
-                    400,
-                    "field \"layout\" must be \"natural\" or \"optimized\"",
-                )
-            }
-        },
-    };
+/// Which placement a simulate runs over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// The program as written: blocks in source order.
+    Natural,
+    /// The IMPACT-I pipeline's placement of the inlined program.
+    Optimized,
+}
 
-    let (sim_program, placement): (Program, Placement) = if layout_kind == "optimized" {
-        match Pipeline::new(common.pipeline_config()).try_run(&program) {
-            Ok(r) => (r.program, r.placement),
-            Err(e) => return Response::error(400, e.to_string()),
+impl Layout {
+    /// The `"layout"` label of the simulate request and response.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Layout::Natural => "natural",
+            Layout::Optimized => "optimized",
         }
-    } else {
-        let placement = baseline::natural(&program);
-        (program, placement)
-    };
+    }
 
+    /// The program to simulate and its placement: `program` as written,
+    /// or the pipeline's result under `params`.
+    ///
+    /// # Errors
+    ///
+    /// The pipeline's error when it rejects the program.
+    pub fn place(
+        self,
+        program: &Program,
+        params: RunParams,
+    ) -> Result<(Cow<'_, Program>, Placement), PipelineError> {
+        Ok(match self {
+            Layout::Natural => (Cow::Borrowed(program), baseline::natural(program)),
+            Layout::Optimized => {
+                let result = Pipeline::new(params.pipeline_config()).try_run(program)?;
+                (Cow::Owned(result.program), result.placement)
+            }
+        })
+    }
+}
+
+/// The profiling and walk budget of a program-accepting request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunParams {
+    /// Profiling runs of the pipeline.
+    pub runs: u32,
+    /// Dynamic instruction cap of each walk.
+    pub max_instrs: u64,
+}
+
+impl Default for RunParams {
+    fn default() -> Self {
+        Self {
+            runs: DEFAULT_RUNS,
+            max_instrs: DEFAULT_MAX_INSTRS,
+        }
+    }
+}
+
+impl RunParams {
+    /// The walk limits: `max_instrs` and a 512-frame call stack.
+    #[must_use]
+    pub fn limits(&self) -> ExecLimits {
+        ExecLimits {
+            max_instructions: self.max_instrs,
+            max_call_depth: 512,
+        }
+    }
+
+    /// The default pipeline with these runs and limits.
+    #[must_use]
+    pub fn pipeline_config(&self) -> PipelineConfig {
+        PipelineConfig {
+            profile_runs: self.runs,
+            limits: self.limits(),
+            ..PipelineConfig::default()
+        }
+    }
+}
+
+/// A typed `/v1/simulate` request: what [`route`] decodes from JSON and
+/// `impact sim` builds from argv.
+#[derive(Debug)]
+pub struct SimulateRequest {
+    /// The program to place and walk.
+    pub program: Program,
+    /// Which placement to simulate.
+    pub layout: Layout,
+    /// Evaluation input seed.
+    pub seed: u64,
+    /// Pipeline runs (optimized layout only) and the walk cap.
+    pub params: RunParams,
+    /// Cache configurations, each already validated, evaluated over one
+    /// trace.
+    pub configs: Vec<CacheConfig>,
+}
+
+impl SimulateRequest {
+    /// The `/v1/simulate` document of this request's [`simulate`] result.
+    #[must_use]
+    pub fn response_json(&self, stats: &[CacheStats], instructions: u64) -> Json {
+        simulate_response_json(
+            self.layout.label(),
+            self.seed,
+            &self.configs,
+            stats,
+            instructions,
+        )
+    }
+}
+
+/// Evaluates a simulate request in a session of its own: place, plan,
+/// execute once under the walk lock, read, then fold the session's
+/// counters into the service total. Returns each config's statistics in
+/// request order and the trace length.
+///
+/// # Errors
+///
+/// The pipeline's error when an optimized layout rejects the program.
+pub fn simulate(
+    state: &AppState,
+    req: &SimulateRequest,
+) -> Result<(Vec<CacheStats>, u64), PipelineError> {
+    let (program, placement) = req.layout.place(&req.program, req.params)?;
     let mut session = SimSession::with_jobs(state.sim_jobs);
     if let Some(store) = &state.store {
         session = session.with_store(Arc::clone(store));
     }
-    let handle = session.request(&sim_program, &placement, seed, common.limits(), &configs);
+    let handle = session.request(
+        &program,
+        &placement,
+        req.seed,
+        req.params.limits(),
+        &req.configs,
+    );
     {
         // A panicked walk leaves nothing behind the lock to repair.
         let _walk = state.walk.lock().unwrap_or_else(PoisonError::into_inner);
         session.execute();
     }
-    let (stats, instructions) = session.counted(&handle);
     state.total().add(&session.counters());
-    Response::json(
-        200,
-        &simulate_response_json(layout_kind, seed, &configs, &stats, instructions),
-    )
+    Ok(session.counted(&handle))
 }
 
 /// The `POST /v1/simulate` response document. Public so the integration
@@ -564,34 +577,21 @@ fn config_to_json(c: &CacheConfig) -> Json {
     ])
 }
 
-/// Request parameters shared by every program-accepting endpoint.
-struct CommonParams {
-    runs: u32,
-    max_instrs: u64,
-}
-
-impl CommonParams {
-    fn limits(&self) -> ExecLimits {
-        ExecLimits {
-            max_instructions: self.max_instrs,
-            max_call_depth: 512,
-        }
-    }
-
-    fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            profile_runs: self.runs,
-            limits: self.limits(),
-            ..PipelineConfig::default()
-        }
-    }
-}
-
 /// Boxed so the `Result` stays one machine word on the happy path.
 type Reject = Box<Response>;
 
 fn reject(status: u16, message: impl Into<String>) -> Reject {
     Box::new(Response::error(status, message))
+}
+
+/// A program the pipeline refused, as a `400`.
+fn bad_input(e: impl std::fmt::Display) -> Reject {
+    reject(400, e.to_string())
+}
+
+/// The handler's response, or the `4xx` it rejected the request with.
+fn answer(handled: Result<Response, Reject>) -> Response {
+    handled.unwrap_or_else(|resp| *resp)
 }
 
 fn decode_body(req: &Request) -> Result<Json, Reject> {
@@ -604,8 +604,8 @@ fn decode_body(req: &Request) -> Result<Json, Reject> {
 }
 
 /// Decodes the `program` (impact-asm text), optional `name`, and the
-/// common numeric parameters.
-fn decode_program(doc: &Json) -> Result<(String, Program, CommonParams), Reject> {
+/// run parameters.
+fn decode_program(doc: &Json) -> Result<(String, Program, RunParams), Reject> {
     let Some(text) = doc.get("program").and_then(Json::as_str) else {
         return Err(reject(
             400,
@@ -627,7 +627,43 @@ fn decode_program(doc: &Json) -> Result<(String, Program, CommonParams), Reject>
             .ok_or_else(|| reject(400, "field \"runs\" must be a positive integer"))?,
     };
     let max_instrs = field_u64(doc, "max_instrs")?.unwrap_or(DEFAULT_MAX_INSTRS);
-    Ok((name, program, CommonParams { runs, max_instrs }))
+    Ok((name, program, RunParams { runs, max_instrs }))
+}
+
+/// Decodes a `/v1/simulate` body; the layout defaults to natural.
+fn decode_simulate(doc: &Json) -> Result<SimulateRequest, Reject> {
+    let (_, program, params) = decode_program(doc)?;
+    let seed = field_u64(doc, "seed")?.unwrap_or(DEFAULT_SEED);
+    let configs = decode_configs(doc)?;
+    let layout = match doc.get("layout").map(Json::as_str) {
+        None | Some(Some("natural")) => Layout::Natural,
+        Some(Some("optimized")) => Layout::Optimized,
+        Some(_) => {
+            return Err(reject(
+                400,
+                "field \"layout\" must be \"natural\" or \"optimized\"",
+            ))
+        }
+    };
+    Ok(SimulateRequest {
+        program,
+        layout,
+        seed,
+        params,
+        configs,
+    })
+}
+
+/// The optional `cache`/`block` geometry of `/v1/analyze` and `/v1/advise`.
+fn decode_conflict(doc: &Json) -> Result<ConflictConfig, Reject> {
+    let mut conflict = ConflictConfig::default();
+    if let Some(v) = field_u64(doc, "cache")? {
+        conflict.cache_bytes = v;
+    }
+    if let Some(v) = field_u64(doc, "block")? {
+        conflict.line_bytes = v;
+    }
+    Ok(conflict)
 }
 
 fn field_u64(doc: &Json, key: &str) -> Result<Option<u64>, Reject> {
@@ -672,6 +708,40 @@ fn decode_configs(doc: &Json) -> Result<Vec<CacheConfig>, Reject> {
     items.iter().map(decode_config).collect()
 }
 
+/// Parses an associativity from its word (`direct`, `full`) or its way
+/// count (at least 1). The `--assoc` flag passes both readings of its
+/// value; a JSON `"assoc"` passes its string or its integer, so the
+/// string `"2"` is no way count there.
+///
+/// # Errors
+///
+/// A message completing "field `assoc` …" when neither reading is valid.
+pub fn parse_assoc(word: Option<&str>, ways: Option<u64>) -> Result<Associativity, &'static str> {
+    match (word, ways) {
+        (Some("direct"), _) => Ok(Associativity::Direct),
+        (Some("full"), _) => Ok(Associativity::Full),
+        (_, Some(n)) if n >= 1 => u32::try_from(n)
+            .map(Associativity::Ways)
+            .map_err(|_| "way count is out of range"),
+        _ => Err("must be \"direct\", \"full\", or a way count"),
+    }
+}
+
+/// Parses a fill policy: `full`, `partial` or `sector:<bytes>` (the
+/// `--fill` flag and a JSON `"fill"` string alike).
+#[must_use]
+pub fn parse_fill(spec: &str) -> Option<FillPolicy> {
+    match spec {
+        "full" => Some(FillPolicy::FullBlock),
+        "partial" => Some(FillPolicy::Partial),
+        _ => spec
+            .strip_prefix("sector:")?
+            .parse()
+            .ok()
+            .map(|sector_bytes| FillPolicy::Sectored { sector_bytes }),
+    }
+}
+
 fn decode_config(item: &Json) -> Result<CacheConfig, Reject> {
     let Some(size) = item.get("size").and_then(Json::as_u64) else {
         return Err(reject(
@@ -682,42 +752,17 @@ fn decode_config(item: &Json) -> Result<CacheConfig, Reject> {
     let block = field_u64(item, "block")?.unwrap_or(64);
     let associativity = match item.get("assoc") {
         None => Associativity::Direct,
-        Some(v) => match (v.as_str(), v.as_u64()) {
-            (Some("direct"), _) => Associativity::Direct,
-            (Some("full"), _) => Associativity::Full,
-            (_, Some(n)) if n >= 1 => Associativity::Ways(
-                u32::try_from(n)
-                    .map_err(|_| reject(400, "field \"assoc\" way count is out of range"))?,
-            ),
-            _ => {
-                return Err(reject(
-                    400,
-                    "field \"assoc\" must be \"direct\", \"full\", or a way count",
-                ))
-            }
-        },
+        Some(v) => parse_assoc(v.as_str(), v.as_u64())
+            .map_err(|e| reject(400, format!("field \"assoc\" {e}")))?,
     };
     let fill = match item.get("fill") {
         None => FillPolicy::FullBlock,
-        Some(v) => match v.as_str() {
-            Some("full") => FillPolicy::FullBlock,
-            Some("partial") => FillPolicy::Partial,
-            Some(s) => match s.strip_prefix("sector:").and_then(|n| n.parse().ok()) {
-                Some(sector_bytes) => FillPolicy::Sectored { sector_bytes },
-                None => {
-                    return Err(reject(
-                        400,
-                        "field \"fill\" must be \"full\", \"partial\", or \"sector:<bytes>\"",
-                    ))
-                }
-            },
-            None => {
-                return Err(reject(
-                    400,
-                    "field \"fill\" must be \"full\", \"partial\", or \"sector:<bytes>\"",
-                ))
-            }
-        },
+        Some(v) => v.as_str().and_then(parse_fill).ok_or_else(|| {
+            reject(
+                400,
+                "field \"fill\" must be \"full\", \"partial\", or \"sector:<bytes>\"",
+            )
+        })?,
     };
     let replacement = match item.get("replacement") {
         None => Replacement::Lru,
@@ -814,6 +859,15 @@ mod tests {
         );
         assert_eq!(resp.status, 400);
         assert!(String::from_utf8_lossy(&resp.body).contains("cannot parse"));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_400_not_a_stack_overflow() {
+        let state = AppState::new(1);
+        let body = "[".repeat(100_000) + &"]".repeat(100_000);
+        let (_, resp) = route(&state, &post("/v1/simulate", &body));
+        assert_eq!(resp.status, 400);
+        assert!(String::from_utf8_lossy(&resp.body).contains("nesting deeper than 128 levels"));
     }
 
     #[test]

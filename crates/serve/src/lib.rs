@@ -28,19 +28,19 @@
 //!   request's own, which delivers the trace once. The server keeps no
 //!   per-trace state: a repeated body is answered by the response memo,
 //!   and with `--store` a known trace is disk-served or replayed.
+//!   [`api::simulate`] is the request layer; `impact sim` runs it too,
+//!   so `impact sim --json` prints this endpoint's document.
 //! - `GET /metrics` — request counters, global and per-endpoint latency
 //!   histograms, queue depth, connection gauges, the response-memo hit
 //!   rate and the summed session counters.
 //!
-//! The [`client`] module is a matching minimal HTTP client used by the
-//! integration tests and the shard proxy. The service's benchmark is
-//! perfbench (`perfbench/run.py`), which drives its own client.
+//! The service's benchmark is perfbench (`perfbench/run.py`), which
+//! drives its own client.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod client;
 pub(crate) mod conn;
 pub mod http;
 pub mod metrics;
@@ -48,13 +48,10 @@ pub mod poll;
 pub mod rcache;
 pub(crate) mod reactor;
 pub mod server;
-pub mod shard;
 pub mod signal;
 
 pub use api::{simulate_response_json, AppState};
-pub use client::{Client, ClientResponse};
 pub use http::{Request, Response};
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_US};
 pub use rcache::ResponseCache;
 pub use server::{ServeConfig, Server};
-pub use shard::{ShardRouter, FORWARDED_HEADER};

@@ -68,11 +68,6 @@ pub struct ServeConfig {
     /// a restarted server answers previously-seen simulate requests from
     /// disk without re-streaming.
     pub store_dir: Option<String>,
-    /// Shard membership (`host:port` entries, this node included).
-    /// Empty disables shard mode.
-    pub peers: Vec<String>,
-    /// This node's own entry in `peers`; required when `peers` is set.
-    pub advertise: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -88,8 +83,6 @@ impl Default for ServeConfig {
             sim_jobs: 1,
             response_cache_bytes: DEFAULT_CACHE_BYTES,
             store_dir: None,
-            peers: Vec::new(),
-            advertise: None,
         }
     }
 }
@@ -361,9 +354,13 @@ fn worker_loop(
 }
 
 #[cfg(test)]
+#[path = "../tests/client/mod.rs"]
+mod client;
+
+#[cfg(test)]
 mod tests {
+    use super::client::Client;
     use super::*;
-    use crate::client::Client;
 
     fn tiny_config() -> ServeConfig {
         ServeConfig {
@@ -492,87 +489,6 @@ mod tests {
         let store = warm.store.expect("store counters present");
         assert!(store.hits >= 2, "both config results read from disk");
         server.stop();
-    }
-
-    #[test]
-    fn shard_mode_routes_each_body_to_one_owner() {
-        // Reserve two ports, then start both members on them. (The
-        // listeners are dropped just before the servers bind; the window
-        // is tiny and the test is not run in parallel with port squatters.)
-        let reserve = || {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let (addr_a, addr_b) = (reserve(), reserve());
-        let peers = vec![addr_a.clone(), addr_b.clone()];
-        let start = |addr: &String| {
-            Server::start(ServeConfig {
-                addr: addr.clone(),
-                peers: peers.clone(),
-                advertise: Some(addr.clone()),
-                ..tiny_config()
-            })
-            .unwrap()
-        };
-        let server_a = start(&addr_a);
-        let server_b = start(&addr_b);
-
-        let body = simulate_body();
-        let mut ca = Client::connect(server_a.addr()).unwrap();
-        let mut cb = Client::connect(server_b.addr()).unwrap();
-        let ra = ca.post_json("/v1/simulate", &body).unwrap();
-        let rb = cb.post_json("/v1/simulate", &body).unwrap();
-        assert_eq!(ra.status, 200, "{}", String::from_utf8_lossy(&ra.body));
-        assert_eq!(rb.status, 200);
-        assert_eq!(ra.body, rb.body, "owner and proxy must agree byte-for-byte");
-
-        // Exactly one node simulated; the other proxied its request.
-        let (ma, mb) = (
-            server_a.state().sim_counters(),
-            server_b.state().sim_counters(),
-        );
-        assert_eq!(ma.traces_streamed + mb.traces_streamed, 1);
-        let shard_doc = |srv: &Server| srv.state().shard.as_ref().unwrap().to_json();
-        let count = |doc: &impact_support::json::Json, key: &str| {
-            doc.get(key)
-                .and_then(impact_support::json::Json::as_u64)
-                .unwrap()
-        };
-        let (da, db) = (shard_doc(&server_a), shard_doc(&server_b));
-        assert_eq!(
-            count(&da, "shard_forwarded") + count(&db, "shard_forwarded"),
-            1
-        );
-        // The owner routed exactly one simulate itself: whichever body
-        // arrived second was answered by its response memo before
-        // routing (reactor-level), so it never reaches the counter.
-        assert_eq!(count(&da, "shard_local") + count(&db, "shard_local"), 1);
-        assert_eq!(count(&da, "shard_errors") + count(&db, "shard_errors"), 0);
-
-        // /metrics carries the shard section.
-        let (status, metrics) = ca.get("/metrics").unwrap();
-        assert_eq!(status, 200);
-        assert!(String::from_utf8_lossy(&metrics).contains("shard_forwarded"));
-
-        server_a.stop();
-        server_b.stop();
-    }
-
-    #[test]
-    fn misconfigured_shard_membership_fails_to_start() {
-        let err = Server::start(ServeConfig {
-            peers: vec!["127.0.0.1:7001".to_string()],
-            ..tiny_config()
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let err = Server::start(ServeConfig {
-            peers: vec!["127.0.0.1:7001".to_string()],
-            advertise: Some("127.0.0.1:9".to_string()),
-            ..tiny_config()
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

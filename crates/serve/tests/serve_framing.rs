@@ -4,13 +4,15 @@
 //! eviction — plus byte-identical equivalence between the socket
 //! surface and direct `route()` calls.
 
+mod client;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use client::Client;
 use impact_asm::print_program;
 use impact_serve::api::{route, AppState};
-use impact_serve::client::Client;
 use impact_serve::http::Request;
 use impact_serve::{ServeConfig, Server};
 use impact_support::json::Json;

@@ -1,14 +1,16 @@
 //! End-to-end tests: a real `Server` on an ephemeral port, driven by
 //! parallel TCP clients through the full mixed workload.
 
+mod client;
+
 use std::thread;
 
+use client::Client;
 use impact_asm::{parse_program, print_program};
 use impact_cache::CacheConfig;
 use impact_experiments::session::SimSession;
 use impact_layout::baseline;
 use impact_profile::ExecLimits;
-use impact_serve::client::Client;
 use impact_serve::http::Response;
 use impact_serve::{simulate_response_json, ServeConfig, Server};
 use impact_support::json::{parse as parse_json, Json};

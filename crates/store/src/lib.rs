@@ -5,9 +5,7 @@
 //! canonical encoding, see [`cid::KeyWriter`]), written append-only via
 //! temp-file + atomic rename, length- and checksum-framed, and verified
 //! on every read — corrupt entries are quarantined, never served
-//! (see [`store::Store`]). [`KeyWriter`] is also the canonical hash
-//! behind `impact serve`'s shard routing, which ranks raw request bodies
-//! (not store keys) across its peers.
+//! (see [`store::Store`]).
 //!
 //! The session layer (`impact-experiments`) persists trace `RunBuffer`
 //! artifacts and finished per-config results here so `impact serve

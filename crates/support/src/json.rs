@@ -719,6 +719,22 @@ mod tests {
         assert!(e.message.contains("nesting"), "{e}");
     }
 
+    /// The root sits at depth 0, so `MAX_DEPTH + 1` nested arrays are the
+    /// deepest accepted document, and the next `[` is refused where it
+    /// stands.
+    #[test]
+    fn nesting_cap_is_pinned() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!((e.line, e.col), (1, MAX_DEPTH + 2), "{e}");
+        assert!(e.message.contains("128"), "{e}");
+        assert_eq!(
+            e.to_string(),
+            "line 1, column 130: nesting deeper than 128 levels"
+        );
+    }
+
     #[test]
     fn parse_rejects_bad_strings() {
         assert!(parse(r#""\x""#).is_err());

@@ -32,6 +32,7 @@
 //!   --assoc A       direct | full | <N>                 (default direct)
 //!   --fill F        full | partial | sector:<BYTES>     (default full)
 //!   --no-optimize   simulate the program's natural layout
+//!   --json          print the `/v1/simulate` response document
 //!
 //! lint options:
 //!   --json            emit diagnostics as JSON instead of text
@@ -65,10 +66,6 @@
 //!                         previously-seen /v1/simulate bodies from disk,
 //!                         and new configs over a stored trace replay
 //!                         its artifact instead of walking it again
-//!   --peers A,B,...       shard membership (host:port list, this node
-//!                         included); each simulate body is routed to
-//!                         its rendezvous owner, others proxy to it
-//!   --advertise ADDR      this node's own entry in --peers
 //!
 //! store options:
 //!   --max-bytes N     gc: evict oldest entries beyond this footprint
@@ -117,22 +114,21 @@ use impact::cache::{Associativity, Cache, CacheConfig, FillPolicy};
 use impact::ir::Program;
 use impact::layout::materialize::materialize;
 use impact::layout::pipeline::{Pipeline, PipelineConfig};
-use impact::layout::{baseline, Placement};
-use impact::profile::{ExecLimits, Profiler};
+use impact::profile::Profiler;
+use impact::serve::api::{self, AppState, Layout, RunParams, SimulateRequest};
 use impact::trace::TraceGenerator;
 
 /// Options shared by all subcommands.
 struct Options {
     file: String,
     out: Option<String>,
-    runs: u32,
+    params: RunParams,
     seed: u64,
-    max_instrs: u64,
     cache: u64,
     block: u64,
     assoc: Associativity,
     fill: FillPolicy,
-    optimize: bool,
+    layout: Layout,
     json: bool,
     deny_warnings: bool,
     score: bool,
@@ -140,28 +136,33 @@ struct Options {
 }
 
 impl Options {
-    fn limits(&self) -> ExecLimits {
-        ExecLimits {
-            max_instructions: self.max_instrs,
-            max_call_depth: 512,
+    /// The `--cache/--block/--assoc/--fill` cache, or `None` after
+    /// printing why it is invalid.
+    fn cache_config(&self) -> Option<CacheConfig> {
+        let config = CacheConfig {
+            size_bytes: self.cache,
+            block_bytes: self.block,
+            associativity: self.assoc,
+            fill: self.fill,
+            replacement: impact::cache::Replacement::Lru,
+        };
+        match config.validate() {
+            Ok(()) => Some(config),
+            Err(e) => {
+                eprintln!("bad cache configuration: {e}");
+                None
+            }
         }
-    }
-
-    fn pipeline(&self) -> Pipeline {
-        Pipeline::new(PipelineConfig {
-            profile_runs: self.runs,
-            limits: self.limits(),
-            ..PipelineConfig::default()
-        })
     }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: impact <report|optimize|sim|viz|trace|simtrace|lint|analyze|advise> <file.impact> [options]\n\
+         \u{20}      impact sim <file.impact> [--json] [sim options]\n\
          \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--timeout-ms N]\n\
          \u{20}                   [--read-timeout MS] [--write-timeout MS] [--sim-jobs N] [--cache-bytes N]\n\
-         \u{20}                   [--store DIR] [--peers A,B,...] [--advertise ADDR]\n\
+         \u{20}                   [--store DIR]\n\
          \u{20}      impact store <ls|stat|verify|gc> DIR [--max-bytes N] [--json]\n\
          see `src/bin/impact.rs` header for the option list"
     );
@@ -185,14 +186,13 @@ fn main() -> ExitCode {
     let mut opts = Options {
         file: String::new(),
         out: None,
-        runs: 8,
-        seed: 1_000_003,
-        max_instrs: 5_000_000,
+        params: RunParams::default(),
+        seed: api::DEFAULT_SEED,
         cache: 2048,
         block: 64,
         assoc: Associativity::Direct,
         fill: FillPolicy::FullBlock,
-        optimize: true,
+        layout: Layout::Optimized,
         json: false,
         deny_warnings: false,
         score: false,
@@ -212,7 +212,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--runs" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
-                Some(v) => opts.runs = v,
+                Some(v) => opts.params.runs = v,
                 None => return usage(),
             },
             "--seed" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
@@ -220,7 +220,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--max-instrs" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
-                Some(v) => opts.max_instrs = v,
+                Some(v) => opts.params.max_instrs = v,
                 None => return usage(),
             },
             "--cache" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
@@ -231,33 +231,17 @@ fn main() -> ExitCode {
                 Some(v) => opts.block = v,
                 None => return usage(),
             },
-            "--assoc" => match take_value(&mut rest, i) {
-                Some(v) => {
-                    opts.assoc = match v.as_str() {
-                        "direct" => Associativity::Direct,
-                        "full" => Associativity::Full,
-                        n => match n.parse() {
-                            Ok(ways) => Associativity::Ways(ways),
-                            Err(_) => return usage(),
-                        },
-                    }
-                }
+            "--assoc" => match take_value(&mut rest, i)
+                .and_then(|v| api::parse_assoc(Some(&v), v.parse().ok()).ok())
+            {
+                Some(v) => opts.assoc = v,
                 None => return usage(),
             },
-            "--fill" => match take_value(&mut rest, i) {
-                Some(v) => {
-                    opts.fill = match v.as_str() {
-                        "full" => FillPolicy::FullBlock,
-                        "partial" => FillPolicy::Partial,
-                        s => match s.strip_prefix("sector:").and_then(|n| n.parse().ok()) {
-                            Some(sector_bytes) => FillPolicy::Sectored { sector_bytes },
-                            None => return usage(),
-                        },
-                    }
-                }
+            "--fill" => match take_value(&mut rest, i).and_then(|v| api::parse_fill(&v)) {
+                Some(v) => opts.fill = v,
                 None => return usage(),
             },
-            "--no-optimize" => opts.optimize = false,
+            "--no-optimize" => opts.layout = Layout::Natural,
             "--json" => opts.json = true,
             "--deny-warnings" => opts.deny_warnings = true,
             "--score" => opts.score = true,
@@ -313,7 +297,7 @@ fn main() -> ExitCode {
     match command.as_str() {
         "report" => report(&program, &opts),
         "optimize" => optimize(&program, &opts),
-        "sim" => sim(&program, &opts),
+        "sim" => sim(program, &opts),
         "viz" => viz(&program, &opts),
         "trace" => trace(&program, &opts),
         _ => usage(),
@@ -350,7 +334,7 @@ fn lint(opts: &Options) -> ExitCode {
         }
     };
 
-    let checked = CheckedPipeline::new(opts.pipeline());
+    let checked = CheckedPipeline::new(Pipeline::new(opts.params.pipeline_config()));
     let mut failed = false;
     let mut reports: Vec<(String, impact::analyze::Report)> = Vec::new();
     for (name, program) in &targets {
@@ -468,23 +452,6 @@ fn analyze(opts: &Options) -> ExitCode {
     }
 }
 
-/// Resolves a `--diff` baseline spec against the post-inline program:
-/// `natural` or `random[:seed]` (seed defaults to 7).
-fn diff_baseline(spec: &str, program: &Program) -> Result<(String, Placement), String> {
-    if spec == "natural" {
-        return Ok(("natural".to_string(), baseline::natural(program)));
-    }
-    if spec == "random" {
-        return Ok(("random:7".to_string(), baseline::random(program, 7)));
-    }
-    if let Some(seed) = spec.strip_prefix("random:").and_then(|s| s.parse().ok()) {
-        return Ok((format!("random:{seed}"), baseline::random(program, seed)));
-    }
-    Err(format!(
-        "unknown --diff baseline '{spec}' (use natural | random[:seed])"
-    ))
-}
-
 /// `impact advise` — the profile-free pipeline plus placement scoring
 /// and the layout advisors (IPA401-IPA405) over one or more targets.
 ///
@@ -526,10 +493,10 @@ fn advise(opts: &Options) -> ExitCode {
 
         let result = &advice.analysis.result;
         let diff = match &opts.diff {
-            Some(spec) => match diff_baseline(spec, &result.program) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("{e}");
+            Some(spec) => match api::diff_baseline(spec, &result.program) {
+                Some(b) => Some(b),
+                None => {
+                    eprintln!("unknown --diff baseline '{spec}' (use natural | random[:seed])");
                     return usage();
                 }
             },
@@ -599,7 +566,9 @@ fn report(program: &Program, opts: &Options) -> ExitCode {
         program.total_bytes()
     );
 
-    let profiler = Profiler::new().runs(opts.runs).limits(opts.limits());
+    let profiler = Profiler::new()
+        .runs(opts.params.runs)
+        .limits(opts.params.limits());
     let profile = profiler.profile(program);
     println!(
         "profile over {} runs: {} instructions, {} control transfers, {} calls{}",
@@ -636,7 +605,7 @@ fn report(program: &Program, opts: &Options) -> ExitCode {
 }
 
 fn optimize(program: &Program, opts: &Options) -> ExitCode {
-    let result = opts.pipeline().run(program);
+    let result = Pipeline::new(opts.params.pipeline_config()).run(program);
     println!(
         "placement: {} bytes ({} effective), inlining removed {:.1}% of calls,\n\
          trace quality {:.0}% desirable / {:.0}% neutral, mean trace {:.1} blocks",
@@ -678,13 +647,14 @@ fn trace(program: &Program, opts: &Options) -> ExitCode {
         eprintln!("trace requires -o <out.din>");
         return ExitCode::FAILURE;
     };
-    let (sim_program, placement): (Program, Placement) = if opts.optimize {
-        let result = opts.pipeline().run(program);
-        (result.program.clone(), result.placement)
-    } else {
-        (program.clone(), baseline::natural(program))
+    let (sim_program, placement) = match opts.layout.place(program, opts.params) {
+        Ok(placed) => placed,
+        Err(e) => {
+            eprintln!("{}: {e}", opts.file);
+            return ExitCode::FAILURE;
+        }
     };
-    let gen = TraceGenerator::new(&sim_program, &placement).with_limits(opts.limits());
+    let gen = TraceGenerator::new(&sim_program, &placement).with_limits(opts.params.limits());
     let file = match std::fs::File::create(out_path) {
         Ok(f) => f,
         Err(e) => {
@@ -706,17 +676,9 @@ fn trace(program: &Program, opts: &Options) -> ExitCode {
 }
 
 fn simtrace(opts: &Options) -> ExitCode {
-    let config = CacheConfig {
-        size_bytes: opts.cache,
-        block_bytes: opts.block,
-        associativity: opts.assoc,
-        fill: opts.fill,
-        replacement: impact::cache::Replacement::Lru,
-    };
-    if let Err(e) = config.validate() {
-        eprintln!("bad cache configuration: {e}");
+    let Some(config) = opts.cache_config() else {
         return ExitCode::FAILURE;
-    }
+    };
     let file = match std::fs::File::open(&opts.file) {
         Ok(f) => f,
         Err(e) => {
@@ -746,7 +708,7 @@ fn simtrace(opts: &Options) -> ExitCode {
 }
 
 fn viz(program: &Program, opts: &Options) -> ExitCode {
-    let result = opts.pipeline().run(program);
+    let result = Pipeline::new(opts.params.pipeline_config()).run(program);
     println!(
         "{}",
         impact::experiments::viz::placement_map(
@@ -755,13 +717,7 @@ fn viz(program: &Program, opts: &Options) -> ExitCode {
             &result.placement
         )
     );
-    let config = CacheConfig {
-        size_bytes: opts.cache,
-        block_bytes: opts.block,
-        associativity: Associativity::Direct,
-        fill: FillPolicy::FullBlock,
-        replacement: impact::cache::Replacement::Lru,
-    };
+    let config = CacheConfig::direct_mapped(opts.cache, opts.block);
     if let Err(e) = config.validate() {
         eprintln!("bad cache configuration: {e}");
         return ExitCode::FAILURE;
@@ -779,37 +735,37 @@ fn viz(program: &Program, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn sim(program: &Program, opts: &Options) -> ExitCode {
-    let config = CacheConfig {
-        size_bytes: opts.cache,
-        block_bytes: opts.block,
-        associativity: opts.assoc,
-        fill: opts.fill,
-        replacement: impact::cache::Replacement::Lru,
-    };
-    if let Err(e) = config.validate() {
-        eprintln!("bad cache configuration: {e}");
+/// `impact sim` — the `/v1/simulate` request built from argv, run on a
+/// storeless service state. `--json` prints the endpoint's document.
+fn sim(program: Program, opts: &Options) -> ExitCode {
+    let Some(config) = opts.cache_config() else {
         return ExitCode::FAILURE;
-    }
-
-    let (sim_program, placement): (Program, Placement) = if opts.optimize {
-        let result = opts.pipeline().run(program);
-        (result.program.clone(), result.placement)
-    } else {
-        (program.clone(), baseline::natural(program))
     };
-
-    let mut cache = Cache::new(config);
-    let gen = TraceGenerator::new(&sim_program, &placement).with_limits(opts.limits());
-    let summary = gen.stream(opts.seed, &mut cache);
-    let stats = cache.take_stats();
+    let req = SimulateRequest {
+        program,
+        layout: opts.layout,
+        seed: opts.seed,
+        params: opts.params,
+        configs: vec![config],
+    };
+    let (stats, instructions) = match api::simulate(&AppState::new(1), &req) {
+        Ok(done) => done,
+        Err(e) => {
+            eprintln!("{}: {e}", opts.file);
+            return ExitCode::FAILURE;
+        }
+    };
+    if opts.json {
+        println!(
+            "{}",
+            req.response_json(&stats, instructions).to_string_pretty()
+        );
+        return ExitCode::SUCCESS;
+    }
+    let stats = stats[0];
     println!(
         "{} layout, {}B cache, {}B blocks, seed {}:",
-        if opts.optimize {
-            "optimized"
-        } else {
-            "natural"
-        },
+        req.layout.label(),
         opts.cache,
         opts.block,
         opts.seed
@@ -817,7 +773,8 @@ fn sim(program: &Program, opts: &Options) -> ExitCode {
     println!(
         "  {} fetches{} | miss {:.4}% | traffic {:.2}% | avg.fetch {:.1} | avg.exec {:.1}",
         stats.accesses,
-        if summary.truncated {
+        // The walker's own cap test; a call-depth cut is not marked.
+        if instructions >= opts.params.max_instrs {
             " (truncated)"
         } else {
             ""
@@ -914,37 +871,11 @@ fn serve(rest: Vec<String>) -> ExitCode {
                 Ok(dir) => config.store_dir = Some(dir),
                 Err(code) => return code,
             },
-            "--peers" => match value("--peers") {
-                Ok(list) => {
-                    config.peers = list
-                        .split(',')
-                        .map(|p| p.trim().to_string())
-                        .filter(|p| !p.is_empty())
-                        .collect();
-                    if config.peers.is_empty() {
-                        eprintln!("impact serve: --peers must name at least one host:port");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(code) => return code,
-            },
-            "--advertise" => match value("--advertise") {
-                Ok(addr) => config.advertise = Some(addr),
-                Err(code) => return code,
-            },
             flag => {
                 eprintln!("impact serve: unknown option {flag}");
                 return usage();
             }
         }
-    }
-    if !config.peers.is_empty() && config.advertise.is_none() {
-        eprintln!("impact serve: --peers needs --advertise (this node's own host:port entry)");
-        return ExitCode::FAILURE;
-    }
-    if config.advertise.is_some() && config.peers.is_empty() {
-        eprintln!("impact serve: --advertise only makes sense with --peers");
-        return ExitCode::FAILURE;
     }
 
     let server = match Server::start(config) {

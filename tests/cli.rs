@@ -3,6 +3,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+#[path = "../crates/serve/tests/client/mod.rs"]
+mod client;
+
 fn impact_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_impact"))
 }
@@ -239,19 +242,13 @@ fn serve_rejects_bad_flags() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workers must be"));
 
-    // Shard membership needs both halves.
+    // Shard mode is gone: its flag is an unknown option.
     let out = impact_bin()
         .args(["serve", "--peers", "127.0.0.1:7001"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--peers needs --advertise"));
-    let out = impact_bin()
-        .args(["serve", "--advertise", "127.0.0.1:7001"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--advertise only makes sense"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --peers"));
 }
 
 /// Spawns `impact serve` with the given extra flags, returning the child
@@ -290,7 +287,7 @@ fn spawn_serve(extra: &[&str]) -> (std::process::Child, String) {
 /// disk, without streaming a trace, over real sockets.
 #[test]
 fn serve_with_store_restarts_warm() {
-    use impact::serve::Client;
+    use client::Client;
     use impact::support::json::{parse, Json};
 
     let store_dir =
