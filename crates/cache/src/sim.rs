@@ -181,8 +181,8 @@ impl Cache {
     /// Two caches with equal fingerprints hold identical victim contents
     /// and will behave identically on any future access stream. Exposed
     /// so equivalence tests can assert that a stream leaves *exactly*
-    /// the same state however it is split into runs, and that lane banks
-    /// and artifact replay match a direct stream.
+    /// the same state however it is split into runs, and that artifact
+    /// replay matches a direct stream.
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -442,14 +442,9 @@ impl Cache {
 impl Cache {
     /// Batched demand accesses to `n` consecutive words of **one** cache
     /// line, starting at `addr` (word `w0` of its block): the span
-    /// [`Cache::access_run`] decomposes runs into, exposed so
-    /// [`crate::MultiLane`] can decompose once per block geometry and
-    /// drive every same-geometry lane with the shared spans.
-    ///
-    /// Callers must guarantee `w0 == (addr % block_bytes) / 4` and
-    /// `w0 + n <= words_per_block` for *this* cache's geometry.
+    /// [`Cache::access_run`] decomposes runs into.
     #[inline]
-    pub(crate) fn line_run(&mut self, addr: u64, w0: u64, n: u64) {
+    fn line_run(&mut self, addr: u64, w0: u64, n: u64) {
         debug_assert_eq!(w0, (addr & self.block_mask) >> WORD_SHIFT);
         debug_assert!(w0 + n <= self.words_per_block);
         if self.fast_path {
@@ -457,11 +452,6 @@ impl Cache {
         } else {
             self.line_run_general(addr, w0, n);
         }
-    }
-
-    /// `block_bytes` of this cache's geometry (the span-grouping key).
-    pub(crate) fn block_bytes(&self) -> u64 {
-        self.config.block_bytes
     }
 }
 

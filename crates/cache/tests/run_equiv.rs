@@ -166,19 +166,32 @@ fn wrapper_sinks_are_split_invariant() {
     use impact_cache::{MultiLane, NextLinePrefetcher, TimingConfig, TimingModel, VictimCache};
 
     check::forall(48, gen_runs, |runs| {
-        let lanes = MultiLane::new([
+        // A kernel sweep and a plain lane: one word per call and whole
+        // runs must both match the reference after every run.
+        let configs = [
             CacheConfig::direct_mapped(512, 32),
+            CacheConfig::direct_mapped(2048, 32),
+            CacheConfig::fully_associative(256, 32),
             CacheConfig::direct_mapped(2048, 64)
                 .with_associativity(Associativity::Ways(2))
                 .with_fill(FillPolicy::Sectored { sector_bytes: 16 }),
-        ]);
-        let (mut s, mut b) = drive_pair(&lanes, runs);
-        assert_eq!(
-            s.state_fingerprints(),
-            b.state_fingerprints(),
-            "MultiLane state"
-        );
-        assert_eq!(s.take_stats(), b.take_stats(), "MultiLane stats");
+        ];
+        let mut per_word = MultiLane::new(configs);
+        let mut whole = per_word.clone();
+        let mut oracles = configs.map(ReferenceCache::new);
+        for &(start, words) in runs {
+            for w in 0..words {
+                per_word.access(start + w * WORD_BYTES);
+            }
+            whole.access_run(start, words);
+            for oracle in &mut oracles {
+                oracle.access_run(start, words);
+            }
+            let expected: Vec<CacheStats> = oracles.iter().map(ReferenceCache::stats).collect();
+            assert_eq!(per_word.stats(), expected, "MultiLane one word per call");
+            assert_eq!(whole.stats(), expected, "MultiLane whole runs");
+        }
+        assert_eq!(per_word.take_stats(), whole.take_stats(), "MultiLane stats");
 
         let pf = NextLinePrefetcher::new(Cache::new(CacheConfig::direct_mapped(1024, 64)));
         let (s, b) = drive_pair(&pf, runs);

@@ -13,18 +13,23 @@
 //! 2. **replay** — the same trace delivered to a five-config
 //!    [`MultiLane`] sweep four ways: interpreted walk, interpreted walk
 //!    under a [`CaptureSink`] tee (capture overhead), [`RunBuffer`]
-//!    replay (the session's warm path), and replay into one cache.
+//!    replay (the session's warm path), and replay into one cache; plus
+//!    replay into `serve_cold`'s six configs and Table 1's sixteen
+//!    fully associative ones.
 //! 3. **table6_cold** — the full Table 6 pipeline through a fresh
 //!    storeless `SimSession`.
 //!
 //! Run with `--fast` (CI smoke) for a short trace, few repetitions and
 //! no write to `BENCH_cache.json`. Either way the process exits non-zero
 //! if the batched path is slower than scalar on the headline
-//! direct-mapped organization, or if artifact replay is slower than the
-//! interpreted walk on the sweep.
+//! direct-mapped organization, if artifact replay is slower than the
+//! interpreted walk on the sweep, or if replay into the five-size sweep
+//! runs at less than half the rate of replay into one cache — which
+//! only a one-pass inclusion kernel achieves (five `Cache` lanes ran at
+//! under a quarter).
 
 use impact_cache::{
-    AccessSink, Associativity, Cache, CacheConfig, FillPolicy, MultiLane, WORD_BYTES,
+    smith, AccessSink, Associativity, Cache, CacheConfig, FillPolicy, MultiLane, WORD_BYTES,
 };
 use impact_experiments::prepare::{prepare_many_jobs, Budget};
 use impact_experiments::runner;
@@ -185,16 +190,35 @@ fn main() {
         gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut lanes));
         black_box((lanes.take_stats(), buf.len()));
     });
-    let replay_nanos = best_nanos(reps, || {
-        let mut lanes = MultiLane::new(sweep.iter().copied());
-        artifact.replay(&mut lanes);
-        black_box(lanes.take_stats());
-    });
+    let replay_into = |configs: &[CacheConfig]| {
+        best_nanos(reps, || {
+            let mut lanes = MultiLane::new(configs.iter().copied());
+            artifact.replay(&mut lanes);
+            black_box(lanes.take_stats());
+        })
+    };
+    let replay_nanos = replay_into(&sweep);
     let replay_one_nanos = best_nanos(reps, || {
         let mut cache = Cache::new(sweep[2]);
         artifact.replay(&mut cache);
         black_box(cache.take_stats());
     });
+    // perfbench `serve_cold`'s configs: the sweep plus a 2 KB 2-way cache.
+    let serve_cold: Vec<CacheConfig> = sweep
+        .iter()
+        .copied()
+        .chain([sweep[2].with_associativity(Associativity::Ways(2))])
+        .collect();
+    let table1: Vec<CacheConfig> = smith::CACHE_SIZES
+        .iter()
+        .flat_map(|&s| {
+            smith::BLOCK_SIZES
+                .iter()
+                .map(move |&b| CacheConfig::fully_associative(s, b))
+        })
+        .collect();
+    let serve_cold_nanos = replay_into(&serve_cold);
+    let table1_nanos = replay_into(&table1);
 
     let ips = |nanos: u64| streamed as f64 * 1e9 / nanos as f64;
     let replay_rows: Vec<(&str, f64)> = vec![
@@ -202,6 +226,8 @@ fn main() {
         ("interpreted_capture_sweep5", ips(capture_nanos)),
         ("artifact_replay_sweep5", ips(replay_nanos)),
         ("artifact_replay_direct_2k_64", ips(replay_one_nanos)),
+        ("artifact_replay_serve_cold6", ips(serve_cold_nanos)),
+        ("artifact_replay_table1_full16", ips(table1_nanos)),
     ];
     let replay_speedup = ips(replay_nanos) / ips(interp_nanos);
     for (name, rate) in &replay_rows {
@@ -313,6 +339,14 @@ fn main() {
         eprintln!(
             "FAIL: artifact replay slower than the interpreted walk on the sweep \
              ({replay_speedup:.2}x)"
+        );
+        std::process::exit(1);
+    }
+    let sweep_vs_one = ips(replay_nanos) / ips(replay_one_nanos);
+    if sweep_vs_one < 0.5 {
+        eprintln!(
+            "FAIL: replay into the five-size sweep runs at {sweep_vs_one:.2}x the \
+             single-cache rate (< 0.5x): the sweep is not taking an inclusion kernel"
         );
         std::process::exit(1);
     }

@@ -46,7 +46,7 @@ use std::time::Instant;
 use impact_cache::{AccessSink, CacheConfig, CacheStats, MultiLane};
 use impact_ir::Program;
 use impact_layout::Placement;
-use impact_profile::ExecLimits;
+use impact_profile::{ExecLimits, ExecSummary};
 use impact_store::{Cid, Store, StoreCounters};
 use impact_support::json::{Json, ToJson};
 use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
@@ -119,6 +119,9 @@ struct KeyEntry {
     sinks: Vec<Option<Box<dyn SessionSink>>>,
     /// Trace length, filled by execution.
     instructions: u64,
+    /// Whether the walk stopped at a limit, for keys this session
+    /// interpreted; replays and disk-served results do not record it.
+    truncated: Option<bool>,
 }
 
 /// How one [`SimRecord`]'s instructions were delivered to the sinks.
@@ -644,6 +647,7 @@ impl SimSession {
             stats: Vec::new(),
             sinks: Vec::new(),
             instructions: 0,
+            truncated: None,
         });
         self.by_cid.insert(cid, i);
         i
@@ -734,28 +738,29 @@ impl SimSession {
                     sinks: &mut sinks,
                 };
                 let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                let (instructions, nanos, mode) =
-                    stream_key(store.as_deref(), &gen, seed, &cid, &mut fan);
-                (i, bank, sinks, instructions, nanos, mode)
+                let (delivery, nanos) = stream_key(store.as_deref(), &gen, seed, &cid, &mut fan);
+                (i, bank, sinks, delivery, nanos)
             },
         );
 
         // Phase 3: file results back, serially, in key order.
-        for (i, mut bank, sinks, instructions, nanos, mode) in results {
+        for (i, mut bank, sinks, delivery, nanos) in results {
             let k = &mut self.keys[i];
-            match mode {
-                SimMode::Interpreted => {
+            let (instructions, mode) = match delivery {
+                Delivery::Walked(summary) => {
+                    k.truncated = Some(summary.truncated);
                     self.metrics.traces_streamed += 1;
-                    self.metrics.instructions_interpreted += instructions;
+                    self.metrics.instructions_interpreted += summary.instructions;
                     self.metrics.interp_nanos += nanos;
+                    (summary.instructions, SimMode::Interpreted)
                 }
-                SimMode::Replayed => {
+                Delivery::Replayed(instructions) => {
                     self.metrics.replays += 1;
                     self.metrics.instructions_replayed += instructions;
                     self.metrics.replay_nanos += nanos;
+                    (instructions, SimMode::Replayed)
                 }
-                SimMode::DiskServed => unreachable!("disk-served keys never stream"),
-            }
+            };
             self.metrics.instructions += instructions;
             self.metrics.simulations.push(SimRecord {
                 trace: k.cid,
@@ -819,6 +824,23 @@ impl SimSession {
         (self.stats(handle), self.instructions(handle))
     }
 
+    /// Whether the walk of a request's key stopped at a limit (the
+    /// instruction cap or the call-depth cap): `Some` when this session
+    /// interpreted the key, `None` when it replayed a stored artifact or
+    /// served stored results, which do not record it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has not executed yet.
+    #[must_use]
+    pub fn truncated(&self, handle: &SimHandle) -> Option<bool> {
+        assert!(
+            self.executed,
+            "call execute() before reading the walk's outcome"
+        );
+        self.keys[handle.key].truncated
+    }
+
     /// Recovers a sink attached with [`SimSession::request_sink`], after
     /// its trace has been streamed.
     ///
@@ -877,37 +899,45 @@ impl SimSession {
     }
 }
 
-/// Streams one key's trace into `sink`, returning the trace length, the
-/// nanoseconds the delivery took and how it was made. With a store, the
-/// key's persisted artifact is replayed when present; otherwise the
-/// interpreter walks under a capture tee and the artifact is written
-/// through (best-effort). The buffer is dropped before returning.
+/// How [`stream_key`] delivered a trace.
+enum Delivery {
+    /// The interpreter walked it, with this outcome.
+    Walked(ExecSummary),
+    /// A stored artifact of this many instructions was replayed.
+    Replayed(u64),
+}
+
+/// Streams one key's trace into `sink`, returning how it was delivered
+/// and the nanoseconds that took. With a store, the key's persisted
+/// artifact is replayed when present; otherwise the interpreter walks
+/// under a capture tee and the artifact is written through
+/// (best-effort). The buffer is dropped before returning.
 fn stream_key(
     store: Option<&Store>,
     gen: &TraceGenerator<'_>,
     seed: u64,
     cid: &Cid,
     sink: &mut Fanout<'_>,
-) -> (u64, u64, SimMode) {
+) -> (Delivery, u64) {
     let Some(store) = store else {
         let t0 = Instant::now();
         let summary = gen.stream(seed, sink);
         let nanos = t0.elapsed().as_nanos() as u64;
-        return (summary.instructions, nanos, SimMode::Interpreted);
+        return (Delivery::Walked(summary), nanos);
     };
     let acid = persist::artifact_cid(cid);
     if let Some(buf) = store.get(&acid).and_then(|p| persist::decode_artifact(&p)) {
         let t0 = Instant::now();
         buf.replay(sink);
         let nanos = t0.elapsed().as_nanos() as u64;
-        return (buf.instructions(), nanos, SimMode::Replayed);
+        return (Delivery::Replayed(buf.instructions()), nanos);
     }
     let t0 = Instant::now();
     let mut buf = RunBuffer::new();
     let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, sink));
     let nanos = t0.elapsed().as_nanos() as u64;
     let _ = store.put(&acid, &persist::encode_artifact(&buf));
-    (summary.instructions, nanos, SimMode::Interpreted)
+    (Delivery::Walked(summary), nanos)
 }
 
 /// Attempts to answer every demand of `k` from the store, filling its
@@ -1142,12 +1172,14 @@ mod tests {
             assert_eq!(m.disk_served, 0);
             let store = m.store.expect("store counters present");
             assert!(store.puts >= 3, "2 results + 1 artifact persisted");
+            assert!(s.truncated(&h).is_some(), "a walk records its outcome");
             s.counted(&h)
         };
         let mut s = SimSession::new().with_store(tmp.open());
         let h = s.request(&w.program, &placement, 21, LIMITS, &configs);
         s.execute();
         assert_eq!(s.counted(&h), (cold.clone(), cold_len), "bit-identical");
+        assert_eq!(s.truncated(&h), None, "stored results do not record it");
         let m = s.metrics();
         assert_eq!(m.traces_streamed, 0, "warm run never streams");
         assert_eq!(m.disk_served, 1);
@@ -1202,6 +1234,7 @@ mod tests {
         let m = s.metrics();
         assert_eq!(m.traces_streamed, 0, "no interpreter walk");
         assert_eq!(m.replays, 1);
+        assert_eq!(s.truncated(&h), None, "an artifact does not record it");
         assert_eq!(m.instructions, m.instructions_replayed);
         assert_eq!(
             s.stats(&h),

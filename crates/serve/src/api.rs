@@ -148,11 +148,8 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
         ("POST", "/v1/simulate") => {
             let served = decode_body(req).and_then(|doc| {
                 let request = decode_simulate(&doc)?;
-                let (stats, instructions) = simulate(state, &request).map_err(bad_input)?;
-                Ok(Response::json(
-                    200,
-                    &request.response_json(&stats, instructions),
-                ))
+                let done = simulate(state, &request).map_err(bad_input)?;
+                Ok(Response::json(200, &request.response_json(&done)))
             });
             (Endpoint::Simulate, answer(served))
         }
@@ -470,31 +467,41 @@ pub struct SimulateRequest {
 }
 
 impl SimulateRequest {
-    /// The `/v1/simulate` document of this request's [`simulate`] result.
+    /// The `/v1/simulate` document of this request's [`simulate`] result
+    /// (which does not include [`Simulated::truncated`]).
     #[must_use]
-    pub fn response_json(&self, stats: &[CacheStats], instructions: u64) -> Json {
+    pub fn response_json(&self, done: &Simulated) -> Json {
         simulate_response_json(
             self.layout.label(),
             self.seed,
             &self.configs,
-            stats,
-            instructions,
+            &done.stats,
+            done.instructions,
         )
     }
 }
 
+/// The result of [`simulate`].
+#[derive(Debug)]
+pub struct Simulated {
+    /// Each config's statistics, in request order.
+    pub stats: Vec<CacheStats>,
+    /// The trace length.
+    pub instructions: u64,
+    /// Whether the walk stopped at the instruction or call-depth cap;
+    /// `None` when the trace was replayed or its results were served
+    /// from the store, which do not record it.
+    pub truncated: Option<bool>,
+}
+
 /// Evaluates a simulate request in a session of its own: place, plan,
 /// execute once under the walk lock, read, then fold the session's
-/// counters into the service total. Returns each config's statistics in
-/// request order and the trace length.
+/// counters into the service total.
 ///
 /// # Errors
 ///
 /// The pipeline's error when an optimized layout rejects the program.
-pub fn simulate(
-    state: &AppState,
-    req: &SimulateRequest,
-) -> Result<(Vec<CacheStats>, u64), PipelineError> {
+pub fn simulate(state: &AppState, req: &SimulateRequest) -> Result<Simulated, PipelineError> {
     let (program, placement) = req.layout.place(&req.program, req.params)?;
     let mut session = SimSession::with_jobs(state.sim_jobs);
     if let Some(store) = &state.store {
@@ -513,7 +520,12 @@ pub fn simulate(
         session.execute();
     }
     state.total().add(&session.counters());
-    Ok(session.counted(&handle))
+    let (stats, instructions) = session.counted(&handle);
+    Ok(Simulated {
+        stats,
+        instructions,
+        truncated: session.truncated(&handle),
+    })
 }
 
 /// The `POST /v1/simulate` response document. Public so the integration

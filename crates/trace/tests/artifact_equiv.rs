@@ -60,6 +60,33 @@ fn config_grid() -> Vec<CacheConfig> {
     grid
 }
 
+/// The size sweeps `MultiLane` runs as one-pass inclusion kernels:
+/// direct-mapped and 2- and 4-way LRU from 128 B to 8 KB at 64 B blocks,
+/// and Table 1's fully associative grid.
+fn kernel_sweeps() -> Vec<CacheConfig> {
+    let mut sweeps = Vec::new();
+    for assoc in [
+        Associativity::Direct,
+        Associativity::Ways(2),
+        Associativity::Ways(4),
+    ] {
+        let mut size = 128;
+        while size <= 8192 {
+            let config = CacheConfig::direct_mapped(size, 64).with_associativity(assoc);
+            if config.validate().is_ok() {
+                sweeps.push(config);
+            }
+            size *= 2;
+        }
+    }
+    for size in [512, 1024, 2048, 4096] {
+        for block in [16, 32, 64, 128] {
+            sweeps.push(CacheConfig::fully_associative(size, block));
+        }
+    }
+    sweeps
+}
+
 /// A random `(workload, input seed)` pair: varied CFG shapes × varied
 /// dynamic paths.
 fn gen_case(rng: &mut Rng) -> (impact_workloads::Workload, u64) {
@@ -120,8 +147,9 @@ fn capture_tee_agrees_with_standalone_capture_and_forwards_faithfully() {
 fn one_replay_drives_a_whole_lane_bank_exactly() {
     // The session's actual fast path: replay once into a MultiLane and
     // match the per-word reference model fed the interpreter's word
-    // trace, config by config.
-    let grid = config_grid();
+    // trace, config by config. The kernel sweeps ride along with the
+    // grid's lanes, interleaved in one bank.
+    let grid: Vec<CacheConfig> = config_grid().into_iter().chain(kernel_sweeps()).collect();
     check::forall(8, gen_case, |(w, seed)| {
         let placement = impact_layout::baseline::natural(&w.program);
         let gen = TraceGenerator::new(&w.program, &placement).with_limits(LIMITS);

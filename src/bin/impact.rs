@@ -748,7 +748,7 @@ fn sim(program: Program, opts: &Options) -> ExitCode {
         params: opts.params,
         configs: vec![config],
     };
-    let (stats, instructions) = match api::simulate(&AppState::new(1), &req) {
+    let done = match api::simulate(&AppState::new(1), &req) {
         Ok(done) => done,
         Err(e) => {
             eprintln!("{}: {e}", opts.file);
@@ -756,13 +756,10 @@ fn sim(program: Program, opts: &Options) -> ExitCode {
         }
     };
     if opts.json {
-        println!(
-            "{}",
-            req.response_json(&stats, instructions).to_string_pretty()
-        );
+        println!("{}", req.response_json(&done).to_string_pretty());
         return ExitCode::SUCCESS;
     }
-    let stats = stats[0];
+    let stats = done.stats[0];
     println!(
         "{} layout, {}B cache, {}B blocks, seed {}:",
         req.layout.label(),
@@ -773,8 +770,9 @@ fn sim(program: Program, opts: &Options) -> ExitCode {
     println!(
         "  {} fetches{} | miss {:.4}% | traffic {:.2}% | avg.fetch {:.1} | avg.exec {:.1}",
         stats.accesses,
-        // The walker's own cap test; a call-depth cut is not marked.
-        if instructions >= opts.params.max_instrs {
+        // The walk's own outcome: the instruction cap or the call-depth
+        // cap (a storeless simulate always walks, so it is known).
+        if done.truncated == Some(true) {
             " (truncated)"
         } else {
             ""

@@ -84,6 +84,50 @@ fn sim_reports_cache_statistics() {
 }
 
 #[test]
+fn sim_marks_a_walk_cut_by_the_call_depth_cap() {
+    // Unbounded self-recursion stops at the 512-frame cap after a few
+    // thousand instructions, far below the instruction cap.
+    let recursive = std::env::temp_dir().join("impact_cli_test_recursive.impact");
+    std::fs::write(
+        &recursive,
+        r#"
+program entry=main
+fn main {
+  start:
+    ialu x2
+    call f -> done
+  done:
+    exit
+}
+fn f {
+  body:
+    ialu x3
+    call f -> back
+  back:
+    ret
+}
+"#,
+    )
+    .expect("temp file is writable");
+    let sim = |file: &PathBuf| {
+        let out = impact_bin()
+            .args(["sim", file.to_str().unwrap(), "--no-optimize"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = sim(&recursive);
+    assert!(text.contains("(truncated)"), "{text}");
+    let text = sim(&sample_file("sim_untruncated"));
+    assert!(!text.contains("(truncated)"), "{text}");
+}
+
+#[test]
 fn optimize_round_trips_through_the_text_format() {
     let file = sample_file("optimize");
     let out_path = std::env::temp_dir().join("impact_cli_test_optimized.impact");
