@@ -55,20 +55,22 @@ impact_support::json_object!(Row {
     sectored_traffic
 });
 
-/// The paging sinks attached to one layout's trace stream.
+/// The whole-page and working-set sinks attached to one layout's trace
+/// stream.
 #[derive(Debug)]
 struct LayoutSinks {
     full: SinkHandle,
-    sectored: SinkHandle,
     ws: SinkHandle,
 }
 
-/// One benchmark's pending sinks across both layouts.
+/// One benchmark's pending sinks across both layouts; only the
+/// optimized placement's traffic is also measured sectored.
 #[derive(Debug)]
 struct RowPlan {
     name: String,
     natural: LayoutSinks,
     optimized: LayoutSinks,
+    sectored: SinkHandle,
 }
 
 /// Pending session requests for this table.
@@ -77,7 +79,18 @@ pub struct Plan {
     rows: Vec<RowPlan>,
 }
 
-/// Attaches all three paging measurements to a layout's trace stream.
+/// A paging simulation of the resident set, with page sectoring when
+/// `sector_bytes` is set.
+fn paging_sim(sector_bytes: Option<u64>) -> PagingSim {
+    PagingSim::new(PageConfig {
+        page_bytes: PAGE_BYTES,
+        resident_pages: RESIDENT_PAGES,
+        sector_bytes,
+    })
+}
+
+/// Attaches the whole-page and working-set measurements to a layout's
+/// trace stream.
 fn attach(
     session: &mut SimSession,
     program: &Program,
@@ -85,20 +98,9 @@ fn attach(
     seed: u64,
     limits: impact_profile::ExecLimits,
 ) -> LayoutSinks {
-    let full = PagingSim::new(PageConfig {
-        page_bytes: PAGE_BYTES,
-        resident_pages: RESIDENT_PAGES,
-        sector_bytes: None,
-    });
-    let sectored = PagingSim::new(PageConfig {
-        page_bytes: PAGE_BYTES,
-        resident_pages: RESIDENT_PAGES,
-        sector_bytes: Some(SECTOR_BYTES),
-    });
     let ws = WorkingSetTracker::new(PAGE_BYTES, WS_WINDOW);
     LayoutSinks {
-        full: session.request_sink(program, placement, seed, limits, full),
-        sectored: session.request_sink(program, placement, seed, limits, sectored),
+        full: session.request_sink(program, placement, seed, limits, paging_sim(None)),
         ws: session.request_sink(program, placement, seed, limits, ws),
     }
 }
@@ -112,15 +114,17 @@ pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
         .map(|p| {
             let limits = p.budget.eval_limits(&p.workload);
             let seed = p.eval_seed();
+            let (program, placement) = (&p.result.program, &p.result.placement);
             RowPlan {
                 name: p.workload.name.to_owned(),
                 natural: attach(session, &p.baseline_program, &p.baseline, seed, limits),
-                optimized: attach(
-                    session,
-                    &p.result.program,
-                    &p.result.placement,
+                optimized: attach(session, program, placement, seed, limits),
+                sectored: session.request_sink(
+                    program,
+                    placement,
                     seed,
                     limits,
+                    paging_sim(Some(SECTOR_BYTES)),
                 ),
             }
         })
@@ -135,10 +139,9 @@ pub fn finish(session: &mut SimSession, plan: Plan) -> Vec<Row> {
         .into_iter()
         .map(|r| {
             let nat_full: PagingSim = session.take_sink(&r.natural.full);
-            let _nat_sectored: PagingSim = session.take_sink(&r.natural.sectored);
             let nat_ws: WorkingSetTracker = session.take_sink(&r.natural.ws);
             let opt_full: PagingSim = session.take_sink(&r.optimized.full);
-            let opt_sectored: PagingSim = session.take_sink(&r.optimized.sectored);
+            let opt_sectored: PagingSim = session.take_sink(&r.sectored);
             let opt_ws: WorkingSetTracker = session.take_sink(&r.optimized.ws);
             Row {
                 name: r.name,

@@ -150,6 +150,13 @@ impl TraceQuality {
     }
 }
 
+impact_support::json_object!(TraceQuality {
+    desirable,
+    neutral,
+    undesirable,
+    mean_trace_length
+});
+
 /// Table 3 statistics: the effect of inline expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InlineReport {
@@ -212,6 +219,13 @@ impl InlineReport {
         }
     }
 }
+
+impact_support::json_object!(InlineReport {
+    code_increase,
+    call_decrease,
+    instrs_per_call,
+    transfers_per_call
+});
 
 #[cfg(test)]
 mod tests {

@@ -5,14 +5,18 @@
 //! JSON (decoded with [`impact_support::json::parse`]); programs travel
 //! inside them as `impact-asm` text.
 //!
-//! | Route | Body | Result |
-//! |---|---|---|
-//! | `POST /v1/lint` | `{"program", "name"?, "runs"?, "max_instrs"?, "deny_warnings"?}` | the `impact lint --json` document |
-//! | `POST /v1/layout` | `{"program", "name"?, "runs"?, "max_instrs"?, "min_prob"?}` | placement + quality metrics |
-//! | `POST /v1/simulate` | `{"program", "configs", "seed"?, "max_instrs"?, "layout"?, "runs"?}` | per-config cache statistics |
-//! | `POST /v1/analyze` | `{"program", "name"?, "cache"?, "block"?}` | profile-free static analysis (the `impact analyze --json` document) |
-//! | `POST /v1/advise` | `{"program", "name"?, "cache"?, "block"?, "diff"?}` | placement scores + layout advisors (the `impact advise --json` document) |
-//! | `GET /metrics` | — | counters, latency histogram, memo hit rate |
+//! Each program endpoint has a CLI twin that prints its document byte
+//! for byte, with the file path as the body's `name`:
+//!
+//! | Route | Body | Result | CLI twin |
+//! |---|---|---|---|
+//! | `POST /v1/lint` | `{"program", "name"?, "runs"?, "max_instrs"?, "deny_warnings"?}` | diagnostics | `impact lint FILE --json` |
+//! | `POST /v1/layout` | `{"program", "name"?, "runs"?, "max_instrs"?, "min_prob"?}` | placement + quality metrics | `impact optimize FILE --json` |
+//! | `POST /v1/simulate` | `{"program", "configs", "seed"?, "max_instrs"?, "layout"?, "runs"?}` | per-config cache statistics | `impact sim FILE --json` (one config) |
+//! | `POST /v1/analyze` | `{"program", "name"?, "cache"?, "block"?}` | profile-free static analysis | the entry of `impact analyze FILE --json` |
+//! | `POST /v1/advise` | `{"program", "name"?, "cache"?, "block"?, "diff"?}` | placement scores + layout advisors | the entry of `impact advise FILE --json` |
+//! | `GET /metrics` | — | counters, latency histogram, memo hit rate | — |
+//! | `GET /healthz` | — | `{"ok": true}` | — |
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -23,8 +27,8 @@ use impact_analyze::{
 use impact_asm::parse_program;
 use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
 use impact_experiments::session::{SimMetrics, SimSession};
-use impact_ir::Program;
-use impact_layout::pipeline::{Pipeline, PipelineConfig, PipelineError};
+use impact_ir::{BlockId, Program};
+use impact_layout::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineResult};
 use impact_layout::{baseline, Placement};
 use impact_profile::ExecLimits;
 use impact_store::Store;
@@ -129,59 +133,70 @@ impl AppState {
     }
 }
 
+/// A route's handler: the response, or the `4xx` it rejected the
+/// request with.
+type Handler = fn(&AppState, &Request) -> Result<Response, Reject>;
+
+/// Every route, registered once: method, path, the endpoint its
+/// requests count under, and the handler. The path alone picks the row,
+/// so another method on a known path is a `405` naming the row's.
+const ROUTES: &[(&str, &str, Endpoint, Handler)] = &[
+    ("POST", "/v1/lint", Endpoint::Lint, lint),
+    ("POST", "/v1/layout", Endpoint::Layout, |_, req| {
+        let doc = decode_body(req)?;
+        let (name, program, params) = decode_program(&doc)?;
+        let min_prob = field_f64(&doc, "min_prob")?;
+        let request = LayoutRequest {
+            program,
+            params,
+            min_prob,
+        };
+        let result = layout(&request).map_err(bad_input)?;
+        Ok(Response::json(200, &layout_response_json(&name, &result)))
+    }),
+    ("POST", "/v1/simulate", Endpoint::Simulate, |state, req| {
+        let request = decode_simulate(&decode_body(req)?)?;
+        let done = simulate(state, &request).map_err(bad_input)?;
+        Ok(Response::json(200, &request.response_json(&done)))
+    }),
+    ("POST", "/v1/analyze", Endpoint::Analyze, analyze),
+    ("POST", "/v1/advise", Endpoint::Advise, advise),
+    ("GET", "/metrics", Endpoint::Metrics, |state, _| {
+        let mut doc = state.metrics.to_json(&state.sim_counters());
+        if let Json::Obj(fields) = &mut doc {
+            fields.push(("response_cache".to_string(), state.rcache.to_json()));
+        }
+        Ok(Response::json(200, &doc))
+    }),
+    ("GET", "/healthz", Endpoint::Other, |_, _| {
+        Ok(Response::json(
+            200,
+            &Json::Obj(vec![("ok".to_string(), Json::Bool(true))]),
+        ))
+    }),
+];
+
 /// Dispatches one request to its handler; returns the endpoint label
 /// (for metrics) alongside the response.
 #[must_use]
 pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
-    const ROUTES: [(&str, &str); 7] = [
-        ("POST", "/v1/lint"),
-        ("POST", "/v1/layout"),
-        ("POST", "/v1/simulate"),
-        ("POST", "/v1/analyze"),
-        ("POST", "/v1/advise"),
-        ("GET", "/metrics"),
-        ("GET", "/healthz"),
-    ];
-    match (req.method.as_str(), req.path()) {
-        ("POST", "/v1/lint") => (Endpoint::Lint, answer(lint(req))),
-        ("POST", "/v1/layout") => (Endpoint::Layout, answer(layout(req))),
-        ("POST", "/v1/simulate") => {
-            let served = decode_body(req).and_then(|doc| {
-                let request = decode_simulate(&doc)?;
-                let done = simulate(state, &request).map_err(bad_input)?;
-                Ok(Response::json(200, &request.response_json(&done)))
-            });
-            (Endpoint::Simulate, answer(served))
-        }
-        ("POST", "/v1/analyze") => (Endpoint::Analyze, answer(analyze(req))),
-        ("POST", "/v1/advise") => (Endpoint::Advise, answer(advise(req))),
-        ("GET", "/metrics") => {
-            let mut doc = state.metrics.to_json(&state.sim_counters());
-            if let Json::Obj(fields) = &mut doc {
-                fields.push(("response_cache".to_string(), state.rcache.to_json()));
-            }
-            (Endpoint::Metrics, Response::json(200, &doc))
-        }
-        ("GET", "/healthz") => (
+    let path = req.path();
+    let Some(&(method, _, endpoint, handler)) = ROUTES.iter().find(|r| r.1 == path) else {
+        return (
             Endpoint::Other,
-            Response::json(200, &Json::Obj(vec![("ok".to_string(), Json::Bool(true))])),
-        ),
-        (method, path) => {
-            if let Some((allowed, _)) = ROUTES.iter().find(|(_, p)| *p == path) {
-                let resp = Response::error(
-                    405,
-                    format!("{method} is not supported on {path}; use {allowed}"),
-                )
-                .with_header("Allow", *allowed);
-                (Endpoint::Other, resp)
-            } else {
-                (
-                    Endpoint::Other,
-                    Response::error(404, format!("no route for {path}")),
-                )
-            }
-        }
+            Response::error(404, format!("no route for {path}")),
+        );
+    };
+    if req.method != method {
+        let resp = Response::error(
+            405,
+            format!("{} is not supported on {path}; use {method}", req.method),
+        )
+        .with_header("Allow", method);
+        return (Endpoint::Other, resp);
     }
+    let resp = handler(state, req).unwrap_or_else(|resp| *resp);
+    (endpoint, resp)
 }
 
 /// `POST /v1/lint` — run the full `impact-analyze` registry over the
@@ -190,7 +205,7 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
 /// call [`impact_analyze::reports_to_json`]. With `"deny_warnings":
 /// true` (the CLI's `--deny-warnings`) a warning-bearing report comes
 /// back as 422 — the body bytes are unchanged, only the status flips.
-fn lint(req: &Request) -> Result<Response, Reject> {
+fn lint(_: &AppState, req: &Request) -> Result<Response, Reject> {
     let doc = decode_body(req)?;
     let (name, program, params) = decode_program(&doc)?;
     let deny_warnings = field_bool(&doc, "deny_warnings")?.unwrap_or(false);
@@ -213,7 +228,7 @@ fn lint(req: &Request) -> Result<Response, Reject> {
 /// run over the result. The body is the per-target document `impact
 /// analyze --json` emits: both surfaces call
 /// [`StaticAnalysis::to_json_for_target`](impact_analyze::StaticAnalysis::to_json_for_target).
-fn analyze(req: &Request) -> Result<Response, Reject> {
+fn analyze(_: &AppState, req: &Request) -> Result<Response, Reject> {
     let doc = decode_body(req)?;
     let (name, program, _) = decode_program(&doc)?;
     let conflict = decode_conflict(&doc)?;
@@ -229,7 +244,7 @@ fn analyze(req: &Request) -> Result<Response, Reject> {
 /// [`Advice::to_json_for_target`](impact_analyze::Advice::to_json_for_target).
 /// An optional `"diff"` field (`natural` or `random[:seed]`, the CLI's
 /// `--diff`) switches to the differential document.
-fn advise(req: &Request) -> Result<Response, Reject> {
+fn advise(_: &AppState, req: &Request) -> Result<Response, Reject> {
     let doc = decode_body(req)?;
     let (name, program, _) = decode_program(&doc)?;
     let conflict = decode_conflict(&doc)?;
@@ -271,103 +286,69 @@ pub fn diff_baseline(spec: &str, program: &Program) -> Option<(String, Placement
     }
 }
 
-/// `POST /v1/layout` — run the five-step placement pipeline and return
-/// the placement plus its quality metrics.
-fn layout(req: &Request) -> Result<Response, Reject> {
-    let doc = decode_body(req)?;
-    let (name, program, params) = decode_program(&doc)?;
-    let mut config = params.pipeline_config();
-    if let Some(p) = field_f64(&doc, "min_prob")? {
+/// A typed `/v1/layout` request: what [`route`] decodes from JSON and
+/// `impact optimize` and `impact viz` build from argv.
+#[derive(Debug)]
+pub struct LayoutRequest {
+    /// The program to place.
+    pub program: Program,
+    /// Pipeline runs and the walk cap of each profiling run.
+    pub params: RunParams,
+    /// Trace-selection branch threshold; `None` keeps the pipeline's.
+    pub min_prob: Option<f64>,
+}
+
+/// Runs the five-step placement pipeline on a layout request.
+///
+/// # Errors
+///
+/// The pipeline's error when it rejects the program or the budget.
+pub fn layout(req: &LayoutRequest) -> Result<PipelineResult, PipelineError> {
+    let mut config = req.params.pipeline_config();
+    if let Some(p) = req.min_prob {
         config.min_prob = p;
     }
-    let result = Pipeline::new(config).try_run(&program).map_err(bad_input)?;
+    Pipeline::new(config).try_run(&req.program)
+}
 
-    let placement_doc = Json::Arr(
-        result
-            .program
-            .functions()
-            .map(|(fid, func)| {
-                let blocks: Vec<Json> = (0..func.block_count())
-                    .map(|b| {
-                        result
-                            .placement
-                            .addr(fid, impact_ir::BlockId::new(b))
-                            .to_json()
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("function".to_string(), func.name().to_json()),
-                    ("blocks".to_string(), Json::Arr(blocks)),
-                ])
-            })
-            .collect(),
-    );
-    let order = Json::Arr(
-        result
-            .global
-            .order()
-            .iter()
-            .map(|&f| result.program.function(f).name().to_json())
-            .collect(),
-    );
-    Ok(Response::json(
-        200,
-        &Json::Obj(vec![
-            ("name".to_string(), name.to_json()),
-            (
-                "total_bytes".to_string(),
-                result.total_static_bytes().to_json(),
-            ),
-            (
-                "effective_bytes".to_string(),
-                result.effective_static_bytes().to_json(),
-            ),
-            (
-                "inline".to_string(),
-                Json::Obj(vec![
-                    (
-                        "code_increase".to_string(),
-                        result.inline_report.code_increase.to_json(),
-                    ),
-                    (
-                        "call_decrease".to_string(),
-                        result.inline_report.call_decrease.to_json(),
-                    ),
-                    (
-                        "instrs_per_call".to_string(),
-                        result.inline_report.instrs_per_call.to_json(),
-                    ),
-                    (
-                        "transfers_per_call".to_string(),
-                        result.inline_report.transfers_per_call.to_json(),
-                    ),
-                ]),
-            ),
-            (
-                "trace_quality".to_string(),
-                Json::Obj(vec![
-                    (
-                        "desirable".to_string(),
-                        result.trace_quality.desirable.to_json(),
-                    ),
-                    (
-                        "neutral".to_string(),
-                        result.trace_quality.neutral.to_json(),
-                    ),
-                    (
-                        "undesirable".to_string(),
-                        result.trace_quality.undesirable.to_json(),
-                    ),
-                    (
-                        "mean_trace_length".to_string(),
-                        result.trace_quality.mean_trace_length.to_json(),
-                    ),
-                ]),
-            ),
-            ("function_order".to_string(), order),
-            ("placement".to_string(), placement_doc),
-        ]),
-    ))
+/// The `POST /v1/layout` response document: sizes, the inlining and
+/// trace-quality metrics, the function order and every block's address.
+#[must_use]
+pub fn layout_response_json(name: &str, result: &PipelineResult) -> Json {
+    let placement = result
+        .program
+        .functions()
+        .map(|(fid, func)| {
+            let blocks = (0..func.block_count())
+                .map(|b| result.placement.addr(fid, BlockId::new(b)).to_json())
+                .collect();
+            Json::Obj(vec![
+                ("function".to_string(), func.name().to_json()),
+                ("blocks".to_string(), Json::Arr(blocks)),
+            ])
+        })
+        .collect();
+    let order = result
+        .global
+        .order()
+        .iter()
+        .map(|&f| result.program.function(f).name().to_json())
+        .collect();
+    Json::Obj(vec![
+        ("name".to_string(), name.to_json()),
+        (
+            "total_bytes".to_string(),
+            result.total_static_bytes().to_json(),
+        ),
+        (
+            "effective_bytes".to_string(),
+            result.effective_static_bytes().to_json(),
+        ),
+        ("inline".to_string(), result.inline_report.to_json()),
+        ("trace_quality".to_string(), result.trace_quality.to_json()),
+        ("function_order".to_string(), Json::Arr(order)),
+        ("placement".to_string(), Json::Arr(placement)),
+    ])
 }
 
 /// Which placement a simulate runs over.
@@ -599,11 +580,6 @@ fn reject(status: u16, message: impl Into<String>) -> Reject {
 /// A program the pipeline refused, as a `400`.
 fn bad_input(e: impl std::fmt::Display) -> Reject {
     reject(400, e.to_string())
-}
-
-/// The handler's response, or the `4xx` it rejected the request with.
-fn answer(handled: Result<Response, Reject>) -> Response {
-    handled.unwrap_or_else(|resp| *resp)
 }
 
 fn decode_body(req: &Request) -> Result<Json, Reject> {

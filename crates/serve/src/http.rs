@@ -2,19 +2,15 @@
 //!
 //! Implements exactly the subset the service needs: request parsing with
 //! `Content-Length` bodies (no chunked transfer coding), keep-alive
-//! semantics, and response serialization. Two parsing surfaces share the
-//! same grammar helpers:
-//!
-//! - [`read_request`] pulls one request off a blocking [`BufRead`] — the
-//!   shape tests and simple clients want;
-//! - [`parse_request_bytes`] is the reactor's incremental form: given
-//!   whatever bytes have arrived so far, it either yields one complete
-//!   request plus the number of bytes it consumed, reports that more
-//!   bytes are needed, or rejects the prefix. Calling it repeatedly on a
-//!   growing buffer parses pipelined requests one at a time without ever
-//!   blocking, regardless of how the bytes were split across reads.
+//! semantics, and response serialization. One incremental parser,
+//! [`parse_request_bytes`], frames every request: given whatever bytes
+//! have arrived so far, it either yields one complete request plus the
+//! number of bytes it consumed, reports that more bytes are needed, or
+//! rejects the prefix. Calling it repeatedly on a growing buffer parses
+//! pipelined requests one at a time without ever blocking, regardless of
+//! how the bytes were split across reads.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 use impact_support::json::Json;
 
@@ -71,8 +67,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The underlying transport failed (includes read timeouts).
-    Io(io::Error),
     /// The bytes were not a well-formed request; the string is safe to
     /// echo in a 400 response.
     Malformed(String),
@@ -80,16 +74,9 @@ pub enum HttpError {
     TooLarge(&'static str),
 }
 
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(what) => write!(f, "{what} too large"),
         }
@@ -146,68 +133,6 @@ fn body_length(req: &Request) -> Result<usize, HttpError> {
     Ok(body_len)
 }
 
-/// One line ending in `\n` (CRLF tolerated), or `None` on clean EOF.
-fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<Option<String>, HttpError> {
-    let mut buf = Vec::new();
-    let mut chunk = io::Read::take(&mut *reader, *budget as u64 + 1);
-    let n = chunk.read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > *budget {
-        return Err(HttpError::TooLarge("request head"));
-    }
-    *budget -= n;
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| HttpError::Malformed("request head is not valid UTF-8".to_string()))
-}
-
-/// Reads one request off the connection.
-///
-/// Returns `Ok(None)` when the peer closed the connection cleanly before
-/// sending a request line (the normal end of a keep-alive session).
-///
-/// # Errors
-///
-/// [`HttpError::Io`] on transport errors (including read timeouts),
-/// [`HttpError::Malformed`] / [`HttpError::TooLarge`] on invalid input.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let Some(line) = read_line(reader, &mut budget)? else {
-        return Ok(None);
-    };
-    let (method, target, http11) = parse_request_line(&line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader, &mut budget)? else {
-            return Err(HttpError::Malformed(
-                "connection closed inside the header block".to_string(),
-            ));
-        };
-        if line.is_empty() {
-            break;
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let mut req = Request {
-        method,
-        target,
-        http11,
-        headers,
-        body: Vec::new(),
-    };
-    let body_len = body_length(&req)?;
-    req.body = vec![0; body_len];
-    reader.read_exact(&mut req.body)?;
-    Ok(Some(req))
-}
-
 /// Byte offset just past the blank line terminating the request head,
 /// if the head is complete within `buf`.
 fn head_end(buf: &[u8]) -> Option<usize> {
@@ -237,7 +162,7 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 /// [`HttpError::Malformed`] when the prefix can never become a valid
 /// request, [`HttpError::TooLarge`] when the head exceeds
 /// [`MAX_HEAD_BYTES`] (respond `431`) or the declared body exceeds
-/// [`MAX_BODY_BYTES`] (respond `413`). Never returns [`HttpError::Io`].
+/// [`MAX_BODY_BYTES`] (respond `413`).
 pub fn parse_request_bytes(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     let Some(head_len) = head_end(buf) else {
         // An unterminated head can only be tolerated while it still
@@ -371,10 +296,14 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// One whole request, which must span all of `raw`; `Ok(None)` when
+    /// `raw` is a prefix that needs more bytes.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        Ok(parse_request_bytes(raw.as_bytes())?.map(|(req, consumed)| {
+            assert_eq!(consumed, raw.len(), "{raw:?} holds exactly one request");
+            req
+        }))
     }
 
     #[test]
@@ -404,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_none() {
+    fn no_bytes_yet_is_none() {
         assert!(parse("").unwrap().is_none());
     }
 
@@ -430,11 +359,10 @@ mod tests {
             parse("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
-        // Truncated body surfaces as an I/O error.
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpError::Io(_))
-        ));
+        // A truncated body is a prefix: it needs more bytes.
+        assert!(parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+            .unwrap()
+            .is_none());
     }
 
     #[test]

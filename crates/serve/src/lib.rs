@@ -16,20 +16,26 @@
 //! stdin EOF. Repeated POST bodies are answered from a byte-exact
 //! response memo ([`rcache`]) without touching the worker pool at all.
 //!
-//! Its endpoints mirror the CLI surfaces:
+//! Its endpoints mirror the CLI surfaces. Each program endpoint has a
+//! CLI twin that makes the same calls, so the twin's `--json` prints the
+//! endpoint's document:
 //!
 //! - `POST /v1/lint` — the `impact-analyze` registry over a submitted
-//!   program (same JSON document as `impact lint --json`, rendered by
-//!   the same [`impact_analyze::reports_to_json`] call).
-//! - `POST /v1/layout` — the five-step IMPACT-I pipeline, returning the
-//!   placement and its quality metrics.
+//!   program; twin `impact lint --json` (both render with
+//!   [`impact_analyze::reports_to_json`]).
+//! - `POST /v1/layout` — the five-step IMPACT-I pipeline
+//!   ([`api::layout`]), returning the placement and its quality
+//!   metrics; twin `impact optimize --json`.
 //! - `POST /v1/simulate` — cache evaluation in a
 //!   [`SimSession`](impact_experiments::session::SimSession) of the
-//!   request's own, which delivers the trace once. The server keeps no
-//!   per-trace state: a repeated body is answered by the response memo,
-//!   and with `--store` a known trace is disk-served or replayed.
-//!   [`api::simulate`] is the request layer; `impact sim` runs it too,
-//!   so `impact sim --json` prints this endpoint's document.
+//!   request's own ([`api::simulate`]), which delivers the trace once.
+//!   The server keeps no per-trace state: a repeated body is answered by
+//!   the response memo, and with `--store` a known trace is disk-served
+//!   or replayed. Twin `impact sim --json`.
+//! - `POST /v1/analyze` — profile-free static analysis; twin: the entry
+//!   of `impact analyze --json`.
+//! - `POST /v1/advise` — placement scores and the layout advisors; twin:
+//!   the entry of `impact advise --json`.
 //! - `GET /metrics` — request counters, global and per-endpoint latency
 //!   histograms, queue depth, connection gauges, the response-memo hit
 //!   rate and the summed session counters.

@@ -36,6 +36,7 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
+    /// Every endpoint, in discriminant order: a counter array's index.
     const ALL: [Endpoint; 7] = [
         Endpoint::Lint,
         Endpoint::Layout,
@@ -45,18 +46,6 @@ impl Endpoint {
         Endpoint::Metrics,
         Endpoint::Other,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Lint => 0,
-            Endpoint::Layout => 1,
-            Endpoint::Simulate => 2,
-            Endpoint::Analyze => 3,
-            Endpoint::Advise => 4,
-            Endpoint::Metrics => 5,
-            Endpoint::Other => 6,
-        }
-    }
 
     /// Stable label used in the metrics document.
     #[must_use]
@@ -76,7 +65,7 @@ impl Endpoint {
 /// Atomic counter block for the whole service.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    requests: [AtomicU64; 7],
+    requests: [AtomicU64; Endpoint::ALL.len()],
     status_2xx: AtomicU64,
     status_4xx: AtomicU64,
     status_5xx: AtomicU64,
@@ -90,8 +79,8 @@ pub struct Metrics {
     latency_sum_us: AtomicU64,
     latency_count: AtomicU64,
     /// Per-endpoint latency histograms (same bucket bounds).
-    endpoint_latency: [[AtomicU64; LATENCY_BUCKETS_US.len() + 1]; 7],
-    endpoint_latency_sum_us: [AtomicU64; 7],
+    endpoint_latency: [[AtomicU64; LATENCY_BUCKETS_US.len() + 1]; Endpoint::ALL.len()],
+    endpoint_latency_sum_us: [AtomicU64; Endpoint::ALL.len()],
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
     /// Connections currently open in the reactor (gauge).
@@ -110,7 +99,7 @@ impl Metrics {
     /// Records one routed request: endpoint, response status, and
     /// handler latency in microseconds.
     pub fn record(&self, endpoint: Endpoint, status: u16, micros: u64) {
-        self.requests[endpoint.index()].fetch_add(1, Relaxed);
+        self.requests[endpoint as usize].fetch_add(1, Relaxed);
         match status {
             200..=299 => &self.status_2xx,
             400..=499 => &self.status_4xx,
@@ -124,8 +113,8 @@ impl Metrics {
         self.latency[bucket].fetch_add(1, Relaxed);
         self.latency_sum_us.fetch_add(micros, Relaxed);
         self.latency_count.fetch_add(1, Relaxed);
-        self.endpoint_latency[endpoint.index()][bucket].fetch_add(1, Relaxed);
-        self.endpoint_latency_sum_us[endpoint.index()].fetch_add(micros, Relaxed);
+        self.endpoint_latency[endpoint as usize][bucket].fetch_add(1, Relaxed);
+        self.endpoint_latency_sum_us[endpoint as usize].fetch_add(micros, Relaxed);
     }
 
     /// Records a load-shedding 503 written from the reactor.
@@ -172,7 +161,7 @@ impl Metrics {
     pub fn total_requests(&self) -> u64 {
         Endpoint::ALL
             .iter()
-            .map(|e| self.requests[e.index()].load(Relaxed))
+            .map(|&e| self.requests[e as usize].load(Relaxed))
             .sum()
     }
 
@@ -192,10 +181,10 @@ impl Metrics {
         let by_endpoint = Json::Obj(
             Endpoint::ALL
                 .iter()
-                .map(|e| {
+                .map(|&e| {
                     (
                         e.label().to_string(),
-                        self.requests[e.index()].load(Relaxed).to_json(),
+                        self.requests[e as usize].load(Relaxed).to_json(),
                     )
                 })
                 .collect(),
@@ -204,15 +193,15 @@ impl Metrics {
         let by_endpoint_latency = Json::Obj(
             Endpoint::ALL
                 .iter()
-                .map(|e| {
-                    let count = self.requests[e.index()].load(Relaxed);
-                    let sum = self.endpoint_latency_sum_us[e.index()].load(Relaxed);
+                .map(|&e| {
+                    let count = self.requests[e as usize].load(Relaxed);
+                    let sum = self.endpoint_latency_sum_us[e as usize].load(Relaxed);
                     (
                         e.label().to_string(),
                         Json::Obj(vec![
                             (
                                 "buckets".to_string(),
-                                render_buckets(&self.endpoint_latency[e.index()]),
+                                render_buckets(&self.endpoint_latency[e as usize]),
                             ),
                             ("sum_us".to_string(), sum.to_json()),
                             ("count".to_string(), count.to_json()),
@@ -330,6 +319,9 @@ mod tests {
         m.set_queue_depth(5);
         m.set_queue_depth(2);
         assert_eq!(m.total_requests(), 3);
+        for (i, &e) in Endpoint::ALL.iter().enumerate() {
+            assert_eq!(e as usize, i, "{e:?} indexes its own counters");
+        }
         assert_eq!(m.total_shed(), 1);
         assert_eq!(m.connections_peak(), 2);
 

@@ -303,8 +303,6 @@ impl Reactor {
                         HttpError::TooLarge(what) => {
                             Response::error(413, format!("{what} too large"))
                         }
-                        // parse_request_bytes never does I/O.
-                        HttpError::Io(e) => Response::error(400, e.to_string()),
                     };
                     conn.complete(seq, DoneResponse::serialize(&response, false));
                     conn.no_more_input = true;

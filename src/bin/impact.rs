@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! impact report   <file>                          profile and describe a program
-//! impact optimize <file> [-o out.impact]          run the placement pipeline,
+//! impact optimize <file> [-o out.impact] [--json] run the placement pipeline,
 //!                                                 emit the reordered program
 //! impact sim      <file> [options]                trace-driven cache simulation
 //! impact viz      <file> [options]                placement map and cache-set pressure
@@ -25,6 +25,10 @@
 //!   --runs N        profiling runs                      (default 8)
 //!   --seed S        evaluation input seed               (default 1000003)
 //!   --max-instrs N  dynamic instruction cap per walk    (default 5000000)
+//!
+//! optimize options:
+//!   -o FILE         write the reordered program
+//!   --json          print the `/v1/layout` response document
 //!
 //! sim options:
 //!   --cache BYTES   cache size                          (default 2048)
@@ -54,8 +58,6 @@
 //!   --addr A              bind address                      (default 127.0.0.1:0)
 //!   --workers N           worker threads                    (default 4)
 //!   --queue N             dispatched-request queue bound    (default 1024)
-//!   --timeout-ms N        read AND write deadline, shorthand
-//!                         for setting both                  (default 10000)
 //!   --read-timeout MS     idle/slow-client read deadline    (default 10000)
 //!   --write-timeout MS    unread-response write deadline    (default 10000)
 //!   --sim-jobs N          accepted, no effect (one trace per simulate)
@@ -108,14 +110,18 @@
 
 use std::process::ExitCode;
 
-use impact::analyze::CheckedPipeline;
+use impact::analyze::{
+    advise_static, analyze_static, score_config_for, score_placement, CheckedPipeline,
+    ConflictConfig, Report,
+};
 use impact::asm::{parse_program, print_program};
 use impact::cache::{Associativity, Cache, CacheConfig, FillPolicy};
 use impact::ir::Program;
 use impact::layout::materialize::materialize;
-use impact::layout::pipeline::{Pipeline, PipelineConfig};
+use impact::layout::pipeline::{Pipeline, PipelineConfig, PipelineResult};
 use impact::profile::Profiler;
-use impact::serve::api::{self, AppState, Layout, RunParams, SimulateRequest};
+use impact::serve::api::{self, AppState, Layout, LayoutRequest, RunParams, SimulateRequest};
+use impact::support::json::Json;
 use impact::trace::TraceGenerator;
 
 /// Options shared by all subcommands.
@@ -154,15 +160,21 @@ impl Options {
             }
         }
     }
+
+    /// Whether a checked target fails the run: `report` has an error, or
+    /// there are `warnings` under `--deny-warnings`.
+    fn fails(&self, report: &Report, warnings: usize) -> bool {
+        !report.is_clean() || (self.deny_warnings && warnings > 0)
+    }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: impact <report|optimize|sim|viz|trace|simtrace|lint|analyze|advise> <file.impact> [options]\n\
+         \u{20}      impact optimize <file.impact> [-o out.impact] [--json]\n\
          \u{20}      impact sim <file.impact> [--json] [sim options]\n\
-         \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--timeout-ms N]\n\
-         \u{20}                   [--read-timeout MS] [--write-timeout MS] [--sim-jobs N] [--cache-bytes N]\n\
-         \u{20}                   [--store DIR]\n\
+         \u{20}      impact serve [--addr A] [--workers N] [--queue N] [--read-timeout MS]\n\
+         \u{20}                   [--write-timeout MS] [--sim-jobs N] [--cache-bytes N] [--store DIR]\n\
          \u{20}      impact store <ls|stat|verify|gc> DIR [--max-bytes N] [--json]\n\
          see `src/bin/impact.rs` header for the option list"
     );
@@ -211,9 +223,15 @@ fn main() -> ExitCode {
                 Some(v) => opts.out = Some(v),
                 None => return usage(),
             },
-            "--runs" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
+            "--runs" => match take_value(&mut rest, i)
+                .and_then(|v| v.parse().ok())
+                .filter(|&r| r >= 1)
+            {
                 Some(v) => opts.params.runs = v,
-                None => return usage(),
+                None => {
+                    eprintln!("--runs must be a positive integer");
+                    return usage();
+                }
             },
             "--seed" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
                 Some(v) => opts.seed = v,
@@ -296,16 +314,17 @@ fn main() -> ExitCode {
 
     match command.as_str() {
         "report" => report(&program, &opts),
-        "optimize" => optimize(&program, &opts),
+        "optimize" => optimize(program, &opts),
         "sim" => sim(program, &opts),
-        "viz" => viz(&program, &opts),
+        "viz" => viz(program, &opts),
         "trace" => trace(&program, &opts),
         _ => usage(),
     }
 }
 
-/// Resolves the lint targets: a workload name, `all`, or a `.impact` file.
-fn lint_targets(opts: &Options) -> Result<Vec<(String, Program)>, String> {
+/// Resolves the targets of `lint`, `analyze` and `advise`: a workload
+/// name, `all`, or a `.impact` file.
+fn targets(opts: &Options) -> Result<Vec<(String, Program)>, String> {
     if opts.file == "all" {
         return Ok(impact::workloads::all()
             .into_iter()
@@ -325,45 +344,73 @@ fn lint_targets(opts: &Options) -> Result<Vec<(String, Program)>, String> {
     Ok(vec![(opts.file.clone(), program)])
 }
 
-fn lint(opts: &Options) -> ExitCode {
-    let targets = match lint_targets(opts) {
+/// Drives `lint`, `analyze` and `advise` over their targets. `check`
+/// runs one target and says whether it fails the run ([`Options::fails`]);
+/// its result then prints as `== name ==` and `text`, or under `--json`
+/// joins the printed array as its `row`. The exit code is nonzero iff a
+/// target failed or could not run.
+fn run_targets<T>(
+    opts: &Options,
+    check: impl Fn(&Program) -> Result<(T, bool), String>,
+    row: impl Fn(&str, &T) -> Json,
+    text: impl Fn(&T),
+) -> ExitCode {
+    let targets = match targets(opts) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-
-    let checked = CheckedPipeline::new(Pipeline::new(opts.params.pipeline_config()));
     let mut failed = false;
-    let mut reports: Vec<(String, impact::analyze::Report)> = Vec::new();
+    let mut rows = Vec::new();
     for (name, program) in &targets {
-        let report = match checked.try_run(program) {
-            Ok((_, report)) => report,
+        let (done, fails) = match check(program) {
+            Ok(checked) => checked,
             Err(e) => {
                 eprintln!("{name}: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        failed |= !report.is_clean();
-        failed |= opts.deny_warnings && report.warning_count() > 0;
+        failed |= fails;
         if opts.json {
-            reports.push((name.clone(), report));
+            rows.push(row(name, &done));
         } else {
             println!("== {name} ==");
-            print!("{}", report.render());
+            text(&done);
         }
     }
     if opts.json {
-        let rows = impact::analyze::reports_to_json(
-            reports.iter().map(|(name, report)| (name.as_str(), report)),
-        );
-        println!("{}", rows.to_string_pretty());
+        println!("{}", Json::Arr(rows).to_string_pretty());
     }
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// `impact lint` — the checked pipeline and every diagnostic pass.
+fn lint(opts: &Options) -> ExitCode {
+    let checked = CheckedPipeline::new(Pipeline::new(opts.params.pipeline_config()));
+    run_targets(
+        opts,
+        |program| {
+            let (_, report) = checked.try_run(program).map_err(|e| e.to_string())?;
+            let fails = opts.fails(&report, report.warning_count());
+            Ok((report, fails))
+        },
+        |name, report| report.to_json_for_target(name),
+        |report| print!("{}", report.render()),
+    )
+}
+
+/// The `--cache/--block` geometry of `analyze` and `advise`.
+fn conflict_config(opts: &Options) -> ConflictConfig {
+    ConflictConfig {
+        cache_bytes: opts.cache,
+        line_bytes: opts.block,
+        ..ConflictConfig::default()
     }
 }
 
@@ -374,38 +421,18 @@ fn lint(opts: &Options) -> ExitCode {
 /// predictions at the `--cache/--block` geometry, and report the
 /// estimated miss-ratio bound plus the hottest estimated functions.
 fn analyze(opts: &Options) -> ExitCode {
-    use impact::analyze::{analyze_static, ConflictConfig};
-    use impact::support::json::Json;
-
-    let targets = match lint_targets(opts) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let conflict = ConflictConfig {
-        cache_bytes: opts.cache,
-        line_bytes: opts.block,
-        ..ConflictConfig::default()
-    };
-
-    let mut failed = false;
-    let mut rows: Vec<Json> = Vec::new();
-    for (name, program) in &targets {
-        let analysis = match analyze_static(program, &PipelineConfig::default(), conflict) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        failed |= !analysis.report.is_clean();
-        failed |= opts.deny_warnings && analysis.report.warning_count() > 0;
-
-        if opts.json {
-            rows.push(analysis.to_json_for_target(name));
-        } else {
+    let conflict = conflict_config(opts);
+    run_targets(
+        opts,
+        |program| {
+            let analysis = analyze_static(program, &PipelineConfig::default(), conflict)
+                .map_err(|e| e.to_string())?;
+            let report = &analysis.report;
+            let fails = opts.fails(report, report.warning_count());
+            Ok((analysis, fails))
+        },
+        |name, analysis| analysis.to_json_for_target(name),
+        |analysis| {
             let result = &analysis.result;
             let mut hot: Vec<(u64, String)> = result
                 .program
@@ -414,7 +441,6 @@ fn analyze(opts: &Options) -> ExitCode {
                 .collect();
             hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             let bound = analysis.miss_bound;
-            println!("== {name} ==");
             println!(
                 "static placement: {} bytes; estimated miss-ratio bound {:.2}% \
                  ({} cold lines, {} contended of {} line accesses, {}B cache / {}B lines)",
@@ -440,16 +466,8 @@ fn analyze(opts: &Options) -> ExitCode {
                 );
             }
             print!("{}", analysis.report.render());
-        }
-    }
-    if opts.json {
-        println!("{}", Json::Arr(rows).to_string_pretty());
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+        },
+    )
 }
 
 /// `impact advise` — the profile-free pipeline plus placement scoring
@@ -462,96 +480,63 @@ fn analyze(opts: &Options) -> ExitCode {
 /// becomes the score deltas, a per-pass finding regression table, and
 /// a `better` verdict.
 fn advise(opts: &Options) -> ExitCode {
-    use impact::analyze::{advise_static, score_config_for, score_placement, ConflictConfig};
-    use impact::support::json::Json;
-
-    let targets = match lint_targets(opts) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let conflict = ConflictConfig {
-        cache_bytes: opts.cache,
-        line_bytes: opts.block,
-        ..ConflictConfig::default()
-    };
-
-    let mut failed = false;
-    let mut rows: Vec<Json> = Vec::new();
-    for (name, program) in &targets {
-        let advice = match advise_static(program, &PipelineConfig::default(), conflict) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        failed |= !advice.analysis.report.is_clean();
-        failed |= opts.deny_warnings && advice.advice.warning_count() > 0;
-
-        let result = &advice.analysis.result;
-        let diff = match &opts.diff {
-            Some(spec) => match api::diff_baseline(spec, &result.program) {
-                Some(b) => Some(b),
-                None => {
-                    eprintln!("unknown --diff baseline '{spec}' (use natural | random[:seed])");
-                    return usage();
-                }
-            },
-            None => None,
-        };
-
-        if opts.json {
-            rows.push(match &diff {
-                Some((bname, bp)) => advice.diff_json_for_target(name, bname, bp, conflict),
-                None => advice.to_json_for_target(name),
-            });
-            continue;
-        }
-
-        let scores = advice.analysis.scores;
-        println!("== {name} ==");
-        println!(
-            "placement scores: exttsp {:.3}, distance-tier {:.3} \
-             (1.0 = every transfer at its best tier)",
-            scores.exttsp, scores.tier
-        );
-        println!(
-            "estimated miss-ratio bound {:.2}% ({}B cache / {}B lines)",
-            advice.analysis.miss_bound.ratio() * 100.0,
-            opts.cache,
-            opts.block
-        );
-        if let Some((bname, bp)) = &diff {
-            let base = score_placement(
-                &result.program,
-                &result.profile,
-                bp,
-                score_config_for(conflict),
+    let conflict = conflict_config(opts);
+    run_targets(
+        opts,
+        |program| {
+            let advice = advise_static(program, &PipelineConfig::default(), conflict)
+                .map_err(|e| e.to_string())?;
+            let diff = match &opts.diff {
+                Some(spec) => Some(
+                    api::diff_baseline(spec, &advice.analysis.result.program).ok_or_else(|| {
+                        format!("unknown --diff baseline '{spec}' (use natural | random[:seed])")
+                    })?,
+                ),
+                None => None,
+            };
+            // Errors come from the analysis, warnings from the advisors.
+            let fails = opts.fails(&advice.analysis.report, advice.advice.warning_count());
+            Ok(((advice, diff), fails))
+        },
+        |name, (advice, diff)| match diff {
+            Some((bname, bp)) => advice.diff_json_for_target(name, bname, bp, conflict),
+            None => advice.to_json_for_target(name),
+        },
+        |(advice, diff)| {
+            let scores = advice.analysis.scores;
+            println!(
+                "placement scores: exttsp {:.3}, distance-tier {:.3} \
+                 (1.0 = every transfer at its best tier)",
+                scores.exttsp, scores.tier
             );
             println!(
-                "vs {bname}: exttsp {:+.3}, distance-tier {:+.3} — {}",
-                scores.exttsp - base.exttsp,
-                scores.tier - base.tier,
-                if scores.exttsp > base.exttsp {
-                    "pipeline placement is better"
-                } else {
-                    "baseline is at least as good"
-                }
+                "estimated miss-ratio bound {:.2}% ({}B cache / {}B lines)",
+                advice.analysis.miss_bound.ratio() * 100.0,
+                opts.cache,
+                opts.block
             );
-        }
-        print!("{}", advice.advice.render());
-    }
-    if opts.json {
-        println!("{}", Json::Arr(rows).to_string_pretty());
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+            if let Some((bname, bp)) = diff {
+                let result = &advice.analysis.result;
+                let base = score_placement(
+                    &result.program,
+                    &result.profile,
+                    bp,
+                    score_config_for(conflict),
+                );
+                println!(
+                    "vs {bname}: exttsp {:+.3}, distance-tier {:+.3} — {}",
+                    scores.exttsp - base.exttsp,
+                    scores.tier - base.tier,
+                    if scores.exttsp > base.exttsp {
+                        "pipeline placement is better"
+                    } else {
+                        "baseline is at least as good"
+                    }
+                );
+            }
+            print!("{}", advice.advice.render());
+        },
+    )
 }
 
 fn report(program: &Program, opts: &Options) -> ExitCode {
@@ -604,8 +589,38 @@ fn report(program: &Program, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn optimize(program: &Program, opts: &Options) -> ExitCode {
-    let result = Pipeline::new(opts.params.pipeline_config()).run(program);
+/// The `/v1/layout` request built from argv, run through the same
+/// validated pipeline as the endpoint; `None` after printing why the
+/// pipeline rejected it.
+fn layout(program: Program, opts: &Options) -> Option<PipelineResult> {
+    let req = LayoutRequest {
+        program,
+        params: opts.params,
+        min_prob: None,
+    };
+    api::layout(&req)
+        .map_err(|e| eprintln!("{}: {e}", opts.file))
+        .ok()
+}
+
+/// `impact optimize` — the `/v1/layout` request: `--json` prints the
+/// endpoint's document, `-o` writes the reordered program.
+fn optimize(program: Program, opts: &Options) -> ExitCode {
+    let Some(result) = layout(program, opts) else {
+        return ExitCode::FAILURE;
+    };
+    if let Some(path) = &opts.out {
+        let materialized = materialize(&result.program, &result.global, &result.layouts);
+        if let Err(e) = std::fs::write(path, print_program(&materialized)) {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if opts.json {
+        let doc = api::layout_response_json(&opts.file, &result);
+        println!("{}", doc.to_string_pretty());
+        return ExitCode::SUCCESS;
+    }
     println!(
         "placement: {} bytes ({} effective), inlining removed {:.1}% of calls,\n\
          trace quality {:.0}% desirable / {:.0}% neutral, mean trace {:.1} blocks",
@@ -616,16 +631,8 @@ fn optimize(program: &Program, opts: &Options) -> ExitCode {
         result.trace_quality.neutral * 100.0,
         result.trace_quality.mean_trace_length,
     );
-
-    let materialized = materialize(&result.program, &result.global, &result.layouts);
     match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, print_program(&materialized)) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote reordered program to {path}");
-        }
+        Some(path) => println!("wrote reordered program to {path}"),
         None => println!(
             "(pass `-o out.impact` to write the reordered program; \
              function order: {})",
@@ -707,8 +714,10 @@ fn simtrace(opts: &Options) -> ExitCode {
     }
 }
 
-fn viz(program: &Program, opts: &Options) -> ExitCode {
-    let result = Pipeline::new(opts.params.pipeline_config()).run(program);
+fn viz(program: Program, opts: &Options) -> ExitCode {
+    let Some(result) = layout(program, opts) else {
+        return ExitCode::FAILURE;
+    };
     println!(
         "{}",
         impact::experiments::viz::placement_map(
@@ -820,16 +829,6 @@ fn serve(rest: Vec<String>) -> ExitCode {
                 Ok(Ok(n)) => config.queue_cap = n,
                 _ => {
                     eprintln!("impact serve: --queue must be a non-negative integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--timeout-ms" => match value("--timeout-ms").map(|v| v.parse::<u64>()) {
-                Ok(Ok(ms)) if ms >= 1 => {
-                    config.read_timeout = std::time::Duration::from_millis(ms);
-                    config.write_timeout = std::time::Duration::from_millis(ms);
-                }
-                _ => {
-                    eprintln!("impact serve: --timeout-ms must be a positive integer");
                     return ExitCode::FAILURE;
                 }
             },

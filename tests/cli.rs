@@ -218,6 +218,35 @@ fn bad_input_fails_with_a_line_numbered_error() {
 }
 
 #[test]
+fn bad_budgets_are_usage_errors_not_panics() {
+    let file = sample_file("budgets");
+    let run = |command: &str, flag: &str| {
+        let out = impact_bin()
+            .args([command, file.to_str().unwrap(), flag, "0"])
+            .output()
+            .expect("binary runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for command in ["report", "optimize", "viz"] {
+        let (code, err) = run(command, "--runs");
+        assert_eq!(code, Some(1), "{command} --runs 0: {err}");
+        assert!(err.contains("runs must be a positive integer"), "{err}");
+    }
+    // The pipeline's own check, the one `/v1/layout` answers 400 with.
+    for command in ["optimize", "viz"] {
+        let (code, err) = run(command, "--max-instrs");
+        assert_eq!(code, Some(1), "{command} --max-instrs 0: {err}");
+        assert!(
+            err.contains("bad pipeline config: limits.max_instructions must be nonzero"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn unknown_subcommand_prints_usage() {
     let out = impact_bin().args(["frobnicate"]).output().expect("runs");
     assert!(!out.status.success());
@@ -293,6 +322,14 @@ fn serve_rejects_bad_flags() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --peers"));
+
+    // One flag per setting: the deadlines are set only one at a time.
+    let out = impact_bin()
+        .args(["serve", "--timeout-ms", "5"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --timeout-ms"));
 }
 
 /// Spawns `impact serve` with the given extra flags, returning the child

@@ -1,13 +1,15 @@
-//! `impact sim` and `POST /v1/simulate` are one request layer: the CLI's
-//! `--json` document is the route's response body, byte for byte, and
-//! both surfaces accept the same `assoc` and `fill` forms.
+//! Each program endpoint and its CLI twin are one request layer. `impact
+//! sim --json` and `impact optimize --json` print the `/v1/simulate` and
+//! `/v1/layout` bodies byte for byte, `lint`, `analyze` and `advise` emit
+//! their route's document as a `--json` array entry, and `sim` and
+//! `/v1/simulate` accept the same `assoc` and `fill` forms.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use impact::serve::api::{route, AppState};
 use impact::serve::Request;
-use impact::support::json::Json;
+use impact::support::json::{parse, Json};
 
 /// Writes the bundled `cmp` workload as an `.impact` file; returns its
 /// path and text.
@@ -21,26 +23,31 @@ fn cmp_program(tag: &str) -> (PathBuf, String) {
     (path, text)
 }
 
-fn sim(file: &PathBuf, args: &[&str]) -> Output {
+fn cli(command: &str, file: &PathBuf, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_impact"))
-        .arg("sim")
+        .arg(command)
         .arg(file)
         .args(args)
         .output()
         .expect("binary runs")
 }
 
-/// `route`'s `/v1/simulate` reply to `body`: status and body bytes.
-fn serve(body: &str) -> (u16, Vec<u8>) {
+/// `route`'s reply to a `POST` of `body` to `/v1/{endpoint}`: status and
+/// body bytes.
+fn serve_at(endpoint: &str, body: &str) -> (u16, Vec<u8>) {
     let req = Request {
         method: "POST".to_string(),
-        target: "/v1/simulate".to_string(),
+        target: format!("/v1/{endpoint}"),
         http11: true,
         headers: Vec::new(),
         body: body.as_bytes().to_vec(),
     };
     let (_, resp) = route(&AppState::new(1), &req);
     (resp.status, resp.body)
+}
+
+fn serve(body: &str) -> (u16, Vec<u8>) {
+    serve_at("simulate", body)
 }
 
 #[test]
@@ -62,7 +69,7 @@ fn sim_json_equals_the_simulate_route_in_both_layouts() {
             "2",
         ];
         args.extend(flag);
-        let out = sim(&file, &args);
+        let out = cli("sim", &file, &args);
         assert!(
             out.status.success(),
             "{}",
@@ -98,7 +105,7 @@ fn assoc_and_fill_forms_match_across_cli_and_serve() {
             flag,
             value,
         ];
-        sim(&file, &args)
+        cli("sim", &file, &args)
     };
     let served = |flag: &str, json: &str| {
         let field = flag.trim_start_matches("--");
@@ -141,5 +148,76 @@ fn assoc_and_fill_forms_match_across_cli_and_serve() {
     // string.
     assert_eq!(served("--assoc", r#""2""#).0, 400);
     assert_eq!(served("--fill", "16").0, 400);
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn optimize_json_equals_the_layout_route() {
+    let (file, text) = cmp_program("layout");
+    let out = cli(
+        "optimize",
+        &file,
+        &["--json", "--runs", "2", "--max-instrs", "60000"],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let body = format!(
+        r#"{{"program": {}, "name": {}, "runs": 2, "max_instrs": 60000}}"#,
+        Json::Str(text),
+        Json::Str(file.display().to_string()),
+    );
+    let (status, served) = serve_at("layout", &body);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&served));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&served),
+        "CLI and route must print the same document"
+    );
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn lint_analyze_and_advise_entries_equal_their_routes() {
+    let (file, text) = cmp_program("checks");
+    let fields = format!(
+        r#""program": {}, "name": {}"#,
+        Json::Str(text),
+        Json::Str(file.display().to_string()),
+    );
+    let budget = ["--runs", "2", "--max-instrs", "60000"];
+    let geometry = ["--cache", "1024", "--block", "32"];
+    for (command, args, extra) in [
+        ("lint", &budget[..], r#""runs": 2, "max_instrs": 60000"#),
+        ("analyze", &geometry[..], r#""cache": 1024, "block": 32"#),
+        ("advise", &geometry[..], r#""cache": 1024, "block": 32"#),
+        (
+            "advise",
+            &[&geometry[..], &["--diff", "natural"]].concat()[..],
+            r#""cache": 1024, "block": 32, "diff": "natural""#,
+        ),
+    ] {
+        let out = cli(command, &file, &[&["--json"], args].concat());
+        assert!(
+            out.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let rows = parse(&String::from_utf8_lossy(&out.stdout)).expect("--json is JSON");
+        let [entry] = rows.as_arr().expect("--json is an array") else {
+            panic!("{command}: one target, one entry");
+        };
+        let (status, served) = serve_at(command, &format!("{{{fields}, {extra}}}"));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&served));
+        // The lint route answers with the whole one-entry array.
+        let expected = if command == "lint" { &rows } else { entry };
+        assert_eq!(
+            expected.to_string_pretty() + "\n",
+            String::from_utf8_lossy(&served),
+            "{command} {args:?}: the entry must be the route's document"
+        );
+    }
     let _ = std::fs::remove_file(file);
 }
