@@ -466,12 +466,6 @@ impl CallSccs {
     pub fn is_cyclic(&self, i: usize) -> bool {
         self.cyclic[i]
     }
-
-    /// Number of components that contain recursion.
-    #[must_use]
-    pub fn cyclic_count(&self) -> usize {
-        self.cyclic.iter().filter(|&&c| c).count()
-    }
 }
 
 #[cfg(test)]
@@ -655,7 +649,8 @@ mod tests {
         assert!(sccs.is_cyclic(sccs.component_of(a)));
         assert!(!sccs.is_cyclic(sccs.component_of(main)));
         assert!(!sccs.is_cyclic(sccs.component_of(c)));
-        assert_eq!(sccs.cyclic_count(), 1);
+        let cyclic = (0..sccs.components().len()).filter(|&i| sccs.is_cyclic(i));
+        assert_eq!(cyclic.count(), 1);
 
         // Topological: main's component precedes both callees'.
         assert!(sccs.component_of(main) < sccs.component_of(a));

@@ -83,7 +83,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 use impact_ir::Program;
 use impact_layout::pipeline::{
-    Checkpoint, Pipeline, PipelineConfig, PipelineError, PipelineObserver, PipelineResult,
+    Checkpoint, NoopObserver, Pipeline, PipelineConfig, PipelineError, PipelineObserver,
+    PipelineResult,
 };
 use impact_layout::placement::Placement;
 use impact_profile::Profile;
@@ -203,14 +204,16 @@ impl StaticAnalysis {
 /// # Errors
 ///
 /// Propagates [`PipelineError`] for invalid configs or malformed
-/// programs, exactly like [`Pipeline::try_run`].
+/// programs, from [`Pipeline::check`].
 pub fn analyze_static(
     program: &Program,
     config: &PipelineConfig,
     conflict: ConflictConfig,
 ) -> Result<StaticAnalysis, PipelineError> {
     let source = StaticProfiler::new();
-    let result = Pipeline::new(config.clone()).try_run_with_source(program, &source)?;
+    let pipeline = Pipeline::new(config.clone());
+    pipeline.check(program)?;
+    let result = pipeline.run_observed_with_source(program, &source, &mut NoopObserver);
     let mut report = verify_placement(&result.program, &result.placement);
     let ctx = Context::of_result(&result).with_conflict(conflict);
     report
@@ -406,18 +409,15 @@ impl CheckedPipeline {
         Self { pipeline }
     }
 
-    /// Runs the pipeline, linting at every checkpoint.
-    #[must_use]
-    pub fn run(&self, program: &Program) -> (PipelineResult, Report) {
-        let mut observer = LintObserver::default();
-        let result = self.pipeline.run_observed(program, &mut observer);
-        (result, observer.report)
-    }
-
-    /// [`CheckedPipeline::run`] with input validation up front.
+    /// Checks the input ([`Pipeline::check`]), then runs the pipeline,
+    /// linting at every checkpoint.
     pub fn try_run(&self, program: &Program) -> Result<(PipelineResult, Report), PipelineError> {
+        self.pipeline.check(program)?;
         let mut observer = LintObserver::default();
-        let result = self.pipeline.try_run_observed(program, &mut observer)?;
+        let profiler = self.pipeline.profiler();
+        let result = self
+            .pipeline
+            .run_observed_with_source(program, &profiler, &mut observer);
         Ok((result, observer.report))
     }
 }
@@ -464,7 +464,7 @@ mod tests {
     fn checked_pipeline_is_clean_on_a_workload() {
         let w = impact_workloads::by_name("tee").expect("tee exists");
         let checked = CheckedPipeline::new(Pipeline::new(PipelineConfig::default()));
-        let (result, report) = checked.run(&w.program);
+        let (result, report) = checked.try_run(&w.program).expect("tee is well formed");
         assert!(report.is_clean(), "{}", report.render());
         // The checked run produced the same placement as a plain run.
         let plain = Pipeline::new(PipelineConfig::default()).run(&w.program);

@@ -120,31 +120,24 @@ impl Registry {
         Self { passes: Vec::new() }
     }
 
-    /// The standard registry: every built-in analysis, program lints
-    /// first, then placement verifiers, then cache-facing analyses.
+    /// The standard registry: every built-in analysis, family by family:
+    /// program lints, placement verifiers, `ConflictPressure`, the
+    /// static analyses, then the advisors.
     #[must_use]
     pub fn standard() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(StructuralValidation));
-        r.register(Box::new(UnreachableBlocks));
-        r.register(Box::new(FlowConservation));
-        r.register(Box::new(BranchMass));
-        r.register(Box::new(RecursionCycles));
-        r.register(Box::new(PlacementCoverage));
-        r.register(Box::new(PlacementOverlap));
-        r.register(Box::new(EffectiveSplit));
-        r.register(Box::new(Alignment));
-        r.register(Box::new(BrokenTraces));
-        r.register(Box::new(ConflictPressure));
-        r.register(Box::new(LoopFootprint));
-        r.register(Box::new(LoopInterference));
-        r.register(Box::new(StaticMissBound));
-        r.register(Box::new(MisplacedFallThrough));
-        r.register(Box::new(CallPairSeparation));
-        r.register(Box::new(LoopLineStraddle));
-        r.register(Box::new(HotColdInterleave));
-        r.register(Box::new(StaticTrafficBound));
-        r
+        let conflict = Self {
+            passes: vec![Box::new(ConflictPressure)],
+        };
+        let families = [
+            Self::program_lints(),
+            Self::placement_verifiers(),
+            conflict,
+            Self::static_analyses(),
+            Self::advisors(),
+        ];
+        Self {
+            passes: families.into_iter().flat_map(|r| r.passes).collect(),
+        }
     }
 
     /// Just the program-level lints (usable before any layout exists).

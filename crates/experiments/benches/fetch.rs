@@ -54,10 +54,8 @@ impl AccessSink for RunCollector {
 fn sample_runs(max_instructions: u64) -> (Vec<(u64, u64)>, u64) {
     let w = impact_workloads::by_name("grep").expect("grep exists");
     let placement = baseline::natural(&w.program);
-    let gen = TraceGenerator::new(&w.program, &placement).with_limits(ExecLimits {
-        max_instructions,
-        max_call_depth: 512,
-    });
+    let gen = TraceGenerator::new(&w.program, &placement)
+        .with_limits(ExecLimits::capped(max_instructions));
     let mut runs = RunCollector(Vec::new());
     let summary = gen.stream(w.eval_seed(), &mut runs);
     (runs.0, summary.instructions)
@@ -168,10 +166,8 @@ fn main() {
     // artifact replay.
     let w = impact_workloads::by_name("grep").expect("grep exists");
     let placement = baseline::natural(&w.program);
-    let gen = TraceGenerator::new(&w.program, &placement).with_limits(ExecLimits {
-        max_instructions: instructions,
-        max_call_depth: 512,
-    });
+    let gen =
+        TraceGenerator::new(&w.program, &placement).with_limits(ExecLimits::capped(instructions));
     let seed = w.eval_seed();
     let sweep: Vec<CacheConfig> = [512u64, 1024, 2048, 4096, 8192]
         .iter()

@@ -31,10 +31,7 @@ fn main() {
     for w in impact_workloads::all() {
         let natural = baseline::natural(&w.program);
         let prepared = prepare(&w, &Budget::default());
-        let limits = ExecLimits {
-            max_instructions: w.spec.max_dynamic_instrs,
-            max_call_depth: 512,
-        };
+        let limits = ExecLimits::capped(w.spec.max_dynamic_instrs);
         let fmt_len = |n: u64, truncated: bool| {
             format!("{:.2}M{}", n as f64 / 1e6, if truncated { "*" } else { "" })
         };

@@ -233,10 +233,7 @@ mod tests {
     use super::*;
     use impact_layout::baseline;
 
-    const LIMITS: ExecLimits = ExecLimits {
-        max_instructions: 40_000,
-        max_call_depth: 512,
-    };
+    const LIMITS: ExecLimits = ExecLimits::capped(40_000);
 
     #[test]
     fn trace_keys_separate_distinct_traces() {

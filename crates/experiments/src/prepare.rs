@@ -35,21 +35,16 @@ impl Budget {
     /// Profiling limits for `workload` under this budget.
     #[must_use]
     pub fn profile_limits(&self, workload: &Workload) -> ExecLimits {
-        ExecLimits {
-            max_instructions: self
-                .profile_instrs
+        ExecLimits::capped(
+            self.profile_instrs
                 .unwrap_or(workload.spec.max_dynamic_instrs),
-            max_call_depth: 512,
-        }
+        )
     }
 
     /// Evaluation-trace limits for `workload` under this budget.
     #[must_use]
     pub fn eval_limits(&self, workload: &Workload) -> ExecLimits {
-        ExecLimits {
-            max_instructions: self.eval_instrs.unwrap_or(workload.spec.max_dynamic_instrs),
-            max_call_depth: 512,
-        }
+        ExecLimits::capped(self.eval_instrs.unwrap_or(workload.spec.max_dynamic_instrs))
     }
 }
 

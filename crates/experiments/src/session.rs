@@ -982,10 +982,7 @@ mod tests {
 
     use super::*;
 
-    const LIMITS: ExecLimits = ExecLimits {
-        max_instructions: 40_000,
-        max_call_depth: 512,
-    };
+    const LIMITS: ExecLimits = ExecLimits::capped(40_000);
 
     #[test]
     fn session_matches_direct_simulation() {

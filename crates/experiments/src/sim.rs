@@ -56,10 +56,7 @@ mod tests {
             CacheConfig::direct_mapped(512, 64),
             CacheConfig::direct_mapped(2048, 64),
         ];
-        let limits = ExecLimits {
-            max_instructions: 50_000,
-            max_call_depth: 512,
-        };
+        let limits = ExecLimits::capped(50_000);
         let (stats, len) = simulate_counted(&w.program, &placement, 99, limits, &configs);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].accesses, len);

@@ -128,15 +128,6 @@ impl FunctionLayout {
             .sum()
     }
 
-    /// Size of the non-executed region in bytes.
-    #[must_use]
-    pub fn non_executed_bytes(&self, func: &Function) -> u64 {
-        self.non_executed
-            .iter()
-            .map(|&b| func.block(b).size_bytes())
-            .sum()
-    }
-
     /// Checks that the layout places every block of `func` exactly once.
     #[must_use]
     pub fn is_permutation_of(&self, func: &Function) -> bool {
@@ -242,12 +233,14 @@ mod tests {
         let (p, prof) = program();
         let (fl, _) = layout_of(&p, &prof);
         let f = p.function(p.entry());
-        assert_eq!(
-            fl.effective_bytes(f) + fl.non_executed_bytes(f),
-            f.size_bytes()
-        );
+        let non_executed: u64 = fl
+            .non_executed
+            .iter()
+            .map(|&b| f.block(b).size_bytes())
+            .sum();
+        assert_eq!(fl.effective_bytes(f) + non_executed, f.size_bytes());
         // dead block: 6 body + 1 terminator = 28 bytes.
-        assert_eq!(fl.non_executed_bytes(f), 28);
+        assert_eq!(non_executed, 28);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl Default for PipelineConfig {
         Self {
             inline: Some(InlineConfig::default()),
             min_prob: crate::trace_select::MIN_PROB,
-            profile_runs: 8,
+            profile_runs: Profiler::DEFAULT_RUNS,
             profile_base_seed: 0,
             limits: ExecLimits::default(),
         }
@@ -119,7 +119,7 @@ pub trait PipelineObserver {
     fn checkpoint(&mut self, checkpoint: &Checkpoint<'_>);
 }
 
-/// Observer that ignores every checkpoint (the default for [`Pipeline::run`]).
+/// Observer that ignores every checkpoint (what [`Pipeline::run`] passes).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -210,36 +210,26 @@ impl Pipeline {
         Self { config }
     }
 
-    /// Runs the full pipeline on `program`.
+    /// Runs the full pipeline on `program` with the measured profiler
+    /// of [`Pipeline::profiler`].
     #[must_use]
     pub fn run(&self, program: &Program) -> PipelineResult {
-        self.run_observed(program, &mut NoopObserver)
+        self.run_observed_with_source(program, &self.profiler(), &mut NoopObserver)
     }
 
-    /// Like [`Pipeline::run`], but validates the input program and the
-    /// configuration first instead of assuming both are well-formed.
+    /// [`Pipeline::check`], then [`Pipeline::run`].
     ///
     /// Use this on programs that arrive from outside the builder API
     /// (e.g. parsed from `.impact` assembly) or with user-supplied
     /// configurations.
     pub fn try_run(&self, program: &Program) -> Result<PipelineResult, PipelineError> {
-        self.try_run_observed(program, &mut NoopObserver)
+        self.check(program)?;
+        Ok(self.run(program))
     }
 
-    /// [`Pipeline::try_run`] with an observer called at each
-    /// [`Checkpoint`].
-    pub fn try_run_observed(
-        &self,
-        program: &Program,
-        observer: &mut dyn PipelineObserver,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.check_config()?;
-        program.validate()?;
-        Ok(self.run_observed(program, observer))
-    }
-
-    /// Rejects configurations the pipeline cannot meaningfully run with.
-    fn check_config(&self) -> Result<(), PipelineError> {
+    /// Rejects a configuration the pipeline cannot meaningfully run with
+    /// and a program that fails structural validation.
+    pub fn check(&self, program: &Program) -> Result<(), PipelineError> {
         let bad = |reason: String| Err(PipelineError::BadConfig { reason });
         if !(self.config.min_prob > 0.0 && self.config.min_prob <= 1.0) {
             return bad(format!(
@@ -250,50 +240,30 @@ impl Pipeline {
         if self.config.profile_runs == 0 {
             return bad("profile_runs must be at least 1".to_string());
         }
-        if self.config.limits.max_instructions == 0 {
-            return bad("limits.max_instructions must be nonzero".to_string());
-        }
-        if self.config.limits.max_call_depth == 0 {
-            return bad("limits.max_call_depth must be nonzero".to_string());
-        }
-        Ok(())
+        self.config.limits.check().or_else(|r| bad(r.to_string()))?;
+        Ok(program.validate()?)
     }
 
-    /// Validates `program` and the configuration, then runs the full
-    /// pipeline with profiles drawn from an arbitrary [`ProfileSource`]
-    /// instead of the configured measured profiler.
-    ///
-    /// This is what makes *profile-free* layout possible: pass a static
-    /// frequency estimator (see `impact-analyze`) and the five steps run
-    /// end to end without ever executing the program. The config's
-    /// `profile_runs` / `profile_base_seed` / `limits` are ignored — they
-    /// parameterize the measured profiler only.
-    pub fn try_run_with_source(
-        &self,
-        program: &Program,
-        source: &dyn ProfileSource,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.check_config()?;
-        program.validate()?;
-        Ok(self.run_observed_with_source(program, source, &mut NoopObserver))
-    }
-
-    /// Runs the full pipeline on `program`, reporting each
-    /// [`Checkpoint`] to `observer` as it is reached.
+    /// The measured profiler the configuration describes: its runs, first
+    /// seed and limits.
     #[must_use]
-    pub fn run_observed(
-        &self,
-        program: &Program,
-        observer: &mut dyn PipelineObserver,
-    ) -> PipelineResult {
-        let profiler = Profiler::new()
+    pub fn profiler(&self) -> Profiler {
+        Profiler::new()
             .runs(self.config.profile_runs)
             .base_seed(self.config.profile_base_seed)
-            .limits(self.config.limits);
-        self.run_observed_with_source(program, &profiler, observer)
+            .limits(self.config.limits)
     }
 
-    /// [`Pipeline::run_observed`] generalized over the profile producer.
+    /// Runs the full pipeline on `program` with profiles drawn from
+    /// `source`, reporting each [`Checkpoint`] to `observer` as it is
+    /// reached. Checks nothing: call [`Pipeline::check`] first on
+    /// unvetted input.
+    ///
+    /// A static frequency estimator as `source` (see `impact-analyze`)
+    /// makes layout *profile-free*: the five steps run end to end
+    /// without executing the program, and the config's `profile_runs`,
+    /// `profile_base_seed` and `limits`, which parameterize only the
+    /// measured profiler, go unused.
     #[must_use]
     pub fn run_observed_with_source(
         &self,

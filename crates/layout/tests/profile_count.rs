@@ -89,10 +89,7 @@ fn config(inline: Option<InlineConfig>) -> PipelineConfig {
     PipelineConfig {
         inline,
         profile_runs: 4,
-        limits: ExecLimits {
-            max_instructions: 150_000,
-            max_call_depth: 512,
-        },
+        limits: ExecLimits::capped(150_000),
         ..PipelineConfig::default()
     }
 }

@@ -361,11 +361,21 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// A profiler with 8 runs starting at seed 0 and default limits.
+    /// Profiling runs when none are given: the paper profiles each
+    /// benchmark over several inputs.
+    pub const DEFAULT_RUNS: u32 = 8;
+
+    /// The evaluation input seed when none is given: far outside the
+    /// default profiling seeds (`0..runs`), mirroring the paper's
+    /// held-out input.
+    pub const DEFAULT_EVAL_SEED: u64 = 1_000_003;
+
+    /// A profiler with [`Profiler::DEFAULT_RUNS`] runs starting at seed
+    /// 0 and default limits.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            runs: 8,
+            runs: Self::DEFAULT_RUNS,
             base_seed: 0,
             limits: ExecLimits::default(),
         }

@@ -90,13 +90,40 @@ pub struct ExecLimits {
     pub max_call_depth: usize,
 }
 
-impl Default for ExecLimits {
-    /// Generous defaults: 50 M instructions, depth 512.
-    fn default() -> Self {
+impl ExecLimits {
+    /// The call-depth cap of a walk that sets only an instruction cap.
+    const DEFAULT_CALL_DEPTH: usize = 512;
+
+    /// A cap of `max_instructions` at the default call depth, 512 frames.
+    #[must_use]
+    pub const fn capped(max_instructions: u64) -> Self {
         Self {
-            max_instructions: 50_000_000,
-            max_call_depth: 512,
+            max_instructions,
+            max_call_depth: Self::DEFAULT_CALL_DEPTH,
         }
+    }
+
+    /// Rejects limits no walk can spend: a zero instruction cap or a
+    /// zero call depth.
+    ///
+    /// # Errors
+    ///
+    /// Names the zero limit.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.max_instructions == 0 {
+            return Err("limits.max_instructions must be nonzero");
+        }
+        if self.max_call_depth == 0 {
+            return Err("limits.max_call_depth must be nonzero");
+        }
+        Ok(())
+    }
+}
+
+impl Default for ExecLimits {
+    /// Generous defaults: 50 M instructions, the default depth.
+    fn default() -> Self {
+        Self::capped(50_000_000)
     }
 }
 

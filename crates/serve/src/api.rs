@@ -30,7 +30,7 @@ use impact_experiments::session::{SimMetrics, SimSession};
 use impact_ir::{BlockId, Program};
 use impact_layout::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineResult};
 use impact_layout::{baseline, Placement};
-use impact_profile::ExecLimits;
+use impact_profile::{ExecLimits, Profiler};
 use impact_store::Store;
 use impact_support::json::{parse as parse_json, Json, ToJson};
 
@@ -38,13 +38,6 @@ use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::rcache::ResponseCache;
 use crate::server::ServeConfig;
-
-/// Default evaluation input seed (the CLI's `--seed` default).
-pub const DEFAULT_SEED: u64 = 1_000_003;
-/// Default dynamic instruction cap (the CLI's `--max-instrs` default).
-pub const DEFAULT_MAX_INSTRS: u64 = 5_000_000;
-/// Default profiling runs (the CLI's `--runs` default).
-pub const DEFAULT_RUNS: u32 = 8;
 
 /// Everything a request handler can reach: what each `/v1/simulate`
 /// builds its own [`SimSession`] from, and the service counters. No
@@ -391,32 +384,58 @@ impl Layout {
     }
 }
 
-/// The profiling and walk budget of a program-accepting request.
+/// The profiling and walk budget of a program-accepting request: only
+/// [`RunParams::new`] builds one, so no surface can hold a zero budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunParams {
-    /// Profiling runs of the pipeline.
-    pub runs: u32,
-    /// Dynamic instruction cap of each walk.
-    pub max_instrs: u64,
+    runs: u32,
+    max_instrs: u64,
 }
 
 impl Default for RunParams {
+    /// [`Profiler::DEFAULT_RUNS`] runs and a 5 M-instruction cap: the
+    /// defaults of the CLI's `--runs` and `--max-instrs` and of a
+    /// request body's `runs` and `max_instrs`.
     fn default() -> Self {
         Self {
-            runs: DEFAULT_RUNS,
-            max_instrs: DEFAULT_MAX_INSTRS,
+            runs: Profiler::DEFAULT_RUNS,
+            max_instrs: 5_000_000,
         }
     }
 }
 
 impl RunParams {
-    /// The walk limits: `max_instrs` and a 512-frame call stack.
+    /// `runs` profiling runs of the pipeline and a cap of `max_instrs`
+    /// dynamic instructions on each walk, each defaulted when `None`.
+    ///
+    /// # Errors
+    ///
+    /// A [`PipelineError::BadConfig`] when `runs` is zero or above
+    /// `u32::MAX`, or the cap fails [`ExecLimits::check`].
+    pub fn new(runs: Option<u64>, max_instrs: Option<u64>) -> Result<Self, PipelineError> {
+        let bad = |reason: &str| PipelineError::BadConfig {
+            reason: reason.to_string(),
+        };
+        let default = Self::default();
+        let runs = u32::try_from(runs.unwrap_or(default.runs.into()))
+            .ok()
+            .filter(|&r| r > 0)
+            .ok_or_else(|| bad("runs must be a positive integer"))?;
+        let max_instrs = max_instrs.unwrap_or(default.max_instrs);
+        ExecLimits::capped(max_instrs).check().map_err(bad)?;
+        Ok(Self { runs, max_instrs })
+    }
+
+    /// Profiling runs of the pipeline.
+    #[must_use]
+    pub fn runs(&self) -> u32 {
+        self.runs
+    }
+
+    /// The walk limits: `max_instrs` at the default call depth.
     #[must_use]
     pub fn limits(&self) -> ExecLimits {
-        ExecLimits {
-            max_instructions: self.max_instrs,
-            max_call_depth: 512,
-        }
+        ExecLimits::capped(self.max_instrs)
     }
 
     /// The default pipeline with these runs and limits.
@@ -577,7 +596,7 @@ fn reject(status: u16, message: impl Into<String>) -> Reject {
     Box::new(Response::error(status, message))
 }
 
-/// A program the pipeline refused, as a `400`.
+/// A program or budget the pipeline refused, as a `400`.
 fn bad_input(e: impl std::fmt::Display) -> Reject {
     reject(400, e.to_string())
 }
@@ -592,7 +611,7 @@ fn decode_body(req: &Request) -> Result<Json, Reject> {
 }
 
 /// Decodes the `program` (impact-asm text), optional `name`, and the
-/// run parameters.
+/// run parameters through [`RunParams::new`].
 fn decode_program(doc: &Json) -> Result<(String, Program, RunParams), Reject> {
     let Some(text) = doc.get("program").and_then(Json::as_str) else {
         return Err(reject(
@@ -607,21 +626,15 @@ fn decode_program(doc: &Json) -> Result<(String, Program, RunParams), Reject> {
         .and_then(Json::as_str)
         .unwrap_or("<request>")
         .to_string();
-    let runs = match field_u64(doc, "runs")? {
-        None => DEFAULT_RUNS,
-        Some(r) => u32::try_from(r)
-            .ok()
-            .filter(|&r| r >= 1)
-            .ok_or_else(|| reject(400, "field \"runs\" must be a positive integer"))?,
-    };
-    let max_instrs = field_u64(doc, "max_instrs")?.unwrap_or(DEFAULT_MAX_INSTRS);
-    Ok((name, program, RunParams { runs, max_instrs }))
+    let params = RunParams::new(field_u64(doc, "runs")?, field_u64(doc, "max_instrs")?)
+        .map_err(bad_input)?;
+    Ok((name, program, params))
 }
 
 /// Decodes a `/v1/simulate` body; the layout defaults to natural.
 fn decode_simulate(doc: &Json) -> Result<SimulateRequest, Reject> {
     let (_, program, params) = decode_program(doc)?;
-    let seed = field_u64(doc, "seed")?.unwrap_or(DEFAULT_SEED);
+    let seed = field_u64(doc, "seed")?.unwrap_or(Profiler::DEFAULT_EVAL_SEED);
     let configs = decode_configs(doc)?;
     let layout = match doc.get("layout").map(Json::as_str) {
         None | Some(Some("natural")) => Layout::Natural,
@@ -850,6 +863,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_budgets_are_a_400_on_every_program_route() {
+        let state = AppState::new(1);
+        let program = Json::Str(program_text());
+        for (field, names) in [("max_instrs", "max_instructions"), ("runs", "runs")] {
+            // Every field each route needs, so only the budget is wrong;
+            // the simulate body keeps its default natural layout.
+            let body =
+                format!(r#"{{"program": {program}, "{field}": 0, "configs": [{{"size": 2048}}]}}"#);
+            for &(method, path, ..) in ROUTES.iter().filter(|r| r.0 == "POST") {
+                let (_, resp) = route(&state, &post(path, &body));
+                let text = String::from_utf8_lossy(&resp.body);
+                assert_eq!(resp.status, 400, "{method} {path} {field}: 0: {text}");
+                assert!(text.contains(names), "{path} {field}: 0: {text}");
+            }
+        }
+    }
+
+    #[test]
     fn hostile_nesting_is_a_400_not_a_stack_overflow() {
         let state = AppState::new(1);
         let body = "[".repeat(100_000) + &"]".repeat(100_000);
@@ -897,10 +928,7 @@ mod tests {
                 replacement: Replacement::Lru,
             },
         ];
-        let limits = ExecLimits {
-            max_instructions: 40_000,
-            max_call_depth: 512,
-        };
+        let limits = ExecLimits::capped(40_000);
         let mut session = impact_experiments::session::SimSession::new();
         let handle = session.request(&program, &placement, 7, limits, &configs);
         session.execute();
@@ -934,10 +962,7 @@ mod tests {
         let program = parse_program(&text).unwrap();
         let config = PipelineConfig {
             profile_runs: 2,
-            limits: ExecLimits {
-                max_instructions: 60_000,
-                max_call_depth: 512,
-            },
+            limits: ExecLimits::capped(60_000),
             ..PipelineConfig::default()
         };
         let (_, report) = CheckedPipeline::new(Pipeline::new(config))

@@ -288,12 +288,6 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// True once shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown and joins every thread. In-flight requests are
     /// answered and their responses flushed; idle connections close.
     pub fn stop(mut self) {
@@ -405,7 +399,7 @@ mod tests {
     fn stop_refuses_new_connections() {
         let server = Server::start(tiny_config()).unwrap();
         let addr = server.addr();
-        assert!(!server.is_shutting_down());
+        assert!(!server.shutdown_flag().load(Ordering::SeqCst));
         server.stop();
         // The listener is gone; a fresh connect must fail (or be reset
         // on first use).

@@ -114,10 +114,7 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
         CacheConfig::direct_mapped(2048, 64),
         CacheConfig::direct_mapped(512, 64),
     ];
-    let limits = ExecLimits {
-        max_instructions: 40_000,
-        max_call_depth: 512,
-    };
+    let limits = ExecLimits::capped(40_000);
     let mut session = SimSession::new();
     let handle = session.request(&parsed, &placement, 7, limits, &configs);
     session.execute();
@@ -178,10 +175,7 @@ fn late_config_demand(store_dir: Option<String>) -> Json {
     let program = Json::Str(text.clone());
     let parsed = parse_program(&text).unwrap();
     let placement = baseline::natural(&parsed);
-    let limits = ExecLimits {
-        max_instructions: 40_000,
-        max_call_depth: 512,
-    };
+    let limits = ExecLimits::capped(40_000);
     let mut client = Client::connect(server.addr()).unwrap();
     // The first demand walks the interpreter; the second is the same
     // trace key with another config, so the response memo misses and its

@@ -6,8 +6,8 @@
 //! `1` a data write, and `2` an instruction fetch.
 //!
 //! [`write_din`] exports this crate's instruction traces so external
-//! simulators can consume them; [`read_din`] streams instruction fetches
-//! from a din trace into any address consumer, so externally captured
+//! simulators can consume them; [`read_din_runs`] streams instruction
+//! fetches from a din trace into any access sink, so externally captured
 //! traces can drive `impact-cache`.
 
 use std::io::{self, BufRead, Write};
@@ -85,7 +85,7 @@ impl std::fmt::Display for DinParseError {
 
 impl std::error::Error for DinParseError {}
 
-/// Errors from [`read_din`].
+/// Errors from [`read_din_runs`].
 #[derive(Debug)]
 pub enum DinReadError {
     /// The underlying reader failed.
@@ -104,23 +104,6 @@ impl std::fmt::Display for DinReadError {
 }
 
 impl std::error::Error for DinReadError {}
-
-/// Streams every *instruction fetch* (label 2) of a din trace into
-/// `sink`; data references are skipped. Returns the number of fetches
-/// delivered.
-///
-/// Convenience wrapper over [`read_din_runs`] for per-address callbacks;
-/// simulation sinks should implement
-/// [`AccessSink`](impact_cache::AccessSink) and use `read_din_runs` to
-/// receive batched runs.
-///
-/// # Errors
-///
-/// Returns [`DinReadError`] on I/O failure or a malformed record. Blank
-/// lines and `#` comments are tolerated (some tools emit them).
-pub fn read_din<R: BufRead, F: FnMut(u64)>(reader: R, sink: F) -> Result<u64, DinReadError> {
-    read_din_runs(reader, &mut impact_cache::FnSink(sink))
-}
 
 /// Streams every *instruction fetch* (label 2) of a din trace into
 /// `sink`, coalescing word-sequential fetches into maximal runs — one
@@ -227,6 +210,11 @@ mod tests {
         pb.finish().unwrap()
     }
 
+    /// [`read_din_runs`] into a per-address callback.
+    fn read_addrs(reader: &[u8], sink: impl FnMut(u64)) -> Result<u64, DinReadError> {
+        read_din_runs(reader, &mut impact_cache::FnSink(sink))
+    }
+
     #[test]
     fn written_traces_read_back_identically() {
         let p = tiny_program();
@@ -239,7 +227,7 @@ mod tests {
         assert_eq!(written, direct.len() as u64);
 
         let mut read_back = Vec::new();
-        let fetches = read_din(buf.as_slice(), |a| read_back.push(a)).unwrap();
+        let fetches = read_addrs(buf.as_slice(), |a| read_back.push(a)).unwrap();
         assert_eq!(fetches, written);
         assert_eq!(read_back, direct);
     }
@@ -248,7 +236,7 @@ mod tests {
     fn data_references_are_skipped() {
         let din = "0 1000\n1 1004\n2 0\n2 4\n";
         let mut addrs = Vec::new();
-        let n = read_din(din.as_bytes(), |a| addrs.push(a)).unwrap();
+        let n = read_addrs(din.as_bytes(), |a| addrs.push(a)).unwrap();
         assert_eq!(n, 2);
         assert_eq!(addrs, vec![0, 4]);
     }
@@ -257,21 +245,21 @@ mod tests {
     fn comments_blanks_and_0x_prefixes_are_tolerated() {
         let din = "# header\n\n2 0x10\n";
         let mut addrs = Vec::new();
-        read_din(din.as_bytes(), |a| addrs.push(a)).unwrap();
+        read_addrs(din.as_bytes(), |a| addrs.push(a)).unwrap();
         assert_eq!(addrs, vec![0x10]);
     }
 
     #[test]
     fn malformed_lines_error_with_position() {
         let din = "2 10\nbogus line\n";
-        let err = read_din(din.as_bytes(), |_| {}).unwrap_err();
+        let err = read_addrs(din.as_bytes(), |_| {}).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("line 2"), "{msg}");
 
         let din = "3 10\n"; // label out of range
-        assert!(read_din(din.as_bytes(), |_| {}).is_err());
+        assert!(read_addrs(din.as_bytes(), |_| {}).is_err());
         let din = "2 10 extra\n"; // trailing junk
-        assert!(read_din(din.as_bytes(), |_| {}).is_err());
+        assert!(read_addrs(din.as_bytes(), |_| {}).is_err());
     }
 
     #[test]

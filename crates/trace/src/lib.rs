@@ -12,7 +12,8 @@
 //! simulations run in constant memory.
 //!
 //! Use an **evaluation seed outside the profiling seed range** to mirror
-//! the paper's train/test split; [`TraceGenerator::DEFAULT_EVAL_SEED`]
+//! the paper's train/test split;
+//! [`Profiler::DEFAULT_EVAL_SEED`](impact_profile::Profiler::DEFAULT_EVAL_SEED)
 //! provides the convention used across this repository.
 //!
 //! # Example
@@ -35,7 +36,7 @@
 //! let result = Pipeline::new(PipelineConfig::default()).run(&program);
 //! let gen = TraceGenerator::new(&result.program, &result.placement);
 //! let mut accesses = 0u64;
-//! let summary = gen.run(TraceGenerator::DEFAULT_EVAL_SEED, |_addr| accesses += 1);
+//! let summary = gen.run(impact_profile::Profiler::DEFAULT_EVAL_SEED, |_addr| accesses += 1);
 //! assert_eq!(accesses, summary.instructions);
 //! # Ok::<(), impact_ir::ValidateError>(())
 //! ```
@@ -108,10 +109,6 @@ impl<S: AccessSink> ExecVisitor for RunEmitter<'_, S> {
 }
 
 impl<'a> TraceGenerator<'a> {
-    /// The conventional evaluation input seed: far outside the default
-    /// profiling range (`0..runs`), mirroring the paper's held-out input.
-    pub const DEFAULT_EVAL_SEED: u64 = 1_000_003;
-
     /// Creates a generator over `program` laid out by `placement`, with
     /// default execution limits.
     #[must_use]
@@ -175,6 +172,7 @@ mod tests {
     use impact_ir::{BranchBias, ProgramBuilder, Terminator};
     use impact_layout::baseline;
     use impact_layout::pipeline::{Pipeline, PipelineConfig};
+    use impact_profile::Profiler;
 
     use super::*;
 
@@ -264,7 +262,7 @@ mod tests {
         })
         .run(&p);
         let gen = TraceGenerator::new(&r.program, &r.placement);
-        let trace = gen.collect(TraceGenerator::DEFAULT_EVAL_SEED);
+        let trace = gen.collect(Profiler::DEFAULT_EVAL_SEED);
         // Every fetched address lies in the effective region: this
         // program has no dead blocks only if all blocks executed; filter
         // instead on the guarantee that fetched addresses < total.
@@ -279,7 +277,7 @@ mod tests {
         let p = program();
         for placement in [baseline::natural(&p), baseline::random(&p, 5)] {
             let gen = TraceGenerator::new(&p, &placement);
-            for seed in [1, 7, TraceGenerator::DEFAULT_EVAL_SEED] {
+            for seed in [1, 7, Profiler::DEFAULT_EVAL_SEED] {
                 struct Runs(Vec<(u64, u64)>);
                 impl impact_cache::AccessSink for Runs {
                     fn access_run(&mut self, addr: u64, words: u64) {

@@ -23,10 +23,7 @@ use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
 mod reference;
 use reference::ReferenceCache;
 
-const LIMITS: ExecLimits = ExecLimits {
-    max_instructions: 30_000,
-    max_call_depth: 512,
-};
+const LIMITS: ExecLimits = ExecLimits::capped(30_000);
 
 /// Every (fill × associativity × replacement) combination at the paper's
 /// 1 KB / 64 B geometry.

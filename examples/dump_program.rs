@@ -37,10 +37,7 @@ fn main() {
 
     // Same behavior: identical trace from the re-parsed program.
     let placement = baseline::natural(&workload.program);
-    let limits = ExecLimits {
-        max_instructions: 100_000,
-        max_call_depth: 512,
-    };
+    let limits = ExecLimits::capped(100_000);
     let a = TraceGenerator::new(&workload.program, &placement)
         .with_limits(limits)
         .collect(workload.eval_seed());

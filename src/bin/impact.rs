@@ -21,7 +21,8 @@
 //! impact store    <ls|stat|verify|gc> DIR         inspect and maintain a
 //!                                                 persistent result store
 //!
-//! common options:
+//! common options (`--runs` and `--max-instrs` must be positive on every
+//! subcommand; zero is an error, exit 1):
 //!   --runs N        profiling runs                      (default 8)
 //!   --seed S        evaluation input seed               (default 1000003)
 //!   --max-instrs N  dynamic instruction cap per walk    (default 5000000)
@@ -199,7 +200,7 @@ fn main() -> ExitCode {
         file: String::new(),
         out: None,
         params: RunParams::default(),
-        seed: api::DEFAULT_SEED,
+        seed: Profiler::DEFAULT_EVAL_SEED,
         cache: 2048,
         block: 64,
         assoc: Associativity::Direct,
@@ -211,6 +212,7 @@ fn main() -> ExitCode {
         diff: None,
     };
 
+    let (mut runs, mut max_instrs) = (None, None);
     let mut rest: Vec<String> = args.collect();
     let mut i = 0;
     let mut positional: Vec<String> = Vec::new();
@@ -223,22 +225,16 @@ fn main() -> ExitCode {
                 Some(v) => opts.out = Some(v),
                 None => return usage(),
             },
-            "--runs" => match take_value(&mut rest, i)
-                .and_then(|v| v.parse().ok())
-                .filter(|&r| r >= 1)
-            {
-                Some(v) => opts.params.runs = v,
-                None => {
-                    eprintln!("--runs must be a positive integer");
-                    return usage();
-                }
+            "--runs" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
+                Some(v) => runs = Some(v),
+                None => return usage(),
             },
             "--seed" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
                 Some(v) => opts.seed = v,
                 None => return usage(),
             },
             "--max-instrs" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
-                Some(v) => opts.params.max_instrs = v,
+                Some(v) => max_instrs = Some(v),
                 None => return usage(),
             },
             "--cache" => match take_value(&mut rest, i).and_then(|v| v.parse().ok()) {
@@ -283,6 +279,13 @@ fn main() -> ExitCode {
         return usage();
     };
     opts.file = file.clone();
+    opts.params = match RunParams::new(runs, max_instrs) {
+        Ok(params) => params,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if command == "simtrace" {
         return simtrace(&opts);
@@ -552,7 +555,7 @@ fn report(program: &Program, opts: &Options) -> ExitCode {
     );
 
     let profiler = Profiler::new()
-        .runs(opts.params.runs)
+        .runs(opts.params.runs())
         .limits(opts.params.limits());
     let profile = profiler.profile(program);
     println!(

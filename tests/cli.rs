@@ -220,9 +220,11 @@ fn bad_input_fails_with_a_line_numbered_error() {
 #[test]
 fn bad_budgets_are_usage_errors_not_panics() {
     let file = sample_file("budgets");
-    let run = |command: &str, flag: &str| {
+    let din = std::env::temp_dir().join(format!("impact_cli_budgets_{}.din", std::process::id()));
+    let run_with = |command: &str, flag: &str, extra: &[&str]| {
         let out = impact_bin()
             .args([command, file.to_str().unwrap(), flag, "0"])
+            .args(extra)
             .output()
             .expect("binary runs");
         (
@@ -230,6 +232,7 @@ fn bad_budgets_are_usage_errors_not_panics() {
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
+    let run = |command: &str, flag: &str| run_with(command, flag, &[]);
     for command in ["report", "optimize", "viz"] {
         let (code, err) = run(command, "--runs");
         assert_eq!(code, Some(1), "{command} --runs 0: {err}");
@@ -244,6 +247,22 @@ fn bad_budgets_are_usage_errors_not_panics() {
             "{err}"
         );
     }
+    // A zero cap is refused where no pipeline runs, too: the natural
+    // layout and the profile-only report check the same budget.
+    let din_path = din.to_str().unwrap();
+    for (command, extra) in [
+        ("sim", &["--no-optimize"][..]),
+        ("trace", &["--no-optimize", "-o", din_path][..]),
+        ("report", &[][..]),
+    ] {
+        let (code, err) = run_with(command, "--max-instrs", extra);
+        assert_eq!(code, Some(1), "{command} {extra:?} --max-instrs 0: {err}");
+        assert!(
+            err.contains("limits.max_instructions must be nonzero"),
+            "{err}"
+        );
+    }
+    assert!(!din.exists(), "a refused trace writes no file");
 }
 
 #[test]

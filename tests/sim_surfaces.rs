@@ -1,8 +1,9 @@
 //! Each program endpoint and its CLI twin are one request layer. `impact
 //! sim --json` and `impact optimize --json` print the `/v1/simulate` and
 //! `/v1/layout` bodies byte for byte, `lint`, `analyze` and `advise` emit
-//! their route's document as a `--json` array entry, and `sim` and
-//! `/v1/simulate` accept the same `assoc` and `fill` forms.
+//! their route's document as a `--json` array entry, `sim` and
+//! `/v1/simulate` accept the same `assoc` and `fill` forms, and refuse a
+//! zero budget with the same message.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -86,6 +87,25 @@ fn sim_json_equals_the_simulate_route_in_both_layouts() {
             String::from_utf8_lossy(&served),
             "{layout}: CLI and route must print the same document"
         );
+    }
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn zero_budgets_read_the_same_on_both_surfaces() {
+    let (file, text) = cmp_program("budgets");
+    let program = Json::Str(text).to_string();
+    for (flag, field) in [("--max-instrs", "max_instrs"), ("--runs", "runs")] {
+        let out = cli("sim", &file, &["--no-optimize", flag, "0"]);
+        assert_eq!(out.status.code(), Some(1), "sim {flag} 0");
+        // The simulate body's default layout is natural, too.
+        let body =
+            format!(r#"{{"program": {program}, "{field}": 0, "configs": [{{"size": 2048}}]}}"#);
+        let (status, served) = serve(&body);
+        assert_eq!(status, 400, "{field}: 0");
+        let doc = parse(std::str::from_utf8(&served).unwrap()).unwrap();
+        let message = doc.get("error").and_then(Json::as_str).unwrap();
+        assert_eq!(String::from_utf8_lossy(&out.stderr).trim_end(), message);
     }
     let _ = std::fs::remove_file(file);
 }
