@@ -6,10 +6,25 @@
 //! pipeline re-runs (profile, inline, trace-select, lay out) on the scaled
 //! program, exactly as a compiler for a denser ISA would; 1.0× is the
 //! prepared placement itself.
+//!
+//! Scaling keeps every terminator, so the scaled programs walk the same
+//! block sequence as the original and differ only in where the
+//! instruction cap cuts each run. Their profiles therefore come from one
+//! shared walk per seed ([`Profiler::profile_family`]): one family of the
+//! scaled originals for Step 1, one of the scaled prepared (inlined)
+//! program for Step 2's re-profile. A program outside both families, such
+//! as an intermediate inline pass or an inlining that differs from the
+//! prepared one, is walked on its own.
+//!
+//! [`Profiler::profile_family`]: impact_profile::Profiler::profile_family
+
+use std::cell::Cell;
 
 use impact_cache::{CacheConfig, FillPolicy};
-use impact_layout::pipeline::Pipeline;
+use impact_ir::Program;
+use impact_layout::pipeline::{NoopObserver, Pipeline, PipelineResult};
 use impact_layout::scale::scale_code;
+use impact_profile::{Profile, ProfileSource};
 
 use crate::fmt;
 use crate::prepare::{pipeline_config, Prepared};
@@ -35,28 +50,20 @@ pub struct Plan {
     rows: Vec<(String, Vec<SimHandle>)>,
 }
 
-/// Re-runs the pipeline per `(benchmark, factor)` for every factor but
-/// 1.0, whose column is the prepared result — fanned across the session's
-/// worker threads — and registers one request per placement. Each scaled
-/// program yields a distinct trace key (the key covers block sizes and
-/// placement addresses), so the session cannot conflate densities; the
-/// 1.0× request shares the headline tables' optimized trace.
+/// Re-runs the pipeline per benchmark at every factor but 1.0, whose
+/// column is the prepared result ([`pipelines`], fanned across the
+/// session's worker threads), and registers one request per placement.
+/// Each scaled program yields a distinct trace key (the key covers block
+/// sizes and placement addresses), so the session cannot conflate
+/// densities; the 1.0× request shares the headline tables' optimized
+/// trace.
 pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
     let config = [CacheConfig::direct_mapped(2048, 64).with_fill(FillPolicy::Partial)];
-    let work: Vec<(&Prepared, f64)> = prepared
-        .iter()
-        .flat_map(|p| FACTORS.iter().map(move |&f| (p, f)))
-        .collect();
-    let results = impact_support::parallel_map(session.jobs(), work, |(p, factor)| {
-        if factor == 1.0 {
-            return p.result.clone();
-        }
-        let scaled = scale_code(&p.baseline_program, factor);
-        Pipeline::new(pipeline_config(&p.workload, &p.budget)).run(&scaled)
-    });
+    let results =
+        impact_support::parallel_map(session.jobs(), prepared.iter().collect(), pipelines);
     let rows = prepared
         .iter()
-        .zip(results.chunks(FACTORS.len()))
+        .zip(&results)
         .map(|(p, scaled)| {
             let handles = scaled
                 .iter()
@@ -74,6 +81,83 @@ pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
         })
         .collect();
     Plan { rows }
+}
+
+/// The pipeline result of `p` at each of [`FACTORS`]: the prepared result
+/// at 1.0, and otherwise what `Pipeline::run` gives on the scaled
+/// original, with profiles from the shared family walks the module
+/// describes.
+#[must_use]
+pub fn pipelines(p: &Prepared) -> Vec<PipelineResult> {
+    ScaledProfiles::new(p).run(p)
+}
+
+/// The factors that re-run the pipeline.
+fn scaled_factors() -> impl Iterator<Item = f64> {
+    FACTORS.into_iter().filter(|&f| f != 1.0)
+}
+
+/// Profiles for one benchmark's scaled pipelines. The scaled originals
+/// and the scaled prepared program are two families, each profiled in one
+/// walk per seed; any other program is profiled directly.
+struct ScaledProfiles {
+    pipeline: Pipeline,
+    /// The scaled originals in [`scaled_factors`] order, then the scaled
+    /// prepared programs unless they are the same.
+    programs: Vec<Program>,
+    /// The profile of each of `programs`.
+    profiles: Vec<Profile>,
+    /// Programs profiled directly, outside both families.
+    fallbacks: Cell<usize>,
+}
+
+impl ScaledProfiles {
+    fn new(p: &Prepared) -> Self {
+        let pipeline = Pipeline::new(pipeline_config(&p.workload, &p.budget));
+        let profiler = pipeline.profiler();
+        let (mut programs, mut profiles) = (Vec::new(), Vec::new());
+        // Where nothing was inlined, the scaled originals answer both steps.
+        let inlined = (p.result.program != p.baseline_program).then_some(&p.result.program);
+        for original in std::iter::once(&p.baseline_program).chain(inlined) {
+            let family: Vec<Program> = scaled_factors().map(|f| scale_code(original, f)).collect();
+            profiles.extend(profiler.profile_family(&family.iter().collect::<Vec<_>>()));
+            programs.extend(family);
+        }
+        Self {
+            pipeline,
+            programs,
+            profiles,
+            fallbacks: Cell::new(0),
+        }
+    }
+
+    /// The pipeline at each of [`FACTORS`], as [`pipelines`] documents.
+    fn run(&self, p: &Prepared) -> Vec<PipelineResult> {
+        let mut scaled = self.programs.iter();
+        FACTORS
+            .iter()
+            .map(|&f| {
+                if f == 1.0 {
+                    return p.result.clone();
+                }
+                let program = scaled.next().expect("one scaled original per factor");
+                self.pipeline
+                    .run_observed_with_source(program, self, &mut NoopObserver)
+            })
+            .collect()
+    }
+}
+
+impl ProfileSource for ScaledProfiles {
+    fn profile(&self, program: &Program) -> Profile {
+        match self.programs.iter().position(|p| p == program) {
+            Some(i) => self.profiles[i].clone(),
+            None => {
+                self.fallbacks.set(self.fallbacks.get() + 1);
+                self.pipeline.profiler().profile(program)
+            }
+        }
+    }
 }
 
 /// Reads the executed statistics into rows.
@@ -137,5 +221,25 @@ mod tests {
             assert!(m < 0.02, "wc miss under scaling: {m}");
         }
         assert!(render(&rows).contains("Table 9"));
+    }
+
+    /// Programs each benchmark's scaled pipelines profile outside both
+    /// families, at fast budget.
+    fn fallbacks(name: &str) -> usize {
+        let p = prepare(&impact_workloads::by_name(name).unwrap(), &Budget::fast());
+        let source = ScaledProfiles::new(&p);
+        source.run(&p);
+        source.fallbacks.get()
+    }
+
+    #[test]
+    fn scaled_pipelines_profile_from_their_families() {
+        // wc and cmp inline the scaled programs exactly as the prepared
+        // one, so every profile comes from a shared walk.
+        assert_eq!(fallbacks("wc"), 0);
+        assert_eq!(fallbacks("cmp"), 0);
+        // lex's scaled inlining differs from the prepared one at this
+        // budget, so its pipelines walk the odd programs themselves.
+        assert!(fallbacks("lex") > 0);
     }
 }

@@ -1,10 +1,13 @@
 //! The placement variants the tables derive from a prepared result must
 //! equal the full pipeline runs they stand in for: the inline-off
 //! placement (ablation, score), every `MIN_PROB` threshold (minprob) and
-//! table 9's 1.0× factor.
+//! every factor of table 9: its 1.0× column is the prepared result, and
+//! its scaled pipelines profile from walks shared across a code-scaled
+//! family.
 
 use impact_experiments::prepare::{pipeline_config, prepare, Budget, Prepared};
 use impact_experiments::tables::min_prob::THRESHOLDS;
+use impact_experiments::tables::t9;
 use impact_layout::pipeline::{Pipeline, PipelineConfig};
 use impact_layout::scale::scale_code;
 use impact_layout::trace_select::MIN_PROB;
@@ -58,10 +61,40 @@ fn every_threshold_matches_a_pipeline_run_at_that_threshold() {
     }
 }
 
+/// Every factor of table 9's pipelines, 1.0× included, against a full
+/// `Pipeline::run` on the scaled original.
+fn check_scaled_pipelines(p: &Prepared) {
+    let name = p.workload.name;
+    for (&factor, derived) in t9::FACTORS.iter().zip(t9::pipelines(p)) {
+        let full = Pipeline::new(config(p)).run(&scale_code(&p.baseline_program, factor));
+        assert_eq!(derived.program, full.program, "{name} at {factor}");
+        assert_eq!(derived.placement, full.placement, "{name} at {factor}");
+        assert_eq!(derived.profile, full.profile, "{name} at {factor}");
+        assert_eq!(
+            derived.pre_inline_profile, full.pre_inline_profile,
+            "{name} at {factor}"
+        );
+    }
+}
+
 #[test]
-fn unit_scaling_matches_the_prepared_placement() {
-    for p in prepared() {
-        let full = Pipeline::new(config(&p)).run(&scale_code(&p.baseline_program, 1.0));
-        assert_eq!(p.result.placement, full.placement, "{}", p.workload.name);
+fn scaled_pipelines_match_pipeline_runs_on_scaled_programs() {
+    // wc and cmp profile everything from the shared walks; lex's scaled
+    // inlining departs from the prepared one at this budget, so its
+    // pipelines also walk programs outside both families.
+    for name in ["wc", "cmp", "lex"] {
+        let w = impact_workloads::by_name(name).unwrap();
+        check_scaled_pipelines(&prepare(&w, &Budget::fast()));
+    }
+}
+
+/// At full budget, intermediate inline passes (grep, lex, and yacc at
+/// 1.1×) are profiled outside the families too. Slow unoptimized: CI runs
+/// it in release with `--include-ignored`.
+#[test]
+#[ignore = "full budget over all ten benchmarks; run it in release"]
+fn scaled_pipelines_match_pipeline_runs_at_full_budget() {
+    for w in impact_workloads::all() {
+        check_scaled_pipelines(&prepare(&w, &Budget::default()));
     }
 }

@@ -76,6 +76,12 @@ impl BranchBias {
     }
 }
 
+/// The base of every held-out evaluation input seed, far outside the
+/// profiling seeds (`0..runs`), mirroring the paper's held-out input: a
+/// workload's evaluation seed offsets it, and a walk that names no seed
+/// uses it as is.
+pub const HELD_OUT_SEED: u64 = 1_000_003;
+
 /// Stable identity of a branch site: a hash of the containing function's
 /// *name* and the block's index.
 ///

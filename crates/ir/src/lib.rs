@@ -52,7 +52,7 @@ mod inst;
 mod program;
 mod validate;
 
-pub use block::{site_key, BasicBlock, BranchBias, Terminator};
+pub use block::{site_key, BasicBlock, BranchBias, Terminator, HELD_OUT_SEED};
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use callgraph::{CallGraph, CallSite};
 pub use ids::{BlockId, FuncId};

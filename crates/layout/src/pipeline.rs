@@ -230,17 +230,17 @@ impl Pipeline {
     /// Rejects a configuration the pipeline cannot meaningfully run with
     /// and a program that fails structural validation.
     pub fn check(&self, program: &Program) -> Result<(), PipelineError> {
-        let bad = |reason: String| Err(PipelineError::BadConfig { reason });
+        let bad = |reason: &str| PipelineError::BadConfig {
+            reason: reason.to_string(),
+        };
         if !(self.config.min_prob > 0.0 && self.config.min_prob <= 1.0) {
-            return bad(format!(
+            return Err(bad(&format!(
                 "min_prob must be in (0, 1], got {}",
                 self.config.min_prob
-            ));
+            )));
         }
-        if self.config.profile_runs == 0 {
-            return bad("profile_runs must be at least 1".to_string());
-        }
-        self.config.limits.check().or_else(|r| bad(r.to_string()))?;
+        Profiler::check_runs(self.config.profile_runs.into()).map_err(bad)?;
+        self.config.limits.check().map_err(bad)?;
         Ok(program.validate()?)
     }
 
@@ -449,6 +449,19 @@ mod tests {
         let r = Pipeline::new(cfg).run(&p);
         assert_eq!(r.program, p);
         assert_eq!(r.inline_report.call_decrease, 0.0);
+    }
+
+    #[test]
+    fn zero_runs_break_the_one_runs_rule() {
+        let cfg = PipelineConfig {
+            profile_runs: 0,
+            ..PipelineConfig::default()
+        };
+        let err = Pipeline::new(cfg).check(&program()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad pipeline config: runs must be a positive integer"
+        );
     }
 
     #[test]

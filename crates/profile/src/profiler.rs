@@ -165,12 +165,7 @@ impl Profile {
             *self.call_arcs.entry(k).or_insert(0) += w;
         }
         self.runs += other.runs;
-        self.totals.instructions += other.totals.instructions;
-        self.totals.blocks += other.totals.blocks;
-        self.totals.intra_transfers += other.totals.intra_transfers;
-        self.totals.calls += other.totals.calls;
-        self.totals.returns += other.totals.returns;
-        self.totals.truncated |= other.totals.truncated;
+        self.totals += other.totals;
     }
 }
 
@@ -190,6 +185,11 @@ struct FunctionCounts {
 }
 
 impl FunctionCounts {
+    /// Zeroed counts for every function of `program`.
+    fn for_program(program: &Program) -> Vec<Self> {
+        program.functions().map(|(_, f)| Self::new(f)).collect()
+    }
+
     fn new(func: &Function) -> Self {
         let mut first_slot = Vec::with_capacity(func.block_count());
         let mut slots = 0;
@@ -209,6 +209,24 @@ impl FunctionCounts {
             succ: vec![0; slots],
         }
     }
+
+    /// Adds `other`, the counts of the same function, into these.
+    fn add(&mut self, other: &Self) {
+        for (a, b) in [
+            (&mut self.blocks, &other.blocks),
+            (&mut self.calls, &other.calls),
+            (&mut self.succ, &other.succ),
+        ] {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+        }
+    }
+
+    /// Zeroes every count.
+    fn clear(&mut self) {
+        for v in [&mut self.blocks, &mut self.calls, &mut self.succ] {
+            v.fill(0);
+        }
+    }
 }
 
 /// Visitor that counts a walk into per-function dense arrays.
@@ -220,7 +238,15 @@ struct DenseVisitor<'a> {
     stack: Vec<(FuncId, BlockId)>,
 }
 
-impl DenseVisitor<'_> {
+impl<'a> DenseVisitor<'a> {
+    fn new(program: &'a Program, counts: &'a mut [FunctionCounts]) -> Self {
+        Self {
+            program,
+            counts,
+            stack: Vec::new(),
+        }
+    }
+
     fn count_slot(&mut self, func: FuncId, block: BlockId, offset: usize) {
         let c = &mut self.counts[func.index()];
         c.succ[c.first_slot[block.index()] + offset] += 1;
@@ -365,10 +391,9 @@ impl Profiler {
     /// benchmark over several inputs.
     pub const DEFAULT_RUNS: u32 = 8;
 
-    /// The evaluation input seed when none is given: far outside the
-    /// default profiling seeds (`0..runs`), mirroring the paper's
-    /// held-out input.
-    pub const DEFAULT_EVAL_SEED: u64 = 1_000_003;
+    /// The evaluation input seed when none is given, the
+    /// [`HELD_OUT_SEED`](impact_ir::HELD_OUT_SEED).
+    pub const DEFAULT_EVAL_SEED: u64 = impact_ir::HELD_OUT_SEED;
 
     /// A profiler with [`Profiler::DEFAULT_RUNS`] runs starting at seed
     /// 0 and default limits.
@@ -382,11 +407,27 @@ impl Profiler {
     }
 
     /// Sets the number of profiling runs (the paper's "runs" column).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs` fails [`Profiler::check_runs`].
     #[must_use]
     pub fn runs(mut self, runs: u32) -> Self {
-        assert!(runs > 0, "at least one profiling run is required");
-        self.runs = runs;
+        self.runs = Self::check_runs(runs.into()).unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// The one rule for a number of profiling runs, wherever it comes
+    /// from: a positive count that fits a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// States the rule when `runs` breaks it.
+    pub fn check_runs(runs: u64) -> Result<u32, &'static str> {
+        u32::try_from(runs)
+            .ok()
+            .filter(|&r| r > 0)
+            .ok_or("runs must be a positive integer")
     }
 
     /// Sets the first input seed.
@@ -406,32 +447,229 @@ impl Profiler {
     /// Profiles `program` over the configured seeds.
     #[must_use]
     pub fn profile(&self, program: &Program) -> Profile {
-        let mut counts: Vec<FunctionCounts> = program
-            .functions()
-            .map(|(_, f)| FunctionCounts::new(f))
-            .collect();
+        let mut counts = FunctionCounts::for_program(program);
         let mut totals = ExecSummary::default();
         let walker = Walker::new(program).with_limits(self.limits);
-        for run in 0..self.runs {
-            let seed = self.base_seed + u64::from(run);
-            let mut visitor = DenseVisitor {
-                program,
-                counts: &mut counts,
-                stack: Vec::new(),
+        for seed in self.seeds() {
+            let mut visitor = DenseVisitor::new(program, &mut counts);
+            totals += walker.run(seed, &mut visitor);
+        }
+        self.finish(program, counts, totals)
+    }
+
+    /// Profiles programs that differ only in block sizes, such as a
+    /// program and its code-scaled copies, with one walk of their common
+    /// shape per seed; the result is [`Profiler::profile`] of each
+    /// program, in order.
+    ///
+    /// Branch outcomes depend only on function names, blocks, terminators
+    /// and the seed, so every member walks the same block sequence, and a
+    /// member's run is a prefix of the shared walk that ends at the event
+    /// where its own instruction count reaches the cap. The walk freezes a
+    /// member's counts and summary at that event, and ends when every
+    /// member is frozen, or where the program exits or the call depth cuts
+    /// every member alike. Programs that differ in anything the walker
+    /// reads (entry, names, block counts, terminators with their biases
+    /// and switch weights) are profiled one walk each.
+    #[must_use]
+    pub fn profile_family(&self, programs: &[&Program]) -> Vec<Profile> {
+        let Some((&shape, rest)) = programs.split_first() else {
+            return Vec::new();
+        };
+        if rest.is_empty() || !rest.iter().all(|p| same_walk(shape, p)) {
+            return programs.iter().map(|p| self.profile(p)).collect();
+        }
+        let mut members: Vec<Member> = programs
+            .iter()
+            .map(|p| Member {
+                sizes: p
+                    .functions()
+                    .map(|(_, f)| f.blocks().map(|(_, bb)| bb.instr_count()).collect())
+                    .collect(),
+                counts: FunctionCounts::for_program(shape),
+                totals: ExecSummary::default(),
+                frozen: false,
+            })
+            .collect();
+        // The shape walked is the family's widest program: each block has
+        // its largest size over the members, so the walk's instruction
+        // count bounds how far any member's count can have moved.
+        let mut funcs: Vec<Function> = shape.functions().map(|(_, f)| f.clone()).collect();
+        for (f, func) in funcs.iter_mut().enumerate() {
+            for b in 0..func.block_count() {
+                let widest = members.iter().map(|m| m.sizes[f][b]).max();
+                let widest = widest.expect("a family has members");
+                // One slot always belongs to the terminator.
+                func.block_mut(BlockId::new(b))
+                    .resize_body(widest as usize - 1);
+            }
+        }
+        let widest = Program::from_parts(funcs, shape.entry()).expect("resizing keeps the shape");
+        let mut run_counts = FunctionCounts::for_program(shape);
+        // The members' cap ends the walk through `done`, never its own.
+        let walker = Walker::new(&widest).with_limits(ExecLimits {
+            max_instructions: u64::MAX,
+            ..self.limits
+        });
+        for seed in self.seeds() {
+            let mut visitor = FamilyVisitor {
+                dense: DenseVisitor::new(&widest, &mut run_counts),
+                members: &mut members,
+                cap: self.limits.max_instructions,
+                check_at: self.limits.max_instructions,
             };
             let summary = walker.run(seed, &mut visitor);
-            totals.instructions += summary.instructions;
-            totals.blocks += summary.blocks;
-            totals.intra_transfers += summary.intra_transfers;
-            totals.calls += summary.calls;
-            totals.returns += summary.returns;
-            totals.truncated |= summary.truncated;
+            // Whoever the cap did not cut ran the whole walk.
+            for m in &mut members {
+                if !m.frozen {
+                    let instructions = m.instructions(&run_counts);
+                    m.freeze(
+                        &run_counts,
+                        ExecSummary {
+                            instructions,
+                            ..summary
+                        },
+                    );
+                }
+                m.frozen = false;
+            }
+            run_counts.iter_mut().for_each(FunctionCounts::clear);
         }
+        programs
+            .iter()
+            .zip(members)
+            .map(|(p, m)| self.finish(p, m.counts, m.totals))
+            .collect()
+    }
+
+    /// The configured input seeds.
+    fn seeds(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.runs).map(|run| self.base_seed + u64::from(run))
+    }
+
+    /// The [`Profile`] of `program` from its counts and summed summaries
+    /// over the configured runs.
+    fn finish(
+        &self,
+        program: &Program,
+        counts: Vec<FunctionCounts>,
+        totals: ExecSummary,
+    ) -> Profile {
         let mut profile = build_profile(program, counts);
         profile.funcs[program.entry().index()].invocations += u64::from(self.runs);
         profile.runs = self.runs;
         profile.totals = totals;
         profile
+    }
+}
+
+/// `true` if walks of `a` and `b` visit the same blocks under every seed
+/// and limit but the instruction cap: they agree on everything the
+/// walker reads except block sizes.
+fn same_walk(a: &Program, b: &Program) -> bool {
+    a.entry() == b.entry()
+        && a.function_count() == b.function_count()
+        && a.functions().zip(b.functions()).all(|((_, f), (_, g))| {
+            f.name() == g.name()
+                && f.entry() == g.entry()
+                && f.block_count() == g.block_count()
+                && f.blocks()
+                    .zip(g.blocks())
+                    .all(|((_, x), (_, y))| x.terminator() == y.terminator())
+        })
+}
+
+/// One member of a [`Profiler::profile_family`] walk.
+struct Member {
+    /// Instructions per block, indexed `[function][block]`.
+    sizes: Vec<Vec<u64>>,
+    /// Counts summed over the runs so far.
+    counts: Vec<FunctionCounts>,
+    /// Walk summaries summed over the runs so far.
+    totals: ExecSummary,
+    /// `true` once the current run has reached this member's cut.
+    frozen: bool,
+}
+
+impl Member {
+    /// This member's instructions over the blocks counted in `run_counts`.
+    fn instructions(&self, run_counts: &[FunctionCounts]) -> u64 {
+        self.sizes
+            .iter()
+            .zip(run_counts)
+            .map(|(sizes, c)| sizes.iter().zip(&c.blocks).map(|(s, n)| s * n).sum::<u64>())
+            .sum()
+    }
+
+    /// Ends this member's current run with `summary`: adds it and the
+    /// run's counts so far.
+    fn freeze(&mut self, run_counts: &[FunctionCounts], summary: ExecSummary) {
+        for (acc, run) in self.counts.iter_mut().zip(run_counts) {
+            acc.add(run);
+        }
+        self.totals += summary;
+        self.frozen = true;
+    }
+}
+
+/// Counts one walk of a family's widest program and freezes each member
+/// at the first check where its instructions reach the cap.
+///
+/// Summing every member's instructions per block would cost the walk one
+/// add per member. Instead, the walk's own count, of the widest sizes,
+/// grows at least as fast as any member's. At a check, each live member's
+/// count is recomputed from the run's block counts, and the next check
+/// waits until the walk's count has grown by the smallest headroom left:
+/// before then no member can reach the cap.
+struct FamilyVisitor<'a> {
+    dense: DenseVisitor<'a>,
+    members: &'a mut [Member],
+    cap: u64,
+    /// The walk's instruction count at which the next check runs.
+    check_at: u64,
+}
+
+impl FamilyVisitor<'_> {
+    /// Freezes every live member whose instructions have reached the cap
+    /// and schedules the next check; `true` once every member is frozen.
+    #[cold]
+    fn check(&mut self, so_far: &ExecSummary) -> bool {
+        let (mut live, mut headroom) = (false, u64::MAX);
+        for m in &mut *self.members {
+            if m.frozen {
+                continue;
+            }
+            let instructions = m.instructions(self.dense.counts);
+            if instructions >= self.cap {
+                m.freeze(
+                    self.dense.counts,
+                    ExecSummary {
+                        instructions,
+                        truncated: true,
+                        ..*so_far
+                    },
+                );
+            } else {
+                live = true;
+                headroom = headroom.min(self.cap - instructions);
+            }
+        }
+        self.check_at = so_far.instructions.saturating_add(headroom);
+        !live
+    }
+}
+
+impl ExecVisitor for FamilyVisitor<'_> {
+    fn block(&mut self, func: FuncId, block: BlockId) {
+        self.dense.block(func, block);
+    }
+
+    fn transfer(&mut self, transfer: Transfer) {
+        self.dense.transfer(transfer);
+    }
+
+    fn done(&mut self, so_far: &ExecSummary) -> bool {
+        so_far.instructions >= self.check_at && self.check(so_far)
     }
 }
 
@@ -574,6 +812,24 @@ mod tests {
             di > ct,
             "instructions per call should exceed transfers per call"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs must be a positive integer")]
+    fn zero_runs_are_refused() {
+        let _ = Profiler::new().runs(0);
+    }
+
+    #[test]
+    fn runs_rule_bounds_both_ends() {
+        assert_eq!(Profiler::check_runs(1), Ok(1));
+        assert_eq!(Profiler::check_runs(u64::from(u32::MAX)), Ok(u32::MAX));
+        for bad in [0, u64::from(u32::MAX) + 1] {
+            assert_eq!(
+                Profiler::check_runs(bad),
+                Err("runs must be a positive integer")
+            );
+        }
     }
 
     #[test]

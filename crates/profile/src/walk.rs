@@ -7,6 +7,8 @@
 //! the same behavior the profile was trained on (under a different input
 //! seed).
 
+use std::ops::AddAssign;
+
 use impact_ir::{site_key, BlockId, FuncId, Program, Terminator};
 use impact_support::Rng;
 
@@ -70,6 +72,12 @@ pub trait ExecVisitor {
     fn block(&mut self, func: FuncId, block: BlockId);
     /// A control transfer fired.
     fn transfer(&mut self, transfer: Transfer);
+    /// Asked after every transfer that continues the walk, where the
+    /// instruction cap is checked, with the walk's summary so far: `true`
+    /// ends the walk there as a truncation. The default never does.
+    fn done(&mut self, _so_far: &ExecSummary) -> bool {
+        false
+    }
 }
 
 /// A visitor that ignores everything (useful to measure walk length only).
@@ -145,6 +153,18 @@ pub struct ExecSummary {
     pub truncated: bool,
 }
 
+impl AddAssign for ExecSummary {
+    /// Sums two walks' counts; the sum is truncated if either walk was.
+    fn add_assign(&mut self, other: Self) {
+        self.instructions += other.instructions;
+        self.blocks += other.blocks;
+        self.intra_transfers += other.intra_transfers;
+        self.calls += other.calls;
+        self.returns += other.returns;
+        self.truncated |= other.truncated;
+    }
+}
+
 /// The seeded interpreter.
 ///
 /// Two seeds are in play:
@@ -181,9 +201,10 @@ impl<'p> Walker<'p> {
     /// Runs the program under `input_seed`, reporting events to `visitor`.
     ///
     /// The walk ends when the program exits, when
-    /// [`ExecLimits::max_instructions`] is reached, or when a call would
-    /// exceed [`ExecLimits::max_call_depth`] (runaway recursion); the
-    /// latter two mark the summary as truncated.
+    /// [`ExecLimits::max_instructions`] is reached, when the visitor is
+    /// [`done`](ExecVisitor::done), or when a call would exceed
+    /// [`ExecLimits::max_call_depth`] (runaway recursion); all but the
+    /// first mark the summary as truncated.
     pub fn run<V: ExecVisitor>(&self, input_seed: u64, visitor: &mut V) -> ExecSummary {
         let taken_p = self.taken_probabilities(input_seed);
         let mut rng = Rng::seed_from_u64(input_seed ^ 0xD1B5_4A32_D192_ED03);
@@ -266,7 +287,7 @@ impl<'p> Walker<'p> {
                 None => break,
             }
 
-            if summary.instructions >= self.limits.max_instructions {
+            if summary.instructions >= self.limits.max_instructions || visitor.done(&summary) {
                 summary.truncated = true;
                 break;
             }
@@ -382,6 +403,45 @@ mod tests {
         assert!(s.instructions >= 100);
         // One block beyond the limit at most (limit checked per block).
         assert!(s.instructions < 100 + 5);
+    }
+
+    /// Records events until the walk has executed `stop_at` instructions.
+    struct StopAt {
+        stop_at: u64,
+        events: Recorder,
+    }
+
+    impl ExecVisitor for StopAt {
+        fn block(&mut self, func: FuncId, block: BlockId) {
+            self.events.block(func, block);
+        }
+        fn transfer(&mut self, t: Transfer) {
+            self.events.transfer(t);
+        }
+        fn done(&mut self, so_far: &ExecSummary) -> bool {
+            so_far.instructions >= self.stop_at
+        }
+    }
+
+    #[test]
+    fn done_ends_the_walk_where_the_instruction_cap_would() {
+        let p = loop_program(0.97);
+        for seed in 0..16 {
+            for cap in [1, 4, 10, 37, 100] {
+                let mut capped = Recorder::default();
+                let by_cap = Walker::new(&p)
+                    .with_limits(ExecLimits::capped(cap))
+                    .run(seed, &mut capped);
+                let mut visitor = StopAt {
+                    stop_at: cap,
+                    events: Recorder::default(),
+                };
+                let by_done = Walker::new(&p).run(seed, &mut visitor);
+                assert_eq!(by_done, by_cap, "seed {seed}, cap {cap}");
+                assert_eq!(visitor.events.blocks, capped.blocks);
+                assert_eq!(visitor.events.transfers, capped.transfers);
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Property tests pinning the dense profiler and the tabled walker to the
-//! sparse reference definition.
+//! Property tests pinning the dense profiler, the family profiler and the
+//! tabled walker to the sparse reference definition.
 //!
 //! [`Profiler::profile`] counts into per-block arrays and builds its
-//! [`Profile`] once at the end; [`Walker::run`] tables branch
-//! probabilities once per walk. Both must agree exactly with the
+//! [`Profile`] once at the end; [`Profiler::profile_family`] walks a
+//! code-scaled family's shared shape once per seed and cuts each member
+//! at its own instruction cap; [`Walker::run`] tables branch
+//! probabilities once per walk. All must agree exactly with the
 //! [`reference`] module, which recomputes every branch probability and
 //! counts through the profile's maps, on:
 //! - the ten workloads, their code-scaled variants and the extended set;
 //! - `check::forall`-generated synthetic specs;
 //! - random CFGs whose `Switch` and `Branch` targets repeat;
-//! - walks cut short by `max_instructions` and by `max_call_depth`.
+//! - walks cut short by `max_instructions` and by `max_call_depth`;
+//! - families whose members differ in more than block sizes, which must
+//!   be walked one program at a time.
 
 mod reference;
 
@@ -38,6 +42,39 @@ fn assert_matches_reference(
         "runs {runs}, base seed {base_seed}, {limits:?}"
     );
     dense
+}
+
+/// Profiles `family` with one shared walk per seed and requires each
+/// member's profile to equal the reference profile of that member.
+fn assert_family_matches_reference(
+    family: &[Program],
+    runs: u32,
+    base_seed: u64,
+    limits: ExecLimits,
+) -> Vec<Profile> {
+    let members: Vec<&Program> = family.iter().collect();
+    let profiles = Profiler::new()
+        .runs(runs)
+        .base_seed(base_seed)
+        .limits(limits)
+        .profile_family(&members);
+    assert_eq!(profiles.len(), family.len());
+    for (i, (program, profile)) in family.iter().zip(&profiles).enumerate() {
+        let sparse = reference::profile(program, runs, base_seed, limits);
+        assert_eq!(
+            *profile, sparse,
+            "member {i}: runs {runs}, base seed {base_seed}, {limits:?}"
+        );
+    }
+    profiles
+}
+
+/// `program` scaled by each of table 9's factors.
+fn scaled_family(program: &Program) -> Vec<Program> {
+    [0.5, 0.7, 1.0, 1.1]
+        .iter()
+        .map(|&f| scale_code(program, f))
+        .collect()
 }
 
 /// Limits that cut the walk after `instrs` instructions or `depth` calls.
@@ -91,6 +128,30 @@ fn dense_profiles_match_reference_on_scaled_code() {
     }
 }
 
+#[test]
+fn family_profiles_match_reference_on_scaled_workloads() {
+    for w in impact_workloads::all() {
+        let family = scaled_family(&w.program);
+        for l in [
+            limits(400_000, 512),
+            limits(20_000, 512),
+            limits(400_000, 1),
+        ] {
+            let profiles = assert_family_matches_reference(&family, 2, 3, l);
+            if l.max_instructions == 20_000 {
+                // Each member is cut at its own event: the denser the
+                // code, the more blocks fit under the cap.
+                let blocks: Vec<u64> = profiles.iter().map(|p| p.totals.blocks).collect();
+                assert!(
+                    blocks.windows(2).all(|w| w[0] >= w[1]) && blocks[0] > blocks[3],
+                    "{}: blocks per member {blocks:?}",
+                    w.name
+                );
+            }
+        }
+    }
+}
+
 /// A small synthetic spec with every structural knob drawn at random.
 fn gen_spec(rng: &mut Rng) -> SyntheticSpec {
     let lo = rng.gen_range_inclusive(1, 4);
@@ -135,6 +196,87 @@ fn dense_profiles_match_reference_on_random_specs() {
             }
         },
     );
+}
+
+#[test]
+fn family_profiles_match_reference_on_random_specs() {
+    forall(
+        24,
+        |rng| (gen_spec(rng), rng.gen_below(1000)),
+        |(spec, seed)| {
+            let family = scaled_family(&spec.build().program);
+            for l in [
+                limits(50_000, 512),
+                limits(3_000, 512),
+                limits(500, 512),
+                limits(50_000, 2),
+            ] {
+                assert_family_matches_reference(&family, 3, *seed, l);
+            }
+        },
+    );
+}
+
+/// `main` loops over a branch with `bias` and a switch with `weights`,
+/// calling `leaf` on the way: every field the walker reads besides block
+/// sizes is a parameter.
+fn shaped(main_name: &str, bias: BranchBias, weights: [u32; 2], body: usize) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let leaf = pb.reserve("leaf");
+    let mut main = pb.function(main_name);
+    let head = main.block(vec![Instr::IntAlu; body]);
+    let left = main.block_n(1);
+    let right = main.block_n(2);
+    let latch = main.block_n(0);
+    let exit = main.block_n(0);
+    main.terminate(
+        head,
+        Terminator::Switch {
+            targets: vec![(left, weights[0]), (right, weights[1])],
+        },
+    );
+    main.terminate(left, Terminator::call(leaf, latch));
+    main.terminate(right, Terminator::jump(latch));
+    main.terminate(latch, Terminator::branch(head, exit, bias));
+    main.terminate(exit, Terminator::Exit);
+    let main_id = main.finish();
+    let mut lf = pb.function_reserved(leaf);
+    let l0 = lf.block_n(3);
+    lf.terminate(l0, Terminator::Return);
+    lf.finish();
+    pb.set_entry(main_id);
+    pb.finish().unwrap()
+}
+
+/// A member that differs in a name, a bias or a switch weight walks
+/// another block sequence than the rest: a shared walk would give it their
+/// counts, so the family must fall back to one walk per program.
+#[test]
+fn mixed_shape_families_fall_back_to_one_walk_each() {
+    let bias = BranchBias::varying(0.9, 0.08);
+    let base = shaped("main", bias, [1, 3], 2);
+    for odd in [
+        shaped("main2", bias, [1, 3], 2),
+        shaped("main", BranchBias::varying(0.6, 0.08), [1, 3], 2),
+        shaped("main", bias, [3, 1], 2),
+    ] {
+        let family = [
+            scale_code(&base, 0.5),
+            base.clone(),
+            odd,
+            scale_code(&base, 1.1),
+        ];
+        for l in [limits(1_000_000, 64), limits(40, 64), limits(1_000_000, 1)] {
+            let profiles = assert_family_matches_reference(&family, 6, 11, l);
+            // The odd member out really walks a sequence of its own.
+            assert_ne!(profiles[2], profiles[1], "{l:?}");
+        }
+    }
+    // A mixed family of whole workloads takes the same path.
+    let wc = impact_workloads::by_name("wc").unwrap().program;
+    let cmp = impact_workloads::by_name("cmp").unwrap().program;
+    let mixed = [scale_code(&wc, 0.7), cmp, wc];
+    assert_family_matches_reference(&mixed, 2, 0, limits(20_000, 512));
 }
 
 /// A random CFG over a handful of blocks, so that `Switch` arms and the

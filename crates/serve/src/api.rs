@@ -410,17 +410,14 @@ impl RunParams {
     ///
     /// # Errors
     ///
-    /// A [`PipelineError::BadConfig`] when `runs` is zero or above
-    /// `u32::MAX`, or the cap fails [`ExecLimits::check`].
+    /// A [`PipelineError::BadConfig`] when `runs` fails
+    /// [`Profiler::check_runs`] or the cap fails [`ExecLimits::check`].
     pub fn new(runs: Option<u64>, max_instrs: Option<u64>) -> Result<Self, PipelineError> {
         let bad = |reason: &str| PipelineError::BadConfig {
             reason: reason.to_string(),
         };
         let default = Self::default();
-        let runs = u32::try_from(runs.unwrap_or(default.runs.into()))
-            .ok()
-            .filter(|&r| r > 0)
-            .ok_or_else(|| bad("runs must be a positive integer"))?;
+        let runs = Profiler::check_runs(runs.unwrap_or(default.runs.into())).map_err(bad)?;
         let max_instrs = max_instrs.unwrap_or(default.max_instrs);
         ExecLimits::capped(max_instrs).check().map_err(bad)?;
         Ok(Self { runs, max_instrs })

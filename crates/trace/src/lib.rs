@@ -90,6 +90,9 @@ impl<S: AccessSink> RunEmitter<'_, S> {
 }
 
 impl<S: AccessSink> ExecVisitor for RunEmitter<'_, S> {
+    // Called once per dynamic block: keep it inside the walk's loop,
+    // where the compiler's size heuristics alone do not always put it.
+    #[inline]
     fn block(&mut self, func: FuncId, block: BlockId) {
         let base = self.placement.addr(func, block);
         let instrs = self.program.function(func).block(block).instr_count();

@@ -133,7 +133,7 @@ impl Workload {
     /// for each benchmark to take the traces").
     #[must_use]
     pub fn eval_seed(&self) -> u64 {
-        1_000_003 + self.spec.structure_seed + self.spec.eval_seed_offset
+        impact_ir::HELD_OUT_SEED + self.spec.structure_seed + self.spec.eval_seed_offset
     }
 }
 
