@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use impact_ir::{Terminator, BYTES_PER_INSTR};
 
-use crate::cache::ConflictConfig;
+use crate::cache::{ConflictConfig, MAX_REPORTS};
 use crate::conflict::estimate_miss_bound;
 use crate::diag::{Diagnostic, Location};
 use crate::flow::{Dominators, LoopForest};
@@ -48,6 +48,10 @@ const ALIGN_SLACK_LINES: u64 = 1;
 /// header's count — the spine that runs (nearly) every iteration.
 /// Conditional arms below it are legitimately laid out as side traces.
 const CORE_FRACTION: f64 = 0.9;
+
+/// IPA405 warns when the static memory-traffic bound (words fetched per
+/// word executed, from the miss bound) exceeds this.
+const TRAFFIC_BOUND_WARN: f64 = 0.50;
 
 /// IPA405 tolerates a traffic bound up to this factor over the
 /// natural-order baseline before blaming the placement: programs much
@@ -165,7 +169,7 @@ impl Pass for MisplacedFallThrough {
                         from.index(),
                     ),
                 ));
-                if out.len() >= cfg.max_reports {
+                if out.len() >= MAX_REPORTS {
                     return out;
                 }
             }
@@ -296,7 +300,7 @@ impl Pass for CallPairSeparation {
                     func.name(),
                 ),
             ));
-            if out.len() >= cfg.max_reports {
+            if out.len() >= MAX_REPORTS {
                 return out;
             }
         }
@@ -400,7 +404,7 @@ impl Pass for LoopLineStraddle {
                         lines.len(),
                     ),
                 ));
-                if out.len() >= cfg.max_reports {
+                if out.len() >= MAX_REPORTS {
                     return out;
                 }
             }
@@ -484,7 +488,7 @@ impl Pass for HotColdInterleave {
                     func.name(),
                 ),
             ));
-            if out.len() >= cfg.max_reports {
+            if out.len() >= MAX_REPORTS {
                 return out;
             }
         }
@@ -500,7 +504,7 @@ impl Pass for HotColdInterleave {
 /// bound is `misses * (line_bytes / word) / instructions`. Programs
 /// much larger than the cache pay high traffic under *any* layout, so
 /// the placement is only blamed when its bound both crosses
-/// [`ConflictConfig::traffic_bound_warn`] **and** exceeds the
+/// `TRAFFIC_BOUND_WARN` **and** exceeds the
 /// natural-order baseline of the same program by
 /// `TRAFFIC_OVER_NATURAL` — an optimizing layout should never fetch
 /// meaningfully more than unoptimized code.
@@ -540,7 +544,7 @@ impl Pass for StaticTrafficBound {
             (bound.cold_lines + bound.conflict_weight) as f64 * words_per_line / instrs as f64
         };
         let traffic = traffic_of(&b);
-        if traffic <= cfg.traffic_bound_warn {
+        if traffic <= TRAFFIC_BOUND_WARN {
             return Vec::new();
         }
         let natural = impact_layout::baseline::natural(ctx.program);
@@ -556,7 +560,7 @@ impl Pass for StaticTrafficBound {
                  {:.3} and the natural-order baseline {base:.3} ({} cold lines + {} \
                  contended accesses at {} B lines): reduce set contention (IPA201/IPA402 \
                  list the pairs to separate)",
-                cfg.traffic_bound_warn, b.cold_lines, b.conflict_weight, cfg.line_bytes,
+                TRAFFIC_BOUND_WARN, b.cold_lines, b.conflict_weight, cfg.line_bytes,
             ),
         )]
     }

@@ -18,17 +18,14 @@ pub struct ConflictConfig {
     /// A code line is *hot* when its weight is at least this fraction of
     /// the hottest line's weight.
     pub hot_fraction: f64,
-    /// At most this many sets are reported (heaviest first); the rest are
-    /// summarized in one trailing diagnostic.
-    pub max_reports: usize,
     /// `IPA303` warns when the estimated miss-ratio bound of a placement
     /// (see [`crate::conflict::estimate_miss_bound`]) exceeds this.
     pub miss_bound_warn: f64,
-    /// `IPA405` warns when the static memory-traffic bound (words
-    /// fetched per word executed, from the same miss bound) exceeds
-    /// this.
-    pub traffic_bound_warn: f64,
 }
+
+/// At most this many findings are reported per pass (for `IPA201`, the
+/// heaviest sets; the rest are summarized in one trailing diagnostic).
+pub(crate) const MAX_REPORTS: usize = 8;
 
 impl Default for ConflictConfig {
     fn default() -> Self {
@@ -36,9 +33,7 @@ impl Default for ConflictConfig {
             cache_bytes: 2048,
             line_bytes: 64,
             hot_fraction: 0.05,
-            max_reports: 8,
             miss_bound_warn: 0.10,
-            traffic_bound_warn: 0.50,
         }
     }
 }
@@ -119,7 +114,7 @@ impl Pass for ConflictPressure {
         });
 
         let mut out = Vec::new();
-        let shown = conflicted.len().min(cfg.max_reports);
+        let shown = conflicted.len().min(MAX_REPORTS);
         for (set, mut lines) in conflicted.drain(..shown) {
             lines.sort_by_key(|&(line, w)| (std::cmp::Reverse(w), line));
             let detail: Vec<String> = lines
@@ -145,7 +140,8 @@ impl Pass for ConflictPressure {
                 self.code(),
                 Location::program(),
                 format!(
-                    "{} more conflicted set(s) not shown (raise max_reports to see them)",
+                    "{} more conflicted set(s) not shown (only the {shown} heaviest sets \
+                     are listed)",
                     conflicted.len()
                 ),
             ));
@@ -262,6 +258,42 @@ mod tests {
             .with_placement(&placement)
             .with_conflict(permissive);
         assert!(!ConflictPressure.run(&ctx).is_empty());
+    }
+
+    #[test]
+    fn overflow_names_how_many_sets_are_listed() {
+        // A chain of 20 one-line self-loops; loop `i` sits at set
+        // `i % 10` of the 2 KB cache, so ten sets hold two hot lines.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let loops: Vec<_> = (0..20).map(|_| f.block(vec![Instr::IntAlu; 15])).collect();
+        let exit = f.block(vec![]);
+        for (i, &b) in loops.iter().enumerate() {
+            let next = loops.get(i + 1).copied().unwrap_or(exit);
+            f.terminate(b, Terminator::branch(b, next, BranchBias::fixed(0.9)));
+        }
+        f.terminate(exit, Terminator::Exit);
+        let main = f.finish();
+        pb.set_entry(main);
+        let p = pb.finish().unwrap();
+        let mut addrs: Vec<u64> = (0..20).map(|i| (i / 10) * 2048 + (i % 10) * 64).collect();
+        addrs.push(4096);
+        let placement = Placement::from_raw(vec![addrs], vec![main], 4100, 4100);
+
+        let prof = Profiler::new().runs(2).profile(&p);
+        let ctx = Context::program_only(&p)
+            .with_profile(&prof)
+            .with_placement(&placement)
+            .with_conflict(ConflictConfig {
+                hot_fraction: 0.0,
+                ..ConflictConfig::default()
+            });
+        let diags = ConflictPressure.run(&ctx);
+        assert_eq!(diags.len(), MAX_REPORTS + 1);
+        assert_eq!(
+            diags[MAX_REPORTS].message,
+            "2 more conflicted set(s) not shown (only the 8 heaviest sets are listed)"
+        );
     }
 
     #[test]

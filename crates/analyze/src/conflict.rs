@@ -25,7 +25,7 @@ use impact_ir::{FuncId, Program, Terminator};
 use impact_layout::placement::Placement;
 use impact_profile::Profile;
 
-use crate::cache::ConflictConfig;
+use crate::cache::{ConflictConfig, MAX_REPORTS};
 use crate::diag::{Diagnostic, Location};
 use crate::flow::{Dominators, LoopForest, NaturalLoop};
 use crate::pass::{Context, Pass};
@@ -77,7 +77,7 @@ impl Pass for LoopFootprint {
                 }
             }
         }
-        out.truncate(cfg.max_reports);
+        out.truncate(MAX_REPORTS);
         out
     }
 }
@@ -192,7 +192,7 @@ impl Pass for LoopInterference {
                             cfg.cache_bytes
                         ),
                     ));
-                    if out.len() >= cfg.max_reports {
+                    if out.len() >= MAX_REPORTS {
                         break 'scan;
                     }
                 }

@@ -1,8 +1,9 @@
 //! Pass-based static analysis and lints for the IMPACT-I pipeline.
 //!
-//! The reproduction's artifacts — [`Program`]s, [`Profile`]s, trace
-//! assignments, and [`Placement`]s — obey invariants
-//! that the rest of the codebase mostly asserts in tests or not at all.
+//! The reproduction's artifacts — [`Program`]s,
+//! [`Profile`](impact_profile::Profile)s, trace assignments, and
+//! [`Placement`]s — obey invariants that the rest of the codebase
+//! mostly asserts in tests or not at all.
 //! This crate makes them first-class: each invariant is a [`Pass`] with a
 //! stable diagnostic code, and a [`Registry`] runs passes over a
 //! [`Context`] to produce a [`Report`] renderable as text or JSON.
@@ -73,7 +74,7 @@ pub use conflict::{estimate_miss_bound, MissBound};
 pub use diag::{reports_to_json, Diagnostic, Location, Report, Severity};
 pub use freq::StaticProfiler;
 pub use pass::{Context, Pass, Registry};
-pub use score::{score_placement, PlacementScorer, Score, ScoreCard, ScoreConfig};
+pub use score::{score_placement, ScoreCard};
 
 /// Version stamp of every JSON document this crate renders for the CLI
 /// and the HTTP service (`impact analyze`/`impact advise` `--json`,
@@ -87,23 +88,11 @@ use impact_layout::pipeline::{
     PipelineResult,
 };
 use impact_layout::placement::Placement;
-use impact_profile::Profile;
 
 /// Lints a finished pipeline run with the standard registry.
 #[must_use]
 pub fn lint_result(result: &PipelineResult) -> Report {
     Registry::standard().run(&Context::of_result(result))
-}
-
-/// Lints a bare program (plus optional profile) with the program-level
-/// registry — usable before any layout exists.
-#[must_use]
-pub fn lint_program(program: &Program, profile: Option<&Profile>) -> Report {
-    let mut ctx = Context::program_only(program);
-    if let Some(p) = profile {
-        ctx = ctx.with_profile(p);
-    }
-    Registry::program_lints().run(&ctx)
 }
 
 /// Verifies a placement against a program, explaining every violation.
@@ -229,7 +218,7 @@ pub fn analyze_static(
         &result.program,
         &result.profile,
         &result.placement,
-        score_config_for(conflict),
+        conflict.line_bytes,
     );
     Ok(StaticAnalysis {
         result,
@@ -237,16 +226,6 @@ pub fn analyze_static(
         miss_bound,
         scores,
     })
-}
-
-/// The scoring geometry implied by a conflict configuration: the same
-/// cache line size, everything else at the scorers' defaults.
-#[must_use]
-pub fn score_config_for(conflict: ConflictConfig) -> ScoreConfig {
-    ScoreConfig {
-        line_bytes: conflict.line_bytes,
-        ..ScoreConfig::default()
-    }
 }
 
 fn scores_json(scores: ScoreCard) -> impact_support::json::Json {
@@ -319,7 +298,7 @@ impl Advice {
             &result.program,
             &result.profile,
             baseline,
-            score_config_for(conflict),
+            conflict.line_bytes,
         );
         let ctx = Context::program_only(&result.program)
             .with_profile(&result.profile)
@@ -474,7 +453,7 @@ mod tests {
     #[test]
     fn lint_program_runs_without_layout_artifacts() {
         let w = impact_workloads::by_name("cmp").expect("cmp exists");
-        let report = lint_program(&w.program, None);
+        let report = Registry::program_lints().run(&Context::program_only(&w.program));
         assert!(report.is_clean(), "{}", report.render());
     }
 

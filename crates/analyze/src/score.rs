@@ -4,22 +4,24 @@
 //! Two cost models judge a materialized [`Placement`] from weighted
 //! transfers alone (measured `Profile` or `StaticProfiler` estimate):
 //!
-//! * [`ExtTsp`] — the extended-TSP objective of Newell & Pupyrev
+//! * **ExtTSP** — the extended-TSP objective of Newell & Pupyrev
 //!   ("Improved Basic Block Reordering"): a fall-through earns full
 //!   credit, a short forward or backward jump earns a small credit that
 //!   decays linearly with distance, everything else earns nothing.
 //!   This is the objective modern basic-block reorderers maximize.
-//! * [`DistanceTier`] — a Codestitcher-style collocation model: every
+//! * **Distance tier** — a Codestitcher-style collocation model: every
 //!   weighted transfer (branches *and* calls) is bucketed by the
 //!   separation of its endpoints — same cache line, same page, or far —
 //!   and earns the tier's credit. This rewards inter-procedural
 //!   locality that ExtTSP's window deliberately ignores.
 //!
-//! Both scorers report achieved credit against the maximum the same
-//! transfers could earn under a perfect layout, so [`Score::normalized`]
-//! is comparable across placements of the *same* program and profile.
-//! Scores of different programs (e.g. inlined vs not) are comparable
-//! only as ranks, which is exactly how validation table 17 uses them.
+//! Windows, page size and credits are fixed; only the cache line size
+//! varies (with the analyzed cache). Both scorers report achieved
+//! credit against the maximum the same transfers could earn under a
+//! perfect layout, so a [`ScoreCard`] is comparable across placements
+//! of the *same* program and profile. Scores of different programs
+//! (e.g. inlined vs not) are comparable only as ranks, which is exactly
+//! how validation table 17 uses them.
 //!
 //! The shared transfer enumeration lives in `impact_layout::quality`
 //! ([`for_each_weighted_arc`]) so the pipeline's trace-quality metrics
@@ -30,68 +32,37 @@ use impact_layout::quality::for_each_weighted_arc;
 use impact_layout::Placement;
 use impact_profile::Profile;
 
-/// Geometry and credit parameters shared by the scorers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreConfig {
-    /// Forward-jump credit window in bytes (ExtTSP).
-    pub forward_window: u64,
-    /// Backward-jump credit window in bytes (ExtTSP).
-    pub backward_window: u64,
-    /// Peak credit of a non-fall-through transfer (ExtTSP).
-    pub jump_credit: f64,
-    /// Cache line size in bytes (distance tiers).
-    pub line_bytes: u64,
-    /// Page size in bytes (distance tiers).
-    pub page_bytes: u64,
-    /// Credit when both endpoints share a cache line.
-    pub same_line_credit: f64,
-    /// Credit when both endpoints share a page but not a line.
-    pub same_page_credit: f64,
-}
-
-impl Default for ScoreConfig {
-    fn default() -> Self {
-        Self {
-            forward_window: 1024,
-            backward_window: 640,
-            jump_credit: 0.1,
-            line_bytes: 64,
-            page_bytes: 4096,
-            same_line_credit: 1.0,
-            same_page_credit: 0.2,
-        }
-    }
-}
-
-impl ScoreConfig {
-    /// `true` when the tier geometry is degenerate (zero-sized line or
-    /// page, or a page smaller than a line). Scorers return a zero
-    /// score instead of dividing by zero; IPA201 owns reporting the
-    /// configuration error.
-    #[must_use]
-    pub fn bad_geometry(&self) -> bool {
-        self.line_bytes == 0 || self.page_bytes < self.line_bytes
-    }
-}
+/// ExtTSP: forward-jump credit window in bytes.
+const FORWARD_WINDOW: u64 = 1024;
+/// ExtTSP: backward-jump credit window in bytes.
+const BACKWARD_WINDOW: u64 = 640;
+/// ExtTSP: peak credit of a non-fall-through transfer.
+const JUMP_CREDIT: f64 = 0.1;
+/// Distance tiers: page size in bytes.
+const PAGE_BYTES: u64 = 4096;
+/// Distance tiers: credit when both endpoints share a cache line.
+const SAME_LINE_CREDIT: f64 = 1.0;
+/// Distance tiers: credit when both endpoints share a page but not a
+/// line.
+const SAME_PAGE_CREDIT: f64 = 0.2;
 
 /// A placement's achieved credit against the best the same weighted
 /// transfers could earn.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Score {
+struct Score {
     /// Credit earned by this placement.
-    pub credit: f64,
+    credit: f64,
     /// Credit a perfect placement of the same transfers would earn
     /// (every fall-through-eligible arc adjacent, every other transfer
     /// at its best tier). Unachievable when hot blocks have several hot
     /// successors, so [`Score::normalized`] is an upper-bound fraction.
-    pub max_credit: f64,
+    max_credit: f64,
 }
 
 impl Score {
     /// Achieved fraction of the maximum credit, in `[0, 1]`; zero when
     /// no weighted transfer exists.
-    #[must_use]
-    pub fn normalized(&self) -> f64 {
+    fn normalized(&self) -> f64 {
         if self.max_credit > 0.0 {
             self.credit / self.max_credit
         } else {
@@ -163,103 +134,70 @@ fn for_each_placed_transfer<F: FnMut(PlacedTransfer)>(
     }
 }
 
-/// A closed-form judge of placement quality.
-pub trait PlacementScorer {
-    /// Stable lower-case name used in JSON documents and table rows.
-    fn name(&self) -> &'static str;
-
-    /// Scores `placement` for `program` under `profile`'s weights.
-    fn score(&self, program: &Program, profile: &Profile, placement: &Placement) -> Score;
+/// ExtTSP credit multiplier (in `[0, 1]`) for one transfer.
+fn ext_tsp_credit(t: &PlacedTransfer) -> f64 {
+    if t.fall_through_eligible && t.dst == t.src_end {
+        return 1.0;
+    }
+    if t.dst >= t.src_end {
+        let d = t.dst - t.src_end;
+        if d < FORWARD_WINDOW {
+            return JUMP_CREDIT * (1.0 - d as f64 / FORWARD_WINDOW as f64);
+        }
+    } else {
+        let d = t.src_end - t.dst;
+        if d < BACKWARD_WINDOW {
+            return JUMP_CREDIT * (1.0 - d as f64 / BACKWARD_WINDOW as f64);
+        }
+    }
+    0.0
 }
 
 /// The extended-TSP objective: fall-throughs earn `weight`, short
-/// jumps earn `jump_credit * weight` decayed linearly over the
+/// jumps earn `JUMP_CREDIT * weight` decayed linearly over the
 /// forward/backward window, far transfers earn nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExtTsp {
-    /// Windows and credits.
-    pub config: ScoreConfig,
-}
-
-impl ExtTsp {
-    /// Credit multiplier (in `[0, 1]`) for one transfer.
-    fn credit(&self, t: &PlacedTransfer) -> f64 {
-        let c = &self.config;
-        if t.fall_through_eligible && t.dst == t.src_end {
-            return 1.0;
-        }
-        if t.dst >= t.src_end {
-            let d = t.dst - t.src_end;
-            if d < c.forward_window {
-                return c.jump_credit * (1.0 - d as f64 / c.forward_window as f64);
-            }
+fn ext_tsp(program: &Program, profile: &Profile, placement: &Placement) -> Score {
+    let mut s = Score::default();
+    for_each_placed_transfer(program, profile, placement, |t| {
+        s.credit += ext_tsp_credit(&t) * t.weight;
+        s.max_credit += if t.fall_through_eligible {
+            t.weight
         } else {
-            let d = t.src_end - t.dst;
-            if d < c.backward_window {
-                return c.jump_credit * (1.0 - d as f64 / c.backward_window as f64);
-            }
-        }
-        0.0
-    }
-}
-
-impl PlacementScorer for ExtTsp {
-    fn name(&self) -> &'static str {
-        "exttsp"
-    }
-
-    fn score(&self, program: &Program, profile: &Profile, placement: &Placement) -> Score {
-        if self.config.forward_window == 0 || self.config.backward_window == 0 {
-            return Score::default();
-        }
-        let mut s = Score::default();
-        for_each_placed_transfer(program, profile, placement, |t| {
-            s.credit += self.credit(&t) * t.weight;
-            s.max_credit += if t.fall_through_eligible {
-                t.weight
-            } else {
-                self.config.jump_credit * t.weight
-            };
-        });
-        s
-    }
+            JUMP_CREDIT * t.weight
+        };
+    });
+    s
 }
 
 /// Codestitcher-style distance tiers: every weighted transfer earns the
-/// credit of the tier its endpoint separation falls into (same line,
-/// same page, far).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DistanceTier {
-    /// Tier geometry and credits.
-    pub config: ScoreConfig,
-}
-
-impl PlacementScorer for DistanceTier {
-    fn name(&self) -> &'static str {
-        "tier"
+/// credit of the tier its endpoint separation falls into (same line of
+/// `line_bytes`, same page, far). A degenerate line (zero, or larger
+/// than a page) scores zero instead of dividing by zero; IPA201 owns
+/// reporting the configuration error.
+fn distance_tier(
+    program: &Program,
+    profile: &Profile,
+    placement: &Placement,
+    line_bytes: u64,
+) -> Score {
+    if line_bytes == 0 || PAGE_BYTES < line_bytes {
+        return Score::default();
     }
-
-    fn score(&self, program: &Program, profile: &Profile, placement: &Placement) -> Score {
-        let c = self.config;
-        if c.bad_geometry() {
-            return Score::default();
-        }
-        let mut s = Score::default();
-        for_each_placed_transfer(program, profile, placement, |t| {
-            // The transfer leaves from the source's last instruction.
-            let src = t.src_end - BYTES_PER_INSTR;
-            let credit = if src / c.line_bytes == t.dst / c.line_bytes {
-                c.same_line_credit
-            } else if src / c.page_bytes == t.dst / c.page_bytes {
-                c.same_page_credit
-            } else {
-                0.0
-            };
-            s.credit += credit * t.weight;
-            s.max_credit += c.same_line_credit * t.weight;
-        });
-        s
-    }
+    let mut s = Score::default();
+    for_each_placed_transfer(program, profile, placement, |t| {
+        // The transfer leaves from the source's last instruction.
+        let src = t.src_end - BYTES_PER_INSTR;
+        let credit = if src / line_bytes == t.dst / line_bytes {
+            SAME_LINE_CREDIT
+        } else if src / PAGE_BYTES == t.dst / PAGE_BYTES {
+            SAME_PAGE_CREDIT
+        } else {
+            0.0
+        };
+        s.credit += credit * t.weight;
+        s.max_credit += SAME_LINE_CREDIT * t.weight;
+    });
+    s
 }
 
 /// Both scorers' normalized results for one placement, as surfaced in
@@ -272,21 +210,18 @@ pub struct ScoreCard {
     pub tier: f64,
 }
 
-/// Runs both scorers at `config` over one placement.
+/// Runs both scorers over one placement, with distance tiers at
+/// `line_bytes` cache lines.
 #[must_use]
 pub fn score_placement(
     program: &Program,
     profile: &Profile,
     placement: &Placement,
-    config: ScoreConfig,
+    line_bytes: u64,
 ) -> ScoreCard {
     ScoreCard {
-        exttsp: ExtTsp { config }
-            .score(program, profile, placement)
-            .normalized(),
-        tier: DistanceTier { config }
-            .score(program, profile, placement)
-            .normalized(),
+        exttsp: ext_tsp(program, profile, placement).normalized(),
+        tier: distance_tier(program, profile, placement, line_bytes).normalized(),
     }
 }
 
@@ -327,15 +262,14 @@ mod tests {
         let p = program();
         let prof = Profiler::new().runs(4).profile(&p);
         let placement = baseline::natural(&p);
-        for scorer in [
-            &ExtTsp::default() as &dyn PlacementScorer,
-            &DistanceTier::default(),
+        for (name, s) in [
+            ("exttsp", ext_tsp(&p, &prof, &placement)),
+            ("tier", distance_tier(&p, &prof, &placement, 64)),
         ] {
-            let s = scorer.score(&p, &prof, &placement);
-            assert!(s.max_credit > 0.0, "{}: {s:?}", scorer.name());
-            assert!(s.credit <= s.max_credit + 1e-9, "{}: {s:?}", scorer.name());
+            assert!(s.max_credit > 0.0, "{name}: {s:?}");
+            assert!(s.credit <= s.max_credit + 1e-9, "{name}: {s:?}");
             let n = s.normalized();
-            assert!((0.0..=1.0).contains(&n), "{}: {n}", scorer.name());
+            assert!((0.0..=1.0).contains(&n), "{name}: {n}");
         }
     }
 
@@ -345,11 +279,11 @@ mod tests {
         // adjacent) must beat a random shuffle on average.
         let p = program();
         let prof = Profiler::new().runs(4).profile(&p);
-        let natural = score_placement(&p, &prof, &baseline::natural(&p), ScoreConfig::default());
+        let natural = score_placement(&p, &prof, &baseline::natural(&p), 64);
         let mut worse = 0;
         for seed in 0..8u64 {
             let shuffled = baseline::random(&p, seed);
-            let s = score_placement(&p, &prof, &shuffled, ScoreConfig::default());
+            let s = score_placement(&p, &prof, &shuffled, 64);
             if s.exttsp <= natural.exttsp + 1e-12 {
                 worse += 1;
             }
@@ -373,21 +307,19 @@ mod tests {
         pb.set_entry(id);
         let p = pb.finish().unwrap();
         let prof = Profiler::new().runs(1).profile(&p);
-        let s = ExtTsp::default().score(&p, &prof, &baseline::natural(&p));
-        assert!((s.normalized() - 1.0).abs() < 1e-12, "{s:?}");
-        let t = DistanceTier::default().score(&p, &prof, &baseline::natural(&p));
-        assert!((t.normalized() - 1.0).abs() < 1e-12, "{t:?}");
+        let s = score_placement(&p, &prof, &baseline::natural(&p), 64);
+        assert!((s.exttsp - 1.0).abs() < 1e-12, "{s:?}");
+        assert!((s.tier - 1.0).abs() < 1e-12, "{s:?}");
     }
 
     #[test]
     fn bad_geometry_scores_zero() {
         let p = program();
         let prof = Profiler::new().runs(1).profile(&p);
-        let cfg = ScoreConfig {
-            line_bytes: 0,
-            ..ScoreConfig::default()
-        };
-        let s = DistanceTier { config: cfg }.score(&p, &prof, &baseline::natural(&p));
-        assert_eq!(s, Score::default());
+        let natural = baseline::natural(&p);
+        for line_bytes in [0, 2 * PAGE_BYTES] {
+            let s = distance_tier(&p, &prof, &natural, line_bytes);
+            assert_eq!(s, Score::default(), "{line_bytes} B lines");
+        }
     }
 }

@@ -536,7 +536,7 @@ mod tests {
     fn parses_minimal_program() {
         let p = parse_ok("program entry=main\nfn main {\n b:\n  exit\n}\n");
         assert_eq!(p.function_count(), 1);
-        assert_eq!(p.total_instrs(), 1);
+        assert_eq!(p.total_bytes(), 4, "one exit slot");
     }
 
     #[test]

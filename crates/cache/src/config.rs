@@ -33,20 +33,9 @@ pub enum FillPolicy {
     Partial,
 }
 
-/// Which resident block a fill evicts (within a set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Replacement {
-    /// Least recently used (the policy of Smith's studies and the
-    /// paper's comparisons).
-    #[default]
-    Lru,
-    /// First in, first out (insertion order; hits do not refresh).
-    Fifo,
-    /// Pseudo-random victim (seeded, deterministic per simulation).
-    Random,
-}
-
-/// Full description of a simulated instruction cache.
+/// Full description of a simulated instruction cache. Replacement is
+/// always least recently used, the policy of Smith's studies and the
+/// paper's comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total data store size in bytes (power of two).
@@ -57,8 +46,6 @@ pub struct CacheConfig {
     pub associativity: Associativity,
     /// Miss fill policy.
     pub fill: FillPolicy,
-    /// Replacement policy (irrelevant for direct-mapped caches).
-    pub replacement: Replacement,
 }
 
 /// An invalid cache configuration.
@@ -101,7 +88,6 @@ impl CacheConfig {
             block_bytes,
             associativity: Associativity::Direct,
             fill: FillPolicy::FullBlock,
-            replacement: Replacement::Lru,
         }
     }
 
@@ -114,7 +100,6 @@ impl CacheConfig {
             block_bytes,
             associativity: Associativity::Full,
             fill: FillPolicy::FullBlock,
-            replacement: Replacement::Lru,
         }
     }
 
@@ -129,13 +114,6 @@ impl CacheConfig {
     #[must_use]
     pub fn with_associativity(mut self, assoc: Associativity) -> Self {
         self.associativity = assoc;
-        self
-    }
-
-    /// Replaces the replacement policy.
-    #[must_use]
-    pub fn with_replacement(mut self, replacement: Replacement) -> Self {
-        self.replacement = replacement;
         self
     }
 

@@ -3,11 +3,10 @@
 //!
 //! A [`MultiLane`] runs each configuration in one of three ways:
 //!
-//! * **Set-refinement kernel.** Configs with whole-block fill and either
-//!   LRU replacement or one way per set (where replacement is moot),
-//!   sharing a block size and an associativity, run as one group sorted
-//!   by set count. Bit-selection indexing with power-of-two set counts
-//!   makes every set of the larger cache a refinement of a set of the
+//! * **Set-refinement kernel.** Configs with whole-block fill, sharing
+//!   a block size and an associativity, run as one group sorted by set
+//!   count. Bit-selection indexing with power-of-two set counts makes
+//!   every set of the larger cache a refinement of a set of the
 //!   smaller, and under LRU a set holds the `w` most recently used
 //!   blocks mapping to it, so each larger cache holds every block a
 //!   smaller one holds (Hill and Smith, "Evaluating Associativity in CPU
@@ -17,16 +16,16 @@
 //!   array of line addresses, and with more than one way a hit also
 //!   refreshes the line in the larger caches until one already holds it
 //!   most recently used.
-//! * **Stack kernel.** Fully associative LRU configs with whole-block
-//!   fill and one block size run as one LRU move-to-front stack, bounded
-//!   by the largest capacity: a line's depth `d` in the stack is its
+//! * **Stack kernel.** Fully associative configs with whole-block fill
+//!   and one block size run as one LRU move-to-front stack, bounded by
+//!   the largest capacity: a line's depth `d` in the stack is its
 //!   reuse distance, and every cache of capacity `≤ d` blocks misses
 //!   (Mattson, Gecsei, Slutz and Traiger, "Evaluation techniques for
 //!   storage hierarchies", IBM Systems Journal 1970). A bounded list
 //!   measured 3.5× faster than a Fenwick tree over last-use times on
 //!   Table 1's capacities, where most reuse is shallow.
-//! * **Cache lane.** Every other config (partial or sectored fill, FIFO
-//!   or random replacement across several ways) is its own [`Cache`].
+//! * **Cache lane.** Every config with partial or sectored fill is its
+//!   own [`Cache`].
 //!
 //! Both kernels report only `m`, how many of their caches missed on a
 //! line span, and under inclusion those are always the `m` smallest: a
@@ -47,7 +46,7 @@
 //! runs and, for a qualifying sweep, one inclusion probe per line span
 //! instead of one per config.
 
-use crate::config::{Associativity, FillPolicy, Replacement};
+use crate::config::{Associativity, FillPolicy};
 use crate::sim::{AccessSink, Cache, WORD_SHIFT};
 use crate::stats::CacheStats;
 use crate::{CacheConfig, WORD_BYTES};
@@ -75,12 +74,9 @@ enum KernelKind {
 }
 
 impl KernelKind {
-    /// The kernel `config` qualifies for: whole-block fill, and LRU or a
-    /// single way (where the replacement policy makes no difference).
+    /// The kernel `config` qualifies for: any with whole-block fill.
     fn of(config: &CacheConfig) -> Option<Self> {
-        if config.fill != FillPolicy::FullBlock
-            || (config.ways() > 1 && config.replacement != Replacement::Lru)
-        {
+        if config.fill != FillPolicy::FullBlock {
             return None;
         }
         Some(match config.associativity {
@@ -518,9 +514,9 @@ mod tests {
             CacheConfig::direct_mapped(1024, 64).with_associativity(Associativity::Ways(2));
         let lanes = MultiLane::new([
             CacheConfig::direct_mapped(512, 64),
-            CacheConfig::direct_mapped(512, 64).with_replacement(Replacement::Random),
+            CacheConfig::direct_mapped(512, 64),
             two_way,
-            two_way.with_replacement(Replacement::Fifo),
+            two_way.with_fill(FillPolicy::Sectored { sector_bytes: 16 }),
             CacheConfig::fully_associative(512, 64),
             CacheConfig::direct_mapped(512, 64).with_fill(FillPolicy::Partial),
         ]);
@@ -536,12 +532,12 @@ mod tests {
         assert_eq!(
             lanes.kernels[0].sizes,
             [8],
-            "moot replacement shares a cache"
+            "a repeated config shares a cache"
         );
         assert_eq!(
             lanes.caches.len(),
             2,
-            "FIFO 2-way and partial fill stay lanes"
+            "sectored and partial fills stay lanes"
         );
     }
 

@@ -46,7 +46,7 @@ mod stats;
 mod timing;
 mod victim;
 
-pub use config::{Associativity, CacheConfig, ConfigError, FillPolicy, Replacement};
+pub use config::{Associativity, CacheConfig, ConfigError, FillPolicy};
 pub use lanes::MultiLane;
 pub use prefetch::NextLinePrefetcher;
 pub use sim::{AccessSink, Cache, FnSink};

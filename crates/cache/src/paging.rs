@@ -250,7 +250,6 @@ pub struct WorkingSetTracker {
     last_access: std::collections::HashMap<u64, u64>,
     samples: u64,
     sample_sum: u64,
-    peak: u64,
 }
 
 impl WorkingSetTracker {
@@ -272,7 +271,6 @@ impl WorkingSetTracker {
             last_access: std::collections::HashMap::new(),
             samples: 0,
             sample_sum: 0,
-            peak: 0,
         }
     }
 
@@ -286,18 +284,11 @@ impl WorkingSetTracker {
         }
     }
 
-    /// Largest sampled working set, in pages.
-    #[must_use]
-    pub fn peak_pages(&self) -> u64 {
-        self.peak
-    }
-
     fn sample(&mut self) {
         let horizon = self.clock.saturating_sub(self.window);
         let ws = self.last_access.values().filter(|&&t| t > horizon).count() as u64;
         self.samples += 1;
         self.sample_sum += ws;
-        self.peak = self.peak.max(ws);
     }
 }
 
@@ -417,10 +408,17 @@ mod tests {
     #[test]
     fn working_set_of_a_loop_is_its_page_count() {
         let mut ws = WorkingSetTracker::new(512, 1000);
+        // The largest sample, read off each new sample's addition to
+        // the running sum.
+        let mut peak = 0;
         for _ in 0..100 {
             for p in 0..3u64 {
                 for w in 0..16u64 {
+                    let (samples, sum) = (ws.samples, ws.sample_sum);
                     ws.access(p * 512 + w * 4);
+                    if ws.samples > samples {
+                        peak = peak.max(ws.sample_sum - sum);
+                    }
                 }
             }
         }
@@ -429,7 +427,7 @@ mod tests {
             (2.9..=3.0).contains(&mean),
             "3-page loop should have ~3-page working set, got {mean}"
         );
-        assert_eq!(ws.peak_pages(), 3);
+        assert_eq!(peak, 3);
     }
 
     #[test]

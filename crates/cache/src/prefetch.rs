@@ -25,10 +25,6 @@ pub struct NextLinePrefetcher {
     last_trigger: Option<u64>,
     /// Lines fetched by prefetch rather than demand.
     prefetches: u64,
-    /// Prefetched lines that were later demanded (usefulness).
-    useful_prefetches: u64,
-    /// Lines currently resident due to an un-demanded prefetch.
-    pending: std::collections::HashSet<u64>,
 }
 
 impl NextLinePrefetcher {
@@ -39,8 +35,6 @@ impl NextLinePrefetcher {
             cache,
             last_trigger: None,
             prefetches: 0,
-            useful_prefetches: 0,
-            pending: std::collections::HashSet::new(),
         }
     }
 
@@ -57,16 +51,6 @@ impl NextLinePrefetcher {
         self.prefetches
     }
 
-    /// Fraction of prefetched lines that were later demanded.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        if self.prefetches == 0 {
-            0.0
-        } else {
-            self.useful_prefetches as f64 / self.prefetches as f64
-        }
-    }
-
     /// Consumes the wrapper, returning the cache.
     #[must_use]
     pub fn into_cache(self) -> Cache {
@@ -75,23 +59,12 @@ impl NextLinePrefetcher {
 }
 
 impl NextLinePrefetcher {
-    /// The first demand access to a line within a run: it settles the
-    /// line's `pending` membership and fires the tagged trigger.
+    /// The first demand access to a line within a run: it fires the
+    /// tagged trigger.
     fn first_touch(&mut self, addr: u64) {
         let block_bytes = self.cache.config().block_bytes;
         let line = addr / block_bytes;
-
-        // Demand access. Misses on a pending prefetched line cannot
-        // happen (the line is resident); count usefulness instead.
-        let before = self.cache.raw_misses();
         self.cache.access(addr);
-        let missed = self.cache.raw_misses() > before;
-        if !missed && self.pending.remove(&line) {
-            self.useful_prefetches += 1;
-        }
-        if missed {
-            self.pending.remove(&line);
-        }
 
         // Tagged trigger: first touch of a line prefetches the next one.
         if self.last_trigger != Some(line) {
@@ -100,7 +73,6 @@ impl NextLinePrefetcher {
             let (was_absent, _) = self.cache.prefetch_fill(next * block_bytes);
             if was_absent {
                 self.prefetches += 1;
-                self.pending.insert(next);
             }
         }
     }
@@ -110,8 +82,8 @@ impl AccessSink for NextLinePrefetcher {
     fn access_run(&mut self, addr: u64, words: u64) {
         // Per line, only the first access can change the prefetcher's own
         // state. Later words of the same line see `last_trigger ==
-        // Some(line)` and an already-settled pending set, so they reduce
-        // to plain cache accesses and batch as one run.
+        // Some(line)`, so they reduce to plain cache accesses and batch
+        // as one run.
         let block_bytes = self.cache.config().block_bytes;
         let words_per_block = block_bytes / crate::WORD_BYTES;
         let mut a = addr;
@@ -139,6 +111,19 @@ mod tests {
         NextLinePrefetcher::new(Cache::new(CacheConfig::direct_mapped(2048, 64)))
     }
 
+    /// Demand misses the prefetcher saved over the same cache without
+    /// it, per prefetched line: the fraction of prefetches that paid off.
+    fn accuracy(addrs: impl Iterator<Item = u64>) -> f64 {
+        let mut plain = Cache::new(CacheConfig::direct_mapped(2048, 64));
+        let mut p = prefetcher();
+        for a in addrs {
+            plain.access(a);
+            p.access(a);
+        }
+        let saved = plain.stats().misses as f64 - p.stats().misses as f64;
+        saved / p.prefetches() as f64
+    }
+
     #[test]
     fn sequential_code_misses_once_then_rides_prefetch() {
         let mut p = prefetcher();
@@ -151,7 +136,8 @@ mod tests {
         assert_eq!(s.misses, 1, "{s:?}");
         assert_eq!(s.accesses, 256);
         assert!(p.prefetches() >= 15);
-        assert!(p.accuracy() > 0.9, "accuracy {}", p.accuracy());
+        let accuracy = accuracy((0..256u64).map(|i| i * 4));
+        assert!(accuracy > 0.9, "accuracy {accuracy}");
     }
 
     #[test]
@@ -181,11 +167,8 @@ mod tests {
 
     #[test]
     fn useless_prefetches_lower_accuracy() {
-        let mut p = prefetcher();
         // Touch isolated lines 4 apart: next-line prefetches never used.
-        for i in 0..20u64 {
-            p.access(i * 256);
-        }
-        assert!(p.accuracy() < 0.1, "accuracy {}", p.accuracy());
+        let accuracy = accuracy((0..20u64).map(|i| i * 256));
+        assert!(accuracy < 0.1, "accuracy {accuracy}");
     }
 }

@@ -1,4 +1,6 @@
-//! The cache simulator core.
+//! The cache simulator core: one [`Cache`] per configuration, for any
+//! fill policy and associativity. Replacement is always LRU; a set's
+//! victim is its way with the oldest last-touch stamp.
 
 use crate::config::{CacheConfig, FillPolicy};
 use crate::stats::{CacheStats, ExecRunTracker};
@@ -85,8 +87,6 @@ pub struct Cache {
     full_mask: u64,
     /// Direct-mapped with whole-block fill: the monomorphized fast path.
     fast_path: bool,
-    /// Demand hits refresh recency (LRU only).
-    lru_refresh: bool,
 }
 
 /// `log2(WORD_BYTES)`.
@@ -129,7 +129,6 @@ impl Cache {
             full_mask: Self::word_mask(0, words_per_block),
             fast_path: matches!(config.associativity, crate::Associativity::Direct)
                 && matches!(config.fill, FillPolicy::FullBlock),
-            lru_refresh: matches!(config.replacement, crate::Replacement::Lru),
         }
     }
 
@@ -196,20 +195,6 @@ impl Cache {
         h.finish()
     }
 
-    /// Resets counters and contents.
-    pub fn reset(&mut self) {
-        for w in &mut self.ways {
-            *w = Way {
-                tag: EMPTY,
-                valid: 0,
-                lru: 0,
-            };
-        }
-        self.stamp = 0;
-        self.stats = CacheStats::default();
-        self.tracker = ExecRunTracker::default();
-    }
-
     /// Mask of valid bits covering `count` words starting at `start`.
     fn word_mask(start: u64, count: u64) -> u64 {
         debug_assert!(start + count <= 64);
@@ -220,35 +205,15 @@ impl Cache {
         }
     }
 
-    /// Index of the way a block miss in `ways` evicts, decided with the
-    /// missing access's `stamp`. An empty way always wins (its stamp is
-    /// 0, and `Random` takes the first one).
+    /// Index of the least recently used way in `ways`, the one a block
+    /// miss evicts. An empty way always wins (its stamp is 0).
     #[inline]
-    fn victim(ways: &[Way], replacement: crate::Replacement, stamp: u64) -> usize {
-        match replacement {
-            // LRU refreshes stamps on hits, FIFO only at insertion; the
-            // victim choice is identical given the stamps.
-            crate::Replacement::Lru | crate::Replacement::Fifo => {
-                ways.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| if w.tag == EMPTY { 0 } else { w.lru })
-                    .expect("caches have at least one way")
-                    .0
-            }
-            crate::Replacement::Random => {
-                if let Some(empty) = ways.iter().position(|w| w.tag == EMPTY) {
-                    empty
-                } else {
-                    // xorshift on the running stamp: deterministic per
-                    // access sequence, well-spread across ways.
-                    let mut x = stamp ^ 0x9e37_79b9_7f4a_7c15;
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x % ways.len() as u64) as usize
-                }
-            }
-        }
+    fn victim(ways: &[Way]) -> usize {
+        ways.iter()
+            .enumerate()
+            .min_by_key(|(_, w)| if w.tag == EMPTY { 0 } else { w.lru })
+            .expect("caches have at least one way")
+            .0
     }
 
     /// Fetches the words the fill policy dictates; returns words fetched.
@@ -308,7 +273,7 @@ impl Cache {
             // Word miss on a resident block (sectored / partial fills).
             Some(i) => i,
             None => {
-                let i = Self::victim(ways, self.config.replacement, self.stamp);
+                let i = Self::victim(ways);
                 ways[i] = Way {
                     tag,
                     valid: 0,
@@ -342,19 +307,14 @@ impl Cache {
         self.stamp = s0 + n;
         self.stats.accesses += n;
         let way = &mut self.ways[set];
+        // Word-by-word, every access would refresh recency; only the
+        // final stamp survives.
+        way.lru = s0 + n;
         if way.tag == tag {
-            // Word-by-word, every access would refresh recency; only the
-            // final stamp survives.
-            if self.lru_refresh {
-                way.lru = s0 + n;
-            }
             self.tracker.observe_hits(addr, n, &mut self.stats);
         } else {
             way.tag = tag;
             way.valid = self.full_mask;
-            // Insertion stamps the first access; LRU then refreshes on
-            // each of the n-1 following hits.
-            way.lru = if self.lru_refresh { s0 + n } else { s0 + 1 };
             self.stats.misses += 1;
             self.stats.words_fetched += self.words_per_block;
             self.tracker.observe(addr, true, &mut self.stats);
@@ -367,8 +327,8 @@ impl Cache {
     /// line, general organization: one tag probe (and at most one victim
     /// choice) per line, then a valid-bitmap walk that replays the
     /// per-word fill policy exactly — including `stamp` evolution, so
-    /// LRU/FIFO victim order and `Replacement::Random` draws do not
-    /// depend on how the stream is split into runs.
+    /// the LRU victim order does not depend on how the stream is split
+    /// into runs.
     fn line_run_general(&mut self, addr: u64, w0: u64, n: u64) {
         let block_addr = addr >> self.block_shift;
         let set = (block_addr & self.set_mask) as usize;
@@ -376,7 +336,6 @@ impl Cache {
         let fill = self.config.fill;
         let wpb = self.words_per_block;
         let ways_per_set = self.ways_per_set;
-        let lru_refresh = self.lru_refresh;
         let s0 = self.stamp;
         self.stamp = s0 + n;
         self.stats.accesses += n;
@@ -395,22 +354,18 @@ impl Cache {
         let idx = if let Some(i) = ways.iter().position(|w| w.tag == tag) {
             i
         } else {
-            // Block miss on the first word of the span: the victim is
-            // chosen with that access's stamp.
-            let stamp1 = s0 + 1;
-            let i = Self::victim(ways, self.config.replacement, stamp1);
+            // Block miss on the first word of the span.
+            let i = Self::victim(ways);
             ways[i] = Way {
                 tag,
                 valid: 0,
-                lru: stamp1,
+                lru: 0,
             };
             i
         };
         let way = &mut ways[idx];
-        if lru_refresh {
-            // Each demand access refreshes recency; the final stamp wins.
-            way.lru = s0 + n;
-        }
+        // Each demand access refreshes recency; the final stamp wins.
+        way.lru = s0 + n;
 
         let end = w0 + n;
         if way.valid & Self::word_mask(w0, n) == Self::word_mask(w0, n) {
@@ -612,16 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut c = Cache::new(CacheConfig::direct_mapped(1024, 64));
-        seq(&mut c, 0, 100);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-        c.access(0);
-        assert_eq!(c.stats().misses, 1, "contents were flushed too");
-    }
-
-    #[test]
     fn doc_example_loop_behavior() {
         let mut c = Cache::new(CacheConfig::direct_mapped(2048, 64));
         for _ in 0..100 {
@@ -633,59 +578,17 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits_when_choosing_victims() {
-        // 2-way set: insert A, B; re-touch A (refreshing LRU but not
-        // FIFO); insert C. LRU evicts B, FIFO evicts A.
-        let base = CacheConfig::direct_mapped(128, 64).with_associativity(Associativity::Ways(2));
-        let run = |cfg: CacheConfig| {
-            let mut c = Cache::new(cfg);
-            c.access(0); // A
-            c.access(64); // B
-            c.access(0); // touch A
-            c.access(128); // C evicts per policy
-            c.access(0); // hit under LRU, miss under FIFO
-            c.stats().misses
-        };
-        let lru = run(base);
-        let fifo = run(base.with_replacement(crate::Replacement::Fifo));
-        assert_eq!(lru, 3, "LRU keeps A resident");
-        assert_eq!(fifo, 4, "FIFO evicts A despite the touch");
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic_and_valid() {
-        let cfg = CacheConfig::direct_mapped(512, 64)
-            .with_associativity(Associativity::Ways(4))
-            .with_replacement(crate::Replacement::Random);
-        let addrs: Vec<u64> = (0..2000u64).map(|i| (i * 37 % 64) * 64).collect();
-        let run = |cfg: CacheConfig| {
-            let mut c = Cache::new(cfg);
-            for &a in &addrs {
-                c.access(a);
-            }
-            c.stats()
-        };
-        assert_eq!(run(cfg), run(cfg), "random policy must be reproducible");
-        let s = run(cfg);
-        assert!(s.misses > 8, "a 16-block working set must thrash 8 ways");
-        assert!(s.misses <= s.accesses);
-    }
-
-    #[test]
-    fn replacement_is_moot_for_direct_mapped() {
-        let addrs: Vec<u64> = (0..500u64).map(|i| (i * 13 % 100) * 64).collect();
-        let run = |r: crate::Replacement| {
-            let mut c = Cache::new(CacheConfig::direct_mapped(1024, 64).with_replacement(r));
-            for &a in &addrs {
-                c.access(a);
-            }
-            c.stats()
-        };
-        assert_eq!(run(crate::Replacement::Lru), run(crate::Replacement::Fifo));
-        assert_eq!(
-            run(crate::Replacement::Lru),
-            run(crate::Replacement::Random)
-        );
+    fn a_hit_refreshes_recency() {
+        // 2-way set: insert A, B; re-touch A; insert C. LRU evicts B,
+        // so A still hits.
+        let cfg = CacheConfig::direct_mapped(128, 64).with_associativity(Associativity::Ways(2));
+        let mut c = Cache::new(cfg);
+        c.access(0); // A
+        c.access(64); // B
+        c.access(0); // touch A
+        c.access(128); // C evicts B
+        c.access(0); // A hits
+        assert_eq!(c.stats().misses, 3, "LRU keeps A resident");
     }
 
     #[test]

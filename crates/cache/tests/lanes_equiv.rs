@@ -5,21 +5,18 @@
 //! over a run stream must produce exactly the [`CacheStats`] an
 //! independent [`ReferenceCache`] computes for each configuration, after
 //! every prefix of the stream. The grids cover every (fill policy ×
-//! associativity × replacement) combination, the size sweeps the
-//! kernels take (direct-mapped, 2- and 4-way LRU, Table 1's fully
+//! associativity) combination, the size sweeps the kernels take (direct-mapped, 2- and 4-way LRU, Table 1's fully
 //! associative grid) with non-qualifying configs interleaved so that
 //! construction order is exercised, and mixed block geometries.
 
 mod reference;
 
-use impact_cache::{
-    AccessSink, Associativity, CacheConfig, FillPolicy, MultiLane, Replacement, WORD_BYTES,
-};
+use impact_cache::{AccessSink, Associativity, CacheConfig, FillPolicy, MultiLane, WORD_BYTES};
 use impact_support::check;
 use impact_support::rng::Rng;
 use reference::ReferenceCache;
 
-/// Every (fill × associativity × replacement) combination at the paper's
+/// Every (fill × associativity) combination at the paper's
 /// 1 KB / 64 B geometry.
 fn config_grid() -> Vec<CacheConfig> {
     let fills = [
@@ -34,18 +31,14 @@ fn config_grid() -> Vec<CacheConfig> {
         Associativity::Ways(4),
         Associativity::Full,
     ];
-    let repls = [Replacement::Lru, Replacement::Fifo, Replacement::Random];
     let mut grid = Vec::new();
     for fill in fills {
         for assoc in assocs {
-            for repl in repls {
-                grid.push(
-                    CacheConfig::direct_mapped(1024, 64)
-                        .with_associativity(assoc)
-                        .with_fill(fill)
-                        .with_replacement(repl),
-                );
-            }
+            grid.push(
+                CacheConfig::direct_mapped(1024, 64)
+                    .with_associativity(assoc)
+                    .with_fill(fill),
+            );
         }
     }
     grid
@@ -87,9 +80,9 @@ fn interleaved(kernel: Vec<CacheConfig>, rng: &mut Rng) -> Vec<CacheConfig> {
     let last = kernel[kernel.len() - 1];
     let others = [
         last.with_associativity(Associativity::Ways(2))
-            .with_replacement(Replacement::Fifo),
+            .with_fill(FillPolicy::Sectored { sector_bytes: 8 }),
         last.with_associativity(Associativity::Ways(4))
-            .with_replacement(Replacement::Random),
+            .with_fill(FillPolicy::Partial),
         last.with_fill(FillPolicy::Partial),
         last.with_fill(FillPolicy::Sectored { sector_bytes: 16 }),
     ];

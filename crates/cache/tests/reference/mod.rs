@@ -13,14 +13,14 @@
 
 #![allow(dead_code)]
 
-use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, Replacement, WORD_BYTES};
+use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, WORD_BYTES};
 
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: Option<u64>,
     /// Bit `i` set ⇒ word `i` of the block is present.
     valid: u64,
-    /// Insertion stamp (FIFO) or last-touch stamp (LRU).
+    /// Last-touch stamp.
     stamp: u64,
 }
 
@@ -73,13 +73,11 @@ impl ReferenceCache {
 
         let way = match set.iter().position(|w| w.tag == Some(tag)) {
             Some(i) => {
-                if self.config.replacement == Replacement::Lru {
-                    set[i].stamp = self.clock;
-                }
+                set[i].stamp = self.clock;
                 i
             }
             None => {
-                let i = pick_victim(set, self.config.replacement, self.clock);
+                let i = pick_victim(set);
                 set[i] = Way {
                     tag: Some(tag),
                     valid: 0,
@@ -149,22 +147,12 @@ impl ReferenceCache {
 }
 
 /// The way a block miss replaces: the first empty way if there is one,
-/// else the oldest stamp (LRU/FIFO) or an xorshift draw seeded by the
-/// missing access's clock (Random).
-fn pick_victim(set: &[Way], replacement: Replacement, clock: u64) -> usize {
+/// else the least recently used.
+fn pick_victim(set: &[Way]) -> usize {
     if let Some(i) = set.iter().position(|w| w.tag.is_none()) {
         return i;
     }
-    match replacement {
-        Replacement::Lru | Replacement::Fifo => (0..set.len())
-            .min_by_key(|&i| set[i].stamp)
-            .expect("sets are non-empty"),
-        Replacement::Random => {
-            let mut x = clock ^ 0x9e37_79b9_7f4a_7c15;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % set.len() as u64) as usize
-        }
-    }
+    (0..set.len())
+        .min_by_key(|&i| set[i].stamp)
+        .expect("sets are non-empty")
 }

@@ -19,7 +19,7 @@
 //! checksum but was written by a different (future) layout still decodes
 //! to `None` instead of garbage.
 
-use impact_cache::{AccessSink, Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
+use impact_cache::{AccessSink, Associativity, CacheConfig, CacheStats, FillPolicy};
 use impact_ir::{Program, Terminator};
 use impact_layout::Placement;
 use impact_profile::ExecLimits;
@@ -118,11 +118,9 @@ pub fn result_cid(trace: &Cid, config: &CacheConfig) -> Cid {
         }
         FillPolicy::Partial => w.u8(2),
     }
-    match config.replacement {
-        Replacement::Lru => w.u8(0),
-        Replacement::Fifo => w.u8(1),
-        Replacement::Random => w.u8(2),
-    }
+    // The replacement tag: every cache is LRU, tag 0. Writing it keeps
+    // every key already in a store valid.
+    w.u8(0);
     w.finish()
 }
 
@@ -268,6 +266,44 @@ mod tests {
             res,
             result_cid(&trace, &CacheConfig::direct_mapped(1024, 64))
         );
+    }
+
+    /// Store keys must not move under a refactor, or every existing
+    /// store is orphaned: these are the keys the format has always
+    /// written.
+    #[test]
+    fn store_keys_are_pinned() {
+        let w = impact_workloads::by_name("wc").unwrap();
+        let trace = trace_key(&w.program, &baseline::natural(&w.program), 1, LIMITS);
+        assert_eq!(
+            trace.to_hex(),
+            "64f789c7d9f439debbfb70509e087cef8f1ca6aae571cbf72a41afccbd542774"
+        );
+        let dm = CacheConfig::direct_mapped(2048, 64);
+        for (config, hex) in [
+            (
+                dm,
+                "5101e9866a918c8af6351dd629b114ee312a31b5cf50c9a7b3e21718cc42fb58",
+            ),
+            (
+                dm.with_associativity(Associativity::Ways(2)),
+                "f6741c738d7ef0dae185097dcf31e014bdd3628b4579b0c04712db7b0c7c2c08",
+            ),
+            (
+                CacheConfig::fully_associative(2048, 64),
+                "64dcad453f87813f94eec1ebb769912c4d6bcbc7dfbd433f9459b8088b4284ba",
+            ),
+            (
+                dm.with_fill(FillPolicy::Sectored { sector_bytes: 16 }),
+                "a5afedf9ef29335cbe0984d3ea34d7282ef27c3c1653960cc4619ea079f1acce",
+            ),
+            (
+                dm.with_fill(FillPolicy::Partial),
+                "a413414a28e19cff8740a737a63aa10b6d993e27fdc9385ce77db18b5c4c6812",
+            ),
+        ] {
+            assert_eq!(result_cid(&trace, &config).to_hex(), hex, "{config:?}");
+        }
     }
 
     #[test]

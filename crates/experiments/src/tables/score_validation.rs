@@ -17,7 +17,7 @@
 //! not expected; the committed baseline in `experiments_out/score.json`
 //! gates regressions on the mean.
 
-use impact_analyze::{score_placement, ScoreConfig};
+use impact_analyze::score_placement;
 use impact_cache::CacheConfig;
 use impact_ir::Program;
 use impact_layout::baseline;
@@ -165,10 +165,6 @@ pub fn plan(session: &mut SimSession, prepared: &[Prepared]) -> Plan {
 /// simulations.
 #[must_use]
 pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<Row> {
-    let config = ScoreConfig {
-        line_bytes: LINE_BYTES,
-        ..ScoreConfig::default()
-    };
     plan.rows
         .iter()
         .map(|(i, vs)| {
@@ -179,7 +175,7 @@ pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<R
             let mut paper_cost = 0.0;
             let mut natural_cost = 0.0;
             for v in vs {
-                let card = score_placement(&v.program, &v.profile, &v.placement, config);
+                let card = score_placement(&v.program, &v.profile, &v.placement, LINE_BYTES);
                 let cost = 1.0 - card.exttsp;
                 match v.name {
                     "paper" => paper_cost = cost,

@@ -191,16 +191,6 @@ impl Program {
         self.funcs.iter().map(Function::size_bytes).sum()
     }
 
-    /// Total static instruction count (terminator slots included).
-    #[must_use]
-    pub fn total_instrs(&self) -> u64 {
-        self.funcs
-            .iter()
-            .flat_map(|f| f.blocks.iter())
-            .map(BasicBlock::instr_count)
-            .sum()
-    }
-
     /// Derives the static call graph (one [`CallSite`] per `Call`
     /// terminator).
     ///
@@ -334,7 +324,12 @@ mod tests {
     fn sizes_add_up() {
         let p = sample();
         // main: (2+1) + (1+1) + (1+1) + (0+1) = 8 instrs; helper: 6 instrs.
-        assert_eq!(p.total_instrs(), 14);
+        let instrs: u64 = p
+            .functions()
+            .flat_map(|(_, f)| f.blocks())
+            .map(|(_, b)| b.instr_count())
+            .sum();
+        assert_eq!(instrs, 14);
         assert_eq!(p.total_bytes(), 14 * 4);
         let main = p.function(p.entry());
         assert_eq!(main.size_bytes(), 8 * 4);

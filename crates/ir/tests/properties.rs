@@ -95,7 +95,7 @@ fn block_sizes_are_body_plus_terminator() {
             let id = f.finish();
             pb.set_entry(id);
             let p = pb.finish().unwrap();
-            assert_eq!(p.total_instrs(), body_len as u64 + 1);
+            assert_eq!(p.function(id).block(b).instr_count(), body_len as u64 + 1);
             assert_eq!(p.total_bytes(), (body_len as u64 + 1) * 4);
         },
     );

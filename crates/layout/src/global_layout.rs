@@ -8,51 +8,8 @@
 //! so functions executed close in time land close in memory and the cold
 //! code of all functions is banished together.
 
-use std::fmt;
-
 use impact_ir::{CallGraph, FuncId, Program};
 use impact_profile::Profile;
-
-/// Why a caller-supplied function order is not usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OrderError {
-    /// The order names a function id the program does not have.
-    OutOfRange {
-        /// The offending id.
-        func: FuncId,
-        /// Number of functions in the program.
-        function_count: usize,
-    },
-    /// The order places the same function twice.
-    Duplicate {
-        /// The function placed more than once.
-        func: FuncId,
-    },
-    /// The order never places this function.
-    Missing {
-        /// The function with no position.
-        func: FuncId,
-    },
-}
-
-impl fmt::Display for OrderError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::OutOfRange {
-                func,
-                function_count,
-            } => write!(
-                f,
-                "order names function {func:?} but the program has only {function_count} functions"
-            ),
-            Self::Duplicate { func } => write!(f, "order places function {func:?} twice"),
-            Self::Missing { func } => write!(f, "order never places function {func:?}"),
-        }
-    }
-}
-
-impl std::error::Error for OrderError {}
 
 /// The global function ordering produced by the weighted DFS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,41 +101,27 @@ impl GlobalOrder {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of `program`'s functions;
-    /// use [`GlobalOrder::try_from_order`] to get the violation as a
-    /// value instead.
+    /// Panics if `order` is not a permutation of `program`'s functions.
     #[must_use]
     pub fn from_order(program: &Program, order: Vec<FuncId>) -> Self {
-        match Self::try_from_order(program, order) {
-            Ok(o) => o,
-            Err(e) => panic!("order must place every function exactly once: {e}"),
-        }
-    }
-
-    /// [`GlobalOrder::from_order`] with the permutation check reported as
-    /// a typed error — for orders arriving from outside the crate (files,
-    /// experiment configs) rather than from a layout algorithm.
-    pub fn try_from_order(program: &Program, order: Vec<FuncId>) -> Result<Self, OrderError> {
+        const WHY: &str = "order must place every function exactly once";
         let n = program.function_count();
         let mut seen = vec![false; n];
         for &f in &order {
-            if f.index() >= n {
-                return Err(OrderError::OutOfRange {
-                    func: f,
-                    function_count: n,
-                });
-            }
-            if seen[f.index()] {
-                return Err(OrderError::Duplicate { func: f });
-            }
+            assert!(
+                f.index() < n,
+                "{WHY}: order names function {f:?} but the program has only {n} functions"
+            );
+            assert!(!seen[f.index()], "{WHY}: order places function {f:?} twice");
             seen[f.index()] = true;
         }
         if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(OrderError::Missing {
-                func: FuncId::new(missing),
-            });
+            panic!(
+                "{WHY}: order never places function {:?}",
+                FuncId::new(missing)
+            );
         }
-        Ok(Self { order })
+        Self { order }
     }
 
     /// The function placement order.
@@ -347,33 +290,33 @@ mod tests {
     }
 
     #[test]
-    fn try_from_order_reports_each_violation() {
+    #[should_panic(
+        expected = "order must place every function exactly once: order places function FuncId(0) twice"
+    )]
+    fn from_order_rejects_a_duplicate() {
         let (p, _) = program();
-        let n = p.function_count();
-        let good: Vec<FuncId> = p.function_ids().collect();
-        assert!(GlobalOrder::try_from_order(&p, good.clone()).is_ok());
-
-        let mut dup = good.clone();
+        let mut dup: Vec<FuncId> = p.function_ids().collect();
         dup[1] = dup[0];
-        assert_eq!(
-            GlobalOrder::try_from_order(&p, dup),
-            Err(OrderError::Duplicate { func: good[0] })
-        );
+        let _ = GlobalOrder::from_order(&p, dup);
+    }
 
-        let short = good[..n - 1].to_vec();
-        assert_eq!(
-            GlobalOrder::try_from_order(&p, short),
-            Err(OrderError::Missing { func: good[n - 1] })
-        );
+    #[test]
+    #[should_panic(
+        expected = "order must place every function exactly once: order never places function"
+    )]
+    fn from_order_rejects_a_missing_function() {
+        let (p, _) = program();
+        let mut short: Vec<FuncId> = p.function_ids().collect();
+        short.pop();
+        let _ = GlobalOrder::from_order(&p, short);
+    }
 
-        let mut oob = good.clone();
-        oob[0] = FuncId::new(n);
-        assert_eq!(
-            GlobalOrder::try_from_order(&p, oob),
-            Err(OrderError::OutOfRange {
-                func: FuncId::new(n),
-                function_count: n
-            })
-        );
+    #[test]
+    #[should_panic(expected = "order must place every function exactly once: order names function")]
+    fn from_order_rejects_an_out_of_range_id() {
+        let (p, _) = program();
+        let mut oob: Vec<FuncId> = p.function_ids().collect();
+        oob[0] = FuncId::new(oob.len());
+        let _ = GlobalOrder::from_order(&p, oob);
     }
 }

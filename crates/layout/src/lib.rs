@@ -59,9 +59,8 @@ pub mod scale;
 pub mod trace_select;
 
 pub use function_layout::FunctionLayout;
-pub use global_layout::{GlobalOrder, OrderError};
+pub use global_layout::GlobalOrder;
 pub use inline::{InlineConfig, Inliner};
-pub use materialize::MaterializeError;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineResult};
 pub use placement::Placement;
 pub use quality::{InlineReport, TraceQuality};

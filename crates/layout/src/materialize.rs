@@ -17,96 +17,37 @@
 //! therefore matches the optimized placement in intra-function order and
 //! function order, but not in the global cold-section extraction.
 
-use std::fmt;
-
 use impact_ir::{BasicBlock, BlockId, FuncId, Function, Program, Terminator};
 
 use crate::function_layout::FunctionLayout;
 use crate::global_layout::GlobalOrder;
 
-/// Why a caller-supplied layout cannot be materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MaterializeError {
-    /// `layouts` is not indexed by function id over all functions.
-    WrongLayoutCount {
-        /// Layouts supplied.
-        got: usize,
-        /// One per function expected.
-        expected: usize,
-    },
-    /// The global order is not a permutation of the program's functions.
-    OrderNotPermutation,
-    /// A function layout does not cover its function's blocks exactly.
-    LayoutNotPermutation {
-        /// The function whose layout is broken.
-        func: FuncId,
-    },
-}
-
-impl fmt::Display for MaterializeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::WrongLayoutCount { got, expected } => {
-                write!(f, "got {got} function layouts for {expected} functions")
-            }
-            Self::OrderNotPermutation => {
-                write!(f, "global order is not a permutation of the functions")
-            }
-            Self::LayoutNotPermutation { func } => {
-                write!(f, "layout of function {func:?} does not cover its blocks")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MaterializeError {}
-
 /// Rewrites `program` so declaration order realizes the layout.
 ///
 /// # Panics
 ///
-/// Panics if `layouts` is not indexed by function id over all functions
-/// or any layout is not a permutation of its function; use
-/// [`try_materialize`] to get the violation as a value instead.
+/// Panics if `layouts` is not indexed by function id over all
+/// functions, `global` is not a permutation of the functions, or any
+/// layout is not a permutation of its function.
 #[must_use]
 pub fn materialize(program: &Program, global: &GlobalOrder, layouts: &[FunctionLayout]) -> Program {
-    match try_materialize(program, global, layouts) {
-        Ok(p) => p,
-        Err(e) => panic!("cannot materialize layout: {e}"),
-    }
-}
-
-/// [`materialize`] with input checks reported as typed errors — for
-/// orders and layouts arriving from outside the pipeline.
-pub fn try_materialize(
-    program: &Program,
-    global: &GlobalOrder,
-    layouts: &[FunctionLayout],
-) -> Result<Program, MaterializeError> {
-    if layouts.len() != program.function_count() {
-        return Err(MaterializeError::WrongLayoutCount {
-            got: layouts.len(),
-            expected: program.function_count(),
-        });
-    }
-    if !global.is_permutation_of(program) {
-        return Err(MaterializeError::OrderNotPermutation);
-    }
+    assert!(
+        layouts.len() == program.function_count(),
+        "cannot materialize layout: got {} function layouts for {} functions",
+        layouts.len(),
+        program.function_count()
+    );
+    assert!(
+        global.is_permutation_of(program),
+        "cannot materialize layout: global order is not a permutation of the functions"
+    );
     for (fid, func) in program.functions() {
-        if !layouts[fid.index()].is_permutation_of(func) {
-            return Err(MaterializeError::LayoutNotPermutation { func: fid });
-        }
+        assert!(
+            layouts[fid.index()].is_permutation_of(func),
+            "cannot materialize layout: layout of function {fid:?} does not cover its blocks"
+        );
     }
-    Ok(materialize_checked(program, global, layouts))
-}
 
-/// The rewrite proper; inputs already validated.
-fn materialize_checked(
-    program: &Program,
-    global: &GlobalOrder,
-    layouts: &[FunctionLayout],
-) -> Program {
     // New function ids follow the global order.
     let mut new_fid = vec![usize::MAX; program.function_count()];
     for (pos, &fid) in global.order().iter().enumerate() {
@@ -275,21 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn try_materialize_rejects_bad_inputs() {
+    #[should_panic(expected = "cannot materialize layout: got 1 function layouts for 2 functions")]
+    fn materialize_rejects_too_few_layouts() {
         let p = program();
         let r = run_pipeline(&p);
-        assert!(try_materialize(&p, &r.global, &r.layouts).is_ok());
+        let _ = materialize(&p, &r.global, &r.layouts[..1]);
+    }
 
-        // Too few layouts.
-        assert_eq!(
-            try_materialize(&p, &r.global, &r.layouts[..1]),
-            Err(MaterializeError::WrongLayoutCount {
-                got: 1,
-                expected: p.function_count()
-            })
-        );
-
-        // A global order borrowed from a different (smaller) program.
+    #[test]
+    #[should_panic(
+        expected = "cannot materialize layout: global order is not a permutation of the functions"
+    )]
+    fn materialize_rejects_an_order_from_another_program() {
+        let p = program();
+        let r = run_pipeline(&p);
         let mut pb = ProgramBuilder::new();
         let mut lone = pb.function("lone");
         let b0 = lone.block_n(1);
@@ -298,9 +238,6 @@ mod tests {
         pb.set_entry(lone_id);
         let small = pb.finish().unwrap();
         let small_order = GlobalOrder::from_order(&small, vec![small.entry()]);
-        assert_eq!(
-            try_materialize(&p, &small_order, &r.layouts),
-            Err(MaterializeError::OrderNotPermutation)
-        );
+        let _ = materialize(&p, &small_order, &r.layouts);
     }
 }

@@ -25,7 +25,7 @@ use impact_analyze::{
     advise_static, analyze_static, reports_to_json, CheckedPipeline, ConflictConfig,
 };
 use impact_asm::parse_program;
-use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy, Replacement};
+use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy};
 use impact_experiments::session::{SimMetrics, SimSession};
 use impact_ir::{BlockId, Program};
 use impact_layout::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineResult};
@@ -572,17 +572,12 @@ fn config_to_json(c: &CacheConfig) -> Json {
         FillPolicy::Partial => "partial".to_string(),
         FillPolicy::Sectored { sector_bytes } => format!("sector:{sector_bytes}"),
     };
-    let replacement = match c.replacement {
-        Replacement::Lru => "lru",
-        Replacement::Fifo => "fifo",
-        Replacement::Random => "random",
-    };
     Json::Obj(vec![
         ("size".to_string(), c.size_bytes.to_json()),
         ("block".to_string(), c.block_bytes.to_json()),
         ("assoc".to_string(), assoc),
         ("fill".to_string(), fill.to_json()),
-        ("replacement".to_string(), replacement.to_json()),
+        ("replacement".to_string(), "lru".to_json()),
     ])
 }
 
@@ -762,26 +757,20 @@ fn decode_config(item: &Json) -> Result<CacheConfig, Reject> {
             )
         })?,
     };
-    let replacement = match item.get("replacement") {
-        None => Replacement::Lru,
-        Some(v) => match v.as_str() {
-            Some("lru") => Replacement::Lru,
-            Some("fifo") => Replacement::Fifo,
-            Some("random") => Replacement::Random,
-            _ => {
-                return Err(reject(
-                    400,
-                    "field \"replacement\" must be \"lru\", \"fifo\", or \"random\"",
-                ))
-            }
-        },
-    };
+    if item
+        .get("replacement")
+        .is_some_and(|v| v.as_str() != Some("lru"))
+    {
+        return Err(reject(
+            400,
+            "field \"replacement\" must be \"lru\" (every cache is LRU)",
+        ));
+    }
     let config = CacheConfig {
         size_bytes: size,
         block_bytes: block,
         associativity,
         fill,
-        replacement,
     };
     config
         .validate()
@@ -922,7 +911,6 @@ mod tests {
                 block_bytes: 64,
                 associativity: Associativity::Ways(2),
                 fill: FillPolicy::FullBlock,
-                replacement: Replacement::Lru,
             },
         ];
         let limits = ExecLimits::capped(40_000);
@@ -942,6 +930,35 @@ mod tests {
         let (_, resp2) = route(&state, &req);
         assert_eq!(resp2.body, resp.body);
         assert_eq!(state.sim_counters().traces_streamed, streamed + 1);
+    }
+
+    #[test]
+    fn replacement_must_be_lru_or_absent() {
+        let state = AppState::new(1);
+        let text = Json::Str(program_text());
+        let body = |config: &str| {
+            let body =
+                format!(r#"{{"program": {text}, "max_instrs": 20000, "configs": [{config}]}}"#);
+            route(&state, &post("/v1/simulate", &body)).1
+        };
+        for policy in ["fifo", "random"] {
+            let resp = body(&format!(r#"{{"size": 1024, "replacement": "{policy}"}}"#));
+            assert_eq!(resp.status, 400, "{policy}");
+            let text = String::from_utf8_lossy(&resp.body);
+            assert!(
+                text.contains(r#"field \"replacement\" must be \"lru\""#),
+                "{text}"
+            );
+        }
+        let absent = body(r#"{"size": 1024}"#);
+        let lru = body(r#"{"size": 1024, "replacement": "lru"}"#);
+        assert_eq!(absent.status, 200);
+        assert_eq!(
+            lru.body, absent.body,
+            "naming the one policy changes nothing"
+        );
+        let text = String::from_utf8_lossy(&absent.body);
+        assert!(text.contains(r#""replacement": "lru""#), "{text}");
     }
 
     #[test]

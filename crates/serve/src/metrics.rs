@@ -165,12 +165,6 @@ impl Metrics {
             .sum()
     }
 
-    /// 503s shed so far.
-    #[must_use]
-    pub fn total_shed(&self) -> u64 {
-        self.shed.load(Relaxed)
-    }
-
     /// The `GET /metrics` document. `session` supplies the evaluation
     /// counters for the `sim` object: every request session's
     /// [`SimSession::counters`](impact_experiments::session::SimSession::counters)
@@ -322,7 +316,7 @@ mod tests {
         for (i, &e) in Endpoint::ALL.iter().enumerate() {
             assert_eq!(e as usize, i, "{e:?} indexes its own counters");
         }
-        assert_eq!(m.total_shed(), 1);
+        assert_eq!(m.shed.load(Relaxed), 1);
         assert_eq!(m.connections_peak(), 2);
 
         let doc = m.to_json(&SimMetrics::default());
@@ -403,11 +397,10 @@ mod tests {
             ..SimMetrics::default()
         };
         let keys = |doc: &Json| -> Vec<String> {
-            doc.as_obj()
-                .unwrap()
-                .iter()
-                .map(|(k, _)| k.clone())
-                .collect()
+            let Json::Obj(fields) = doc else {
+                panic!("not an object: {doc:?}")
+            };
+            fields.iter().map(|(k, _)| k.clone()).collect()
         };
         let mut expected = keys(&sim.to_json());
         expected.retain(|k| k != "simulations" && k != "tables");

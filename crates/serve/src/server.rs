@@ -391,7 +391,11 @@ mod tests {
             .headers
             .iter()
             .any(|(n, v)| n == "retry-after" && v == "1"));
-        assert!(server.state().metrics.total_shed() >= 1);
+        let metrics = server.state().metrics.to_json(&Default::default());
+        let shed = metrics
+            .get("shed_503")
+            .and_then(impact_support::json::Json::as_u64);
+        assert!(shed >= Some(1));
         server.stop();
     }
 

@@ -256,7 +256,8 @@ fn overload_sheds_and_recovery_serves_again() {
     let resp = client.request("GET", "/healthz", None).unwrap();
     assert_eq!(resp.status, 503);
     assert_eq!(resp.header("retry-after"), Some("1"));
-    assert!(server.state().metrics.total_shed() >= 1);
+    let metrics = server.state().metrics.to_json(&Default::default());
+    assert!(metrics.get("shed_503").and_then(Json::as_u64) >= Some(1));
     server.stop();
 
     // A normally-provisioned server accepts the same traffic.

@@ -84,15 +84,6 @@ impl Json {
         }
     }
 
-    /// The fields, if this is an `Obj`.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     /// Pretty rendering with two-space indentation.
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
@@ -754,7 +745,7 @@ mod tests {
             doc.get("xs").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
-        assert_eq!(doc.as_obj().map(<[(String, Json)]>::len), Some(5));
+        assert!(matches!(&doc, Json::Obj(fields) if fields.len() == 5));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("n"), None);
     }

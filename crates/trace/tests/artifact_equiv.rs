@@ -11,9 +11,7 @@
 //! checked against the per-word reference model in
 //! `crates/cache/tests/reference`.
 
-use impact_cache::{
-    Associativity, Cache, CacheConfig, CacheStats, FillPolicy, MultiLane, Replacement,
-};
+use impact_cache::{Associativity, Cache, CacheConfig, CacheStats, FillPolicy, MultiLane};
 use impact_profile::ExecLimits;
 use impact_support::check;
 use impact_support::rng::Rng;
@@ -25,7 +23,7 @@ use reference::ReferenceCache;
 
 const LIMITS: ExecLimits = ExecLimits::capped(30_000);
 
-/// Every (fill × associativity × replacement) combination at the paper's
+/// Every (fill × associativity) combination at the paper's
 /// 1 KB / 64 B geometry.
 fn config_grid() -> Vec<CacheConfig> {
     let fills = [
@@ -40,18 +38,14 @@ fn config_grid() -> Vec<CacheConfig> {
         Associativity::Ways(4),
         Associativity::Full,
     ];
-    let repls = [Replacement::Lru, Replacement::Fifo, Replacement::Random];
     let mut grid = Vec::new();
     for fill in fills {
         for assoc in assocs {
-            for repl in repls {
-                grid.push(
-                    CacheConfig::direct_mapped(1024, 64)
-                        .with_associativity(assoc)
-                        .with_fill(fill)
-                        .with_replacement(repl),
-                );
-            }
+            grid.push(
+                CacheConfig::direct_mapped(1024, 64)
+                    .with_associativity(assoc)
+                    .with_fill(fill),
+            );
         }
     }
     grid

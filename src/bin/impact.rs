@@ -112,8 +112,7 @@
 use std::process::ExitCode;
 
 use impact::analyze::{
-    advise_static, analyze_static, score_config_for, score_placement, CheckedPipeline,
-    ConflictConfig, Report,
+    advise_static, analyze_static, score_placement, CheckedPipeline, ConflictConfig, Report,
 };
 use impact::asm::{parse_program, print_program};
 use impact::cache::{Associativity, Cache, CacheConfig, FillPolicy};
@@ -151,7 +150,6 @@ impl Options {
             block_bytes: self.block,
             associativity: self.assoc,
             fill: self.fill,
-            replacement: impact::cache::Replacement::Lru,
         };
         match config.validate() {
             Ok(()) => Some(config),
@@ -520,12 +518,8 @@ fn advise(opts: &Options) -> ExitCode {
             );
             if let Some((bname, bp)) = diff {
                 let result = &advice.analysis.result;
-                let base = score_placement(
-                    &result.program,
-                    &result.profile,
-                    bp,
-                    score_config_for(conflict),
-                );
+                let base =
+                    score_placement(&result.program, &result.profile, bp, conflict.line_bytes);
                 println!(
                     "vs {bname}: exttsp {:+.3}, distance-tier {:+.3} — {}",
                     scores.exttsp - base.exttsp,

@@ -34,6 +34,16 @@ fn all_ten_workloads_lint_error_free() {
     }
 }
 
+/// Lints a bare program (plus optional profile) with the program-level
+/// registry, before any layout exists.
+fn lint_program(program: &Program, profile: Option<&Profile>) -> analyze::Report {
+    let mut ctx = Context::program_only(program);
+    if let Some(p) = profile {
+        ctx = ctx.with_profile(p);
+    }
+    Registry::program_lints().run(&ctx)
+}
+
 /// A two-block loop: entry branches back on itself with p=0.7, then exits.
 fn loop_program() -> (Program, Profile) {
     let mut pb = ProgramBuilder::new();
@@ -61,7 +71,7 @@ fn ipa001_fires_on_an_unreachable_block() {
     pb.set_entry(mid);
     let p = pb.finish().unwrap();
 
-    let report = analyze::lint_program(&p, None);
+    let report = lint_program(&p, None);
     assert_eq!(report.with_code("IPA001").count(), 1, "{}", report.render());
     assert_eq!(report.error_count(), 0, "unreachable code is a warning");
 }
@@ -71,7 +81,7 @@ fn ipa002_fires_on_a_corrupted_block_count() {
     let (p, mut prof) = loop_program();
     let entry = p.entry().index();
     prof.funcs[entry].block_counts[1] += 5; // counted more than flowed in
-    let report = analyze::lint_program(&p, Some(&prof));
+    let report = lint_program(&p, Some(&prof));
     assert!(
         report.with_code("IPA002").count() > 0,
         "{}",
@@ -86,7 +96,7 @@ fn ipa003_fires_on_a_corrupted_arc() {
     let entry = p.entry().index();
     let (&arc, _) = prof.funcs[entry].arcs.iter().next().expect("loop has arcs");
     *prof.funcs[entry].arcs.get_mut(&arc).unwrap() += 7;
-    let report = analyze::lint_program(&p, Some(&prof));
+    let report = lint_program(&p, Some(&prof));
     assert!(
         report.with_code("IPA003").count() > 0,
         "{}",
@@ -120,7 +130,7 @@ fn ipa005_fires_on_recursion() {
     pb.set_entry(me);
     let p = pb.finish().unwrap();
 
-    let report = analyze::lint_program(&p, None);
+    let report = lint_program(&p, None);
     assert!(
         report.with_code("IPA005").count() > 0,
         "{}",
