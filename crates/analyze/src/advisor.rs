@@ -84,14 +84,6 @@ impl Pass for MisplacedFallThrough {
         "IPA401"
     }
 
-    fn name(&self) -> &'static str {
-        "misplaced-fall-through"
-    }
-
-    fn description(&self) -> &'static str {
-        "hot uncontested arcs realized as far transfers instead of fall-throughs"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let (Some(placement), Some(profile)) = (ctx.placement, ctx.profile) else {
             return Vec::new();
@@ -196,14 +188,6 @@ pub struct CallPairSeparation;
 impl Pass for CallPairSeparation {
     fn code(&self) -> &'static str {
         "IPA402"
-    }
-
-    fn name(&self) -> &'static str {
-        "call-pair-separation"
-    }
-
-    fn description(&self) -> &'static str {
-        "hot call sites placed more than one cache capacity from their callee"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -328,14 +312,6 @@ impl Pass for LoopLineStraddle {
         "IPA403"
     }
 
-    fn name(&self) -> &'static str {
-        "loop-line-straddle"
-    }
-
-    fn description(&self) -> &'static str {
-        "hot loop cores occupying more cache lines than a contiguous placement"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let (Some(placement), Some(profile)) = (ctx.placement, ctx.profile) else {
             return Vec::new();
@@ -429,14 +405,6 @@ impl Pass for HotColdInterleave {
         "IPA404"
     }
 
-    fn name(&self) -> &'static str {
-        "hot-cold-interleave"
-    }
-
-    fn description(&self) -> &'static str {
-        "never-executed bytes interleaved inside a function's executed span"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let (Some(placement), Some(profile)) = (ctx.placement, ctx.profile) else {
             return Vec::new();
@@ -513,14 +481,6 @@ pub struct StaticTrafficBound;
 impl Pass for StaticTrafficBound {
     fn code(&self) -> &'static str {
         "IPA405"
-    }
-
-    fn name(&self) -> &'static str {
-        "static-traffic-bound"
-    }
-
-    fn description(&self) -> &'static str {
-        "static bound on memory traffic (words fetched per word executed)"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {

@@ -62,14 +62,6 @@ impl Pass for ConflictPressure {
         "IPA201"
     }
 
-    fn name(&self) -> &'static str {
-        "conflict-pressure"
-    }
-
-    fn description(&self) -> &'static str {
-        "hot block pairs mapping to the same direct-mapped cache set"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let (Some(placement), Some(profile)) = (ctx.placement, ctx.profile) else {
             return Vec::new();

@@ -42,14 +42,6 @@ impl Pass for LoopFootprint {
         "IPA301"
     }
 
-    fn name(&self) -> &'static str {
-        "loop-footprint"
-    }
-
-    fn description(&self) -> &'static str {
-        "loop bodies whose code footprint exceeds the cache capacity"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let cfg = ctx.conflict;
         if cfg.line_bytes == 0 || cfg.cache_bytes < cfg.line_bytes {
@@ -117,14 +109,6 @@ pub struct LoopInterference;
 impl Pass for LoopInterference {
     fn code(&self) -> &'static str {
         "IPA302"
-    }
-
-    fn name(&self) -> &'static str {
-        "loop-interference"
-    }
-
-    fn description(&self) -> &'static str {
-        "concurrently-hot loop bodies placed on overlapping cache sets"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -313,14 +297,6 @@ pub struct StaticMissBound;
 impl Pass for StaticMissBound {
     fn code(&self) -> &'static str {
         "IPA303"
-    }
-
-    fn name(&self) -> &'static str {
-        "static-miss-bound"
-    }
-
-    fn description(&self) -> &'static str {
-        "estimated miss-ratio bound of the placement exceeds the threshold"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {

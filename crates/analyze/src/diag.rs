@@ -156,7 +156,7 @@ impl ToJson for Diagnostic {
 /// The collected output of a lint run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
-    /// All diagnostics, in pass-registration then discovery order.
+    /// All diagnostics, in pass order then discovery order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -232,18 +232,6 @@ impl Report {
     }
 }
 
-/// The JSON document `impact lint --json` prints: an array with one
-/// [`Report::to_json_for_target`] entry per linted target.
-#[must_use]
-pub fn reports_to_json<'a>(reports: impl IntoIterator<Item = (&'a str, &'a Report)>) -> Json {
-    Json::Arr(
-        reports
-            .into_iter()
-            .map(|(target, report)| report.to_json_for_target(target))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,9 +271,6 @@ mod tests {
             .push(Diagnostic::warning("IPA201", Location::program(), "hot"));
         let row = r.to_json_for_target("wc").to_string();
         assert!(row.starts_with(r#"{"target":"wc","report":"#), "{row}");
-        let arr = reports_to_json([("wc", &r), ("grep", &r)]).to_string();
-        assert!(arr.contains(r#""target":"grep""#), "{arr}");
-        assert!(arr.starts_with('['), "{arr}");
     }
 
     #[test]

@@ -349,20 +349,6 @@ pub fn estimate(program: &Program) -> ProgramEstimate {
 #[derive(Debug, Clone, Default)]
 pub struct StaticProfiler;
 
-impl StaticProfiler {
-    /// A static profiler with default heuristics.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// The f64-level estimate backing [`ProfileSource::profile`].
-    #[must_use]
-    pub fn estimate(&self, program: &Program) -> ProgramEstimate {
-        estimate(program)
-    }
-}
-
 impl ProfileSource for StaticProfiler {
     fn profile(&self, program: &Program) -> Profile {
         let est = estimate(program);
@@ -540,7 +526,7 @@ mod tests {
         // The call sits in a loop: leaf must be invoked > 1 time per run.
         assert!(est.invocations[leaf_id.index()] > 1.0);
 
-        let prof = StaticProfiler::new().profile(&p);
+        let prof = StaticProfiler.profile(&p);
         assert_eq!(prof.func_weight(p.entry()), SCALE as u64);
         assert_eq!(
             prof.call_site_weight(p.entry(), BlockId::new(1)),
@@ -575,8 +561,8 @@ mod tests {
     #[test]
     fn static_profiles_are_deterministic() {
         let w = impact_workloads::by_name("wc").unwrap();
-        let a = StaticProfiler::new().profile(&w.program);
-        let b = StaticProfiler::new().profile(&w.program);
+        let a = StaticProfiler.profile(&w.program);
+        let b = StaticProfiler.profile(&w.program);
         assert_eq!(a, b);
     }
 

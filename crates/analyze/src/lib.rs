@@ -5,8 +5,10 @@
 //! [`Placement`]s — obey invariants that the rest of the codebase
 //! mostly asserts in tests or not at all.
 //! This crate makes them first-class: each invariant is a [`Pass`] with a
-//! stable diagnostic code, and a [`Registry`] runs passes over a
-//! [`Context`] to produce a [`Report`] renderable as text or JSON.
+//! stable diagnostic code, passes come in fixed families
+//! ([`PROGRAM_LINTS`], [`PLACEMENT_VERIFIERS`], [`STATIC_ANALYSES`],
+//! [`ADVISORS`]), and [`pass::run`] runs a family over a [`Context`] to
+//! produce a [`Report`] renderable as text or JSON.
 //!
 //! # Codes
 //!
@@ -32,9 +34,9 @@
 //! | IPA404 | warning | never-executed bytes inside an executed span |
 //! | IPA405 | warning | static memory-traffic bound exceeds the threshold |
 //!
-//! The contract: a full pipeline run over any of the bundled workloads
-//! lints **error-free** (`impact lint` relies on this; warnings are
-//! informational).
+//! The contract: a checked pipeline run ([`run_checked`], what `impact
+//! lint` and `POST /v1/lint` run) over any of the bundled workloads
+//! lints **error-free**; warnings are informational.
 //!
 //! # Static estimation
 //!
@@ -53,8 +55,8 @@
 //! use impact_layout::pipeline::{Pipeline, PipelineConfig};
 //!
 //! let w = impact_workloads::by_name("wc").unwrap();
-//! let result = Pipeline::new(PipelineConfig::default()).run(&w.program);
-//! let report = impact_analyze::lint_result(&result);
+//! let pipeline = Pipeline::new(PipelineConfig::default());
+//! let (_result, report) = impact_analyze::run_checked(&pipeline, &w.program).unwrap();
 //! assert!(report.is_clean(), "{}", report.render());
 //! ```
 
@@ -71,9 +73,9 @@ pub mod score;
 
 pub use cache::ConflictConfig;
 pub use conflict::{estimate_miss_bound, MissBound};
-pub use diag::{reports_to_json, Diagnostic, Location, Report, Severity};
+pub use diag::{Diagnostic, Location, Report, Severity};
 pub use freq::StaticProfiler;
-pub use pass::{Context, Pass, Registry};
+pub use pass::{Context, Pass, ADVISORS, PLACEMENT_VERIFIERS, PROGRAM_LINTS, STATIC_ANALYSES};
 pub use score::{score_placement, ScoreCard};
 
 /// Version stamp of every JSON document this crate renders for the CLI
@@ -89,12 +91,6 @@ use impact_layout::pipeline::{
 };
 use impact_layout::placement::Placement;
 
-/// Lints a finished pipeline run with the standard registry.
-#[must_use]
-pub fn lint_result(result: &PipelineResult) -> Report {
-    Registry::standard().run(&Context::of_result(result))
-}
-
 /// Verifies a placement against a program, explaining every violation.
 ///
 /// An empty report means the placement covers the program exactly
@@ -102,11 +98,7 @@ pub fn lint_result(result: &PipelineResult) -> Report {
 #[must_use]
 pub fn verify_placement(program: &Program, placement: &Placement) -> Report {
     let ctx = Context::program_only(program).with_placement(placement);
-    let mut r = Registry::empty();
-    r.register(Box::new(placement::PlacementCoverage));
-    r.register(Box::new(placement::PlacementOverlap));
-    r.register(Box::new(placement::Alignment));
-    r.run(&ctx)
+    pass::run(pass::VERIFY_PLACEMENT, &ctx)
 }
 
 /// The result of a profile-free, end-to-end static analysis.
@@ -199,15 +191,14 @@ pub fn analyze_static(
     config: &PipelineConfig,
     conflict: ConflictConfig,
 ) -> Result<StaticAnalysis, PipelineError> {
-    let source = StaticProfiler::new();
     let pipeline = Pipeline::new(config.clone());
     pipeline.check(program)?;
-    let result = pipeline.run_observed_with_source(program, &source, &mut NoopObserver);
+    let result = pipeline.run_observed_with_source(program, &StaticProfiler, &mut NoopObserver);
     let mut report = verify_placement(&result.program, &result.placement);
     let ctx = Context::of_result(&result).with_conflict(conflict);
     report
         .diagnostics
-        .extend(Registry::static_analyses().run(&ctx).diagnostics);
+        .extend(pass::run(STATIC_ANALYSES, &ctx).diagnostics);
     let miss_bound = estimate_miss_bound(
         &result.program,
         &result.profile,
@@ -248,10 +239,6 @@ pub struct Advice {
     /// The advisors' findings, each with a concrete reorder hint.
     pub advice: Report,
 }
-
-/// Advisor codes in registry order, used for the per-pass regression
-/// table of a differential advisory.
-pub const ADVISOR_CODES: [&str; 5] = ["IPA401", "IPA402", "IPA403", "IPA404", "IPA405"];
 
 impl Advice {
     /// The JSON document both `impact advise --json` (one array entry
@@ -304,12 +291,13 @@ impl Advice {
             .with_profile(&result.profile)
             .with_placement(baseline)
             .with_conflict(conflict);
-        let base_advice = Registry::advisors().run(&ctx);
+        let base_advice = pass::run(ADVISORS, &ctx);
         let scores = self.analysis.scores;
 
-        let regressions = ADVISOR_CODES
+        let regressions = ADVISORS
             .iter()
-            .map(|&code| {
+            .map(|p| {
+                let code = p.code();
                 Json::Obj(vec![
                     ("code".to_string(), code.to_json()),
                     (
@@ -366,39 +354,31 @@ pub fn advise_static(
 ) -> Result<Advice, PipelineError> {
     let analysis = analyze_static(program, config, conflict)?;
     let ctx = Context::of_result(&analysis.result).with_conflict(conflict);
-    let advice = Registry::advisors().run(&ctx);
+    let advice = pass::run(ADVISORS, &ctx);
     Ok(Advice { analysis, advice })
 }
 
-/// A [`Pipeline`] that lints its own intermediate artifacts as it runs
-/// (the opt-in "checked mode").
+/// Checks the input ([`Pipeline::check`]), then runs the pipeline
+/// linting its own intermediate artifacts (the "checked mode" behind
+/// `impact lint` and `POST /v1/lint`).
 ///
-/// Program lints run on the profiled and inlined programs; the full
-/// standard registry runs on the final result. All findings accumulate
-/// into one [`Report`] returned next to the pipeline output.
-#[derive(Debug, Default)]
-pub struct CheckedPipeline {
-    pipeline: Pipeline,
-}
-
-impl CheckedPipeline {
-    /// Wraps a configured pipeline.
-    #[must_use]
-    pub fn new(pipeline: Pipeline) -> Self {
-        Self { pipeline }
-    }
-
-    /// Checks the input ([`Pipeline::check`]), then runs the pipeline,
-    /// linting at every checkpoint.
-    pub fn try_run(&self, program: &Program) -> Result<(PipelineResult, Report), PipelineError> {
-        self.pipeline.check(program)?;
-        let mut observer = LintObserver::default();
-        let profiler = self.pipeline.profiler();
-        let result = self
-            .pipeline
-            .run_observed_with_source(program, &profiler, &mut observer);
-        Ok((result, observer.report))
-    }
+/// [`PROGRAM_LINTS`] run on the profiled and the inlined program; the
+/// [`PLACEMENT_VERIFIERS`] and cache conflict pressure (`IPA201`) run on
+/// the final result. All findings accumulate into one [`Report`]
+/// returned next to the pipeline output.
+///
+/// # Errors
+///
+/// Propagates [`PipelineError`] for invalid configs or malformed
+/// programs, from [`Pipeline::check`].
+pub fn run_checked(
+    pipeline: &Pipeline,
+    program: &Program,
+) -> Result<(PipelineResult, Report), PipelineError> {
+    pipeline.check(program)?;
+    let mut observer = LintObserver::default();
+    let result = pipeline.run_observed_with_source(program, &pipeline.profiler(), &mut observer);
+    Ok((result, observer.report))
 }
 
 /// Observer that lints each pipeline checkpoint into one report.
@@ -415,18 +395,16 @@ impl PipelineObserver for LintObserver {
                 let ctx = Context::program_only(program).with_profile(profile);
                 self.report
                     .diagnostics
-                    .extend(Registry::program_lints().run(&ctx).diagnostics);
+                    .extend(pass::run(PROGRAM_LINTS, &ctx).diagnostics);
             }
             // Trace selection is linted as part of the final result
             // (IPA105 needs the placement too).
             Checkpoint::TracesSelected { .. } => {}
             Checkpoint::Placed { result } => {
                 let ctx = Context::of_result(result);
-                let mut registry = Registry::placement_verifiers();
-                registry.register(Box::new(cache::ConflictPressure));
-                self.report
-                    .diagnostics
-                    .extend(registry.run(&ctx).diagnostics);
+                let diagnostics = &mut self.report.diagnostics;
+                diagnostics.extend(pass::run(PLACEMENT_VERIFIERS, &ctx).diagnostics);
+                diagnostics.extend(cache::ConflictPressure.run(&ctx));
             }
             _ => {}
         }
@@ -442,8 +420,8 @@ mod tests {
     #[test]
     fn checked_pipeline_is_clean_on_a_workload() {
         let w = impact_workloads::by_name("tee").expect("tee exists");
-        let checked = CheckedPipeline::new(Pipeline::new(PipelineConfig::default()));
-        let (result, report) = checked.try_run(&w.program).expect("tee is well formed");
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let (result, report) = run_checked(&pipeline, &w.program).expect("tee is well formed");
         assert!(report.is_clean(), "{}", report.render());
         // The checked run produced the same placement as a plain run.
         let plain = Pipeline::new(PipelineConfig::default()).run(&w.program);
@@ -453,7 +431,7 @@ mod tests {
     #[test]
     fn lint_program_runs_without_layout_artifacts() {
         let w = impact_workloads::by_name("cmp").expect("cmp exists");
-        let report = Registry::program_lints().run(&Context::program_only(&w.program));
+        let report = pass::run(PROGRAM_LINTS, &Context::program_only(&w.program));
         assert!(report.is_clean(), "{}", report.render());
     }
 
@@ -490,12 +468,12 @@ mod tests {
     }
 
     #[test]
-    fn checked_try_run_rejects_bad_config() {
+    fn run_checked_rejects_bad_config() {
         let w = impact_workloads::by_name("wc").expect("wc exists");
-        let checked = CheckedPipeline::new(Pipeline::new(PipelineConfig {
+        let pipeline = Pipeline::new(PipelineConfig {
             min_prob: 0.0,
             ..PipelineConfig::default()
-        }));
-        assert!(checked.try_run(&w.program).is_err());
+        });
+        assert!(run_checked(&pipeline, &w.program).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The pass framework: what a pass sees, and the registry that runs them.
+//! The pass framework: what a pass sees, and the fixed pass families.
 
 use impact_ir::Program;
 use impact_layout::function_layout::FunctionLayout;
@@ -11,7 +11,7 @@ use crate::advisor::{
     CallPairSeparation, HotColdInterleave, LoopLineStraddle, MisplacedFallThrough,
     StaticTrafficBound,
 };
-use crate::cache::{ConflictConfig, ConflictPressure};
+use crate::cache::ConflictConfig;
 use crate::conflict::{LoopFootprint, LoopInterference, StaticMissBound};
 use crate::diag::{Diagnostic, Report};
 use crate::placement::{
@@ -97,163 +97,90 @@ pub trait Pass {
     /// The stable diagnostic code this pass emits (e.g. `IPA001`).
     fn code(&self) -> &'static str;
 
-    /// Short machine-friendly name (e.g. `unreachable-blocks`).
-    fn name(&self) -> &'static str;
-
-    /// One-line description of what the pass checks.
-    fn description(&self) -> &'static str;
-
     /// Runs the analysis. Passes whose required artifacts are absent
     /// from `ctx` return an empty vector.
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic>;
 }
 
-/// An ordered collection of passes.
-pub struct Registry {
-    passes: Vec<Box<dyn Pass>>,
-}
+/// The program-level lints (`IPA001`–`IPA005`), usable before any
+/// layout exists.
+pub const PROGRAM_LINTS: &[&dyn Pass] = &[
+    &StructuralValidation,
+    &UnreachableBlocks,
+    &FlowConservation,
+    &BranchMass,
+    &RecursionCycles,
+];
 
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self { passes: Vec::new() }
-    }
+/// The placement verifiers (`IPA101`–`IPA105`).
+pub const PLACEMENT_VERIFIERS: &[&dyn Pass] = &[
+    &PlacementCoverage,
+    &PlacementOverlap,
+    &EffectiveSplit,
+    &Alignment,
+    &BrokenTraces,
+];
 
-    /// The standard registry: every built-in analysis, family by family:
-    /// program lints, placement verifiers, `ConflictPressure`, the
-    /// static analyses, then the advisors.
-    #[must_use]
-    pub fn standard() -> Self {
-        let conflict = Self {
-            passes: vec![Box::new(ConflictPressure)],
-        };
-        let families = [
-            Self::program_lints(),
-            Self::placement_verifiers(),
-            conflict,
-            Self::static_analyses(),
-            Self::advisors(),
-        ];
-        Self {
-            passes: families.into_iter().flat_map(|r| r.passes).collect(),
-        }
-    }
+/// The static cache-conflict analyses (`IPA301`–`IPA303`): loop
+/// footprints vs. geometry, interference between concurrently-hot
+/// loop bodies, and the estimated miss-ratio bound. This is what
+/// `impact analyze` runs on top of placement verification.
+pub const STATIC_ANALYSES: &[&dyn Pass] = &[&LoopFootprint, &LoopInterference, &StaticMissBound];
 
-    /// Just the program-level lints (usable before any layout exists).
-    #[must_use]
-    pub fn program_lints() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(StructuralValidation));
-        r.register(Box::new(UnreachableBlocks));
-        r.register(Box::new(FlowConservation));
-        r.register(Box::new(BranchMass));
-        r.register(Box::new(RecursionCycles));
-        r
-    }
+/// The layout advisors (`IPA401`–`IPA405`): placement defects a
+/// reordering could fix, each reported with a concrete reorder hint.
+/// This is what `impact advise` runs on top of the static analyses.
+pub const ADVISORS: &[&dyn Pass] = &[
+    &MisplacedFallThrough,
+    &CallPairSeparation,
+    &LoopLineStraddle,
+    &HotColdInterleave,
+    &StaticTrafficBound,
+];
 
-    /// Just the placement verifiers.
-    #[must_use]
-    pub fn placement_verifiers() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(PlacementCoverage));
-        r.register(Box::new(PlacementOverlap));
-        r.register(Box::new(EffectiveSplit));
-        r.register(Box::new(Alignment));
-        r.register(Box::new(BrokenTraces));
-        r
-    }
+/// What [`verify_placement`](crate::verify_placement) checks: coverage,
+/// overlap and alignment, the verifiers that need only a program and a
+/// placement.
+pub(crate) const VERIFY_PLACEMENT: &[&dyn Pass] =
+    &[&PlacementCoverage, &PlacementOverlap, &Alignment];
 
-    /// The static cache-conflict analyses (`IPA301`–`IPA303`): loop
-    /// footprints vs. geometry, interference between concurrently-hot
-    /// loop bodies, and the estimated miss-ratio bound. This is what
-    /// `impact analyze` runs on top of placement verification.
-    #[must_use]
-    pub fn static_analyses() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(LoopFootprint));
-        r.register(Box::new(LoopInterference));
-        r.register(Box::new(StaticMissBound));
-        r
-    }
-
-    /// The layout advisors (`IPA401`–`IPA405`): placement defects a
-    /// reordering could fix, each reported with a concrete reorder
-    /// hint. This is what `impact advise` runs on top of the static
-    /// analyses.
-    #[must_use]
-    pub fn advisors() -> Self {
-        let mut r = Self::empty();
-        r.register(Box::new(MisplacedFallThrough));
-        r.register(Box::new(CallPairSeparation));
-        r.register(Box::new(LoopLineStraddle));
-        r.register(Box::new(HotColdInterleave));
-        r.register(Box::new(StaticTrafficBound));
-        r
-    }
-
-    /// Appends a pass; it runs after all previously registered passes.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// The registered passes, in run order.
-    pub fn passes(&self) -> impl Iterator<Item = &dyn Pass> {
-        self.passes.iter().map(AsRef::as_ref)
-    }
-
-    /// Runs every pass over `ctx` and collects the findings.
-    #[must_use]
-    pub fn run(&self, ctx: &Context<'_>) -> Report {
-        let mut report = Report::default();
-        for pass in &self.passes {
-            report.diagnostics.extend(pass.run(ctx));
-        }
-        report
-    }
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.passes.iter().map(|p| p.name()))
-            .finish()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::standard()
+/// Runs `passes` in order over `ctx` and collects their findings.
+#[must_use]
+pub fn run(passes: &[&dyn Pass], ctx: &Context<'_>) -> Report {
+    Report {
+        diagnostics: passes.iter().flat_map(|p| p.run(ctx)).collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ConflictPressure;
 
     #[test]
-    fn standard_registry_has_all_codes_uniquely() {
-        let r = Registry::standard();
-        let codes: Vec<&str> = r.passes().map(Pass::code).collect();
+    fn families_have_all_codes_uniquely() {
+        let all: Vec<&str> = [
+            PROGRAM_LINTS,
+            PLACEMENT_VERIFIERS,
+            &[&ConflictPressure],
+            STATIC_ANALYSES,
+            ADVISORS,
+        ]
+        .into_iter()
+        .flatten()
+        .map(|p| p.code())
+        .collect();
         assert_eq!(
-            codes,
+            all,
             vec![
                 "IPA004", "IPA001", "IPA002", "IPA003", "IPA005", "IPA101", "IPA102", "IPA103",
                 "IPA104", "IPA105", "IPA201", "IPA301", "IPA302", "IPA303", "IPA401", "IPA402",
                 "IPA403", "IPA404", "IPA405"
             ]
         );
-        let mut dedup = codes.clone();
+        let mut dedup = all.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(dedup.len(), codes.len(), "codes must be unique");
-    }
-
-    #[test]
-    fn passes_have_descriptions() {
-        for p in Registry::standard().passes() {
-            assert!(!p.name().is_empty());
-            assert!(!p.description().is_empty());
-        }
+        assert_eq!(dedup.len(), all.len(), "codes must be unique");
     }
 }

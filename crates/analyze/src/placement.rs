@@ -17,14 +17,6 @@ impl Pass for PlacementCoverage {
         "IPA101"
     }
 
-    fn name(&self) -> &'static str {
-        "placement-coverage"
-    }
-
-    fn description(&self) -> &'static str {
-        "every block is assigned an address"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let Some(placement) = ctx.placement else {
             return Vec::new();
@@ -52,14 +44,6 @@ pub struct PlacementOverlap;
 impl Pass for PlacementOverlap {
     fn code(&self) -> &'static str {
         "IPA102"
-    }
-
-    fn name(&self) -> &'static str {
-        "placement-overlap"
-    }
-
-    fn description(&self) -> &'static str {
-        "blocks tile memory without overlaps or gaps"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -126,14 +110,6 @@ pub struct EffectiveSplit;
 impl Pass for EffectiveSplit {
     fn code(&self) -> &'static str {
         "IPA103"
-    }
-
-    fn name(&self) -> &'static str {
-        "effective-split"
-    }
-
-    fn description(&self) -> &'static str {
-        "effective and non-executed regions do not interleave"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -223,14 +199,6 @@ impl Pass for Alignment {
         "IPA104"
     }
 
-    fn name(&self) -> &'static str {
-        "alignment"
-    }
-
-    fn description(&self) -> &'static str {
-        "all block addresses are instruction-aligned"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let Some(placement) = ctx.placement else {
             return Vec::new();
@@ -278,14 +246,6 @@ pub struct BrokenTraces;
 impl Pass for BrokenTraces {
     fn code(&self) -> &'static str {
         "IPA105"
-    }
-
-    fn name(&self) -> &'static str {
-        "broken-traces"
-    }
-
-    fn description(&self) -> &'static str {
-        "selected traces stay contiguous in the final layout"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -345,7 +305,7 @@ mod tests {
     use impact_layout::placement::Placement;
 
     use super::*;
-    use crate::pass::Registry;
+    use crate::pass::{self, PLACEMENT_VERIFIERS};
 
     fn looped_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -384,7 +344,7 @@ mod tests {
         let p = looped_program();
         let r = Pipeline::new(PipelineConfig::default()).run(&p);
         let ctx = crate::pass::Context::of_result(&r);
-        let report = Registry::placement_verifiers().run(&ctx);
+        let report = pass::run(PLACEMENT_VERIFIERS, &ctx);
         assert!(report.is_clean(), "{}", report.render());
     }
 

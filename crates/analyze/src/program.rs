@@ -20,14 +20,6 @@ impl Pass for UnreachableBlocks {
         "IPA001"
     }
 
-    fn name(&self) -> &'static str {
-        "unreachable-blocks"
-    }
-
-    fn description(&self) -> &'static str {
-        "blocks unreachable from their function's entry"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (_, func) in ctx.program.functions() {
@@ -71,14 +63,6 @@ pub struct FlowConservation;
 impl Pass for FlowConservation {
     fn code(&self) -> &'static str {
         "IPA002"
-    }
-
-    fn name(&self) -> &'static str {
-        "flow-conservation"
-    }
-
-    fn description(&self) -> &'static str {
-        "block counts must match incoming profile flow"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -140,14 +124,6 @@ pub struct BranchMass;
 impl Pass for BranchMass {
     fn code(&self) -> &'static str {
         "IPA003"
-    }
-
-    fn name(&self) -> &'static str {
-        "branch-mass"
-    }
-
-    fn description(&self) -> &'static str {
-        "outgoing arc mass must equal block execution count"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
@@ -247,14 +223,6 @@ impl Pass for StructuralValidation {
         "IPA004"
     }
 
-    fn name(&self) -> &'static str {
-        "structural-validation"
-    }
-
-    fn description(&self) -> &'static str {
-        "program passes structural validation (dangling callees, bad targets)"
-    }
-
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {
         match ctx.program.validate() {
             Ok(()) => Vec::new(),
@@ -274,14 +242,6 @@ pub struct RecursionCycles;
 impl Pass for RecursionCycles {
     fn code(&self) -> &'static str {
         "IPA005"
-    }
-
-    fn name(&self) -> &'static str {
-        "recursion-cycles"
-    }
-
-    fn description(&self) -> &'static str {
-        "functions on call-graph cycles (ineligible for inlining)"
     }
 
     fn run(&self, ctx: &Context<'_>) -> Vec<Diagnostic> {

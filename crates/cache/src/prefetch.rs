@@ -50,12 +50,6 @@ impl NextLinePrefetcher {
     pub fn prefetches(&self) -> u64 {
         self.prefetches
     }
-
-    /// Consumes the wrapper, returning the cache.
-    #[must_use]
-    pub fn into_cache(self) -> Cache {
-        self.cache
-    }
 }
 
 impl NextLinePrefetcher {

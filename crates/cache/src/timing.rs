@@ -93,12 +93,6 @@ impl TimingModel {
             self.cycle as f64 / accesses as f64
         }
     }
-
-    /// Consumes the model, returning the wrapped cache.
-    #[must_use]
-    pub fn into_cache(self) -> Cache {
-        self.cache
-    }
 }
 
 impl TimingModel {

@@ -144,7 +144,7 @@ pub fn finish(session: &SimSession, plan: &Plan, prepared: &[Prepared]) -> Vec<R
         .map(|(i, handle)| {
             let p = &prepared[*i];
             let program = &p.result.program;
-            let static_profile = StaticProfiler::new().profile(program);
+            let static_profile = StaticProfiler.profile(program);
 
             let (mut est, mut meas) = (Vec::new(), Vec::new());
             for (fid, _) in program.functions() {

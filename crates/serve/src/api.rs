@@ -21,9 +21,7 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use impact_analyze::{
-    advise_static, analyze_static, reports_to_json, CheckedPipeline, ConflictConfig,
-};
+use impact_analyze::{advise_static, analyze_static, run_checked, ConflictConfig};
 use impact_asm::parse_program;
 use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy};
 use impact_experiments::session::{SimMetrics, SimSession};
@@ -192,27 +190,27 @@ pub fn route(state: &AppState, req: &Request) -> (Endpoint, Response) {
     (endpoint, resp)
 }
 
-/// `POST /v1/lint` — run the full `impact-analyze` registry over the
-/// submitted program's pipeline run. The body is byte-for-byte the
-/// document `impact lint --json` prints for one target: both surfaces
-/// call [`impact_analyze::reports_to_json`]. With `"deny_warnings":
-/// true` (the CLI's `--deny-warnings`) a warning-bearing report comes
-/// back as 422 — the body bytes are unchanged, only the status flips.
+/// `POST /v1/lint` — run the checked pipeline
+/// ([`impact_analyze::run_checked`]) over the submitted program. The
+/// body is byte-for-byte the document `impact lint --json` prints for
+/// one target: a one-element array of
+/// [`Report::to_json_for_target`](impact_analyze::Report::to_json_for_target),
+/// the row both surfaces render. With `"deny_warnings": true` (the
+/// CLI's `--deny-warnings`) a warning-bearing report comes back as 422
+/// — the body bytes are unchanged, only the status flips.
 fn lint(_: &AppState, req: &Request) -> Result<Response, Reject> {
     let doc = decode_body(req)?;
     let (name, program, params) = decode_program(&doc)?;
     let deny_warnings = field_bool(&doc, "deny_warnings")?.unwrap_or(false);
-    let checked = CheckedPipeline::new(Pipeline::new(params.pipeline_config()));
-    let (_, report) = checked.try_run(&program).map_err(bad_input)?;
+    let pipeline = Pipeline::new(params.pipeline_config());
+    let (_, report) = run_checked(&pipeline, &program).map_err(bad_input)?;
     let status = if deny_warnings && report.warning_count() > 0 {
         422
     } else {
         200
     };
-    Ok(Response::json(
-        status,
-        &reports_to_json([(name.as_str(), &report)]),
-    ))
+    let rows = Json::Arr(vec![report.to_json_for_target(&name)]);
+    Ok(Response::json(status, &rows))
 }
 
 /// `POST /v1/analyze` — profile-free static analysis: Ball/Larus-style
@@ -972,17 +970,15 @@ mod tests {
         let (_, resp) = route(&state, &post("/v1/lint", &body));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
 
-        // Same implementation as `impact lint --json`: reports_to_json.
+        // Same rows as `impact lint --json`: one `to_json_for_target`.
         let program = parse_program(&text).unwrap();
         let config = PipelineConfig {
             profile_runs: 2,
             limits: ExecLimits::capped(60_000),
             ..PipelineConfig::default()
         };
-        let (_, report) = CheckedPipeline::new(Pipeline::new(config))
-            .try_run(&program)
-            .unwrap();
-        let expected = Response::json(200, &reports_to_json([("cmp", &report)]));
+        let (_, report) = run_checked(&Pipeline::new(config), &program).unwrap();
+        let expected = Response::json(200, &Json::Arr(vec![report.to_json_for_target("cmp")]));
         assert_eq!(resp.body, expected.body);
     }
 

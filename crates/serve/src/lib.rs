@@ -20,9 +20,11 @@
 //! CLI twin that makes the same calls, so the twin's `--json` prints the
 //! endpoint's document:
 //!
-//! - `POST /v1/lint` — the `impact-analyze` registry over a submitted
-//!   program; twin `impact lint --json` (both render with
-//!   [`impact_analyze::reports_to_json`]).
+//! - `POST /v1/lint` — the checked pipeline
+//!   ([`impact_analyze::run_checked`]) over a submitted program; twin
+//!   `impact lint --json` (both render
+//!   [`Report::to_json_for_target`](impact_analyze::Report::to_json_for_target)
+//!   rows).
 //! - `POST /v1/layout` — the five-step IMPACT-I pipeline
 //!   ([`api::layout`]), returning the placement and its quality
 //!   metrics; twin `impact optimize --json`.

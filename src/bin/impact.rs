@@ -112,7 +112,7 @@
 use std::process::ExitCode;
 
 use impact::analyze::{
-    advise_static, analyze_static, score_placement, CheckedPipeline, ConflictConfig, Report,
+    advise_static, analyze_static, run_checked, score_placement, ConflictConfig, Report,
 };
 use impact::asm::{parse_program, print_program};
 use impact::cache::{Associativity, Cache, CacheConfig, FillPolicy};
@@ -391,13 +391,13 @@ fn run_targets<T>(
     }
 }
 
-/// `impact lint` — the checked pipeline and every diagnostic pass.
+/// `impact lint` — the checked pipeline, linting each of its checkpoints.
 fn lint(opts: &Options) -> ExitCode {
-    let checked = CheckedPipeline::new(Pipeline::new(opts.params.pipeline_config()));
+    let pipeline = Pipeline::new(opts.params.pipeline_config());
     run_targets(
         opts,
         |program| {
-            let (_, report) = checked.try_run(program).map_err(|e| e.to_string())?;
+            let (_, report) = run_checked(&pipeline, program).map_err(|e| e.to_string())?;
             let fails = opts.fails(&report, report.warning_count());
             Ok((report, fails))
         },

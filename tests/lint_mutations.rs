@@ -2,10 +2,11 @@
 //! analysis must fire on a deliberately corrupted artifact, and the full
 //! pipeline over every bundled workload must lint error-free.
 
-use impact::analyze::{self, ConflictConfig, Context, Pass, Registry};
-use impact::experiments::prepare::{prepare, Budget};
+use impact::analyze::{self, pass, ConflictConfig, Context, Pass};
+use impact::experiments::prepare::{pipeline_config, prepare, Budget};
 use impact::ir::{BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator, ValidateError};
 use impact::layout::baseline;
+use impact::layout::pipeline::Pipeline;
 use impact::layout::placement::Placement;
 use impact::profile::{Profile, Profiler};
 
@@ -17,13 +18,15 @@ fn budget() -> Budget {
     }
 }
 
-/// The acceptance contract: every workload, full pipeline, zero errors.
-/// (Warnings — unreachable code, recursion, conflict pressure — are fine.)
+/// The acceptance contract: every workload, through the checked pipeline
+/// `impact lint` runs, zero errors. (Warnings — unreachable code,
+/// recursion, conflict pressure — are fine.)
 #[test]
 fn all_ten_workloads_lint_error_free() {
     for w in impact::workloads::all() {
-        let p = prepare(&w, &budget());
-        let report = analyze::lint_result(&p.result);
+        let pipeline = Pipeline::new(pipeline_config(&w, &budget()));
+        let (_, report) =
+            analyze::run_checked(&pipeline, &w.program).expect("well-formed workload");
         assert_eq!(
             report.error_count(),
             0,
@@ -35,13 +38,13 @@ fn all_ten_workloads_lint_error_free() {
 }
 
 /// Lints a bare program (plus optional profile) with the program-level
-/// registry, before any layout exists.
+/// lints, before any layout exists.
 fn lint_program(program: &Program, profile: Option<&Profile>) -> analyze::Report {
     let mut ctx = Context::program_only(program);
     if let Some(p) = profile {
         ctx = ctx.with_profile(p);
     }
-    Registry::program_lints().run(&ctx)
+    pass::run(analyze::PROGRAM_LINTS, &ctx)
 }
 
 /// A two-block loop: entry branches back on itself with p=0.7, then exits.
@@ -161,14 +164,14 @@ fn rebuild(placement: &Placement, addrs: Vec<Vec<u64>>) -> Placement {
     )
 }
 
-/// Runs the placement verifiers (plus conflict pressure) on a pipeline
-/// result whose placement was swapped for `placement`.
+/// Runs the placement verifiers on a pipeline result whose placement
+/// was swapped for `placement`.
 fn verify_with(
     p: &impact::experiments::prepare::Prepared,
     placement: &Placement,
 ) -> analyze::Report {
     let ctx = Context::of_result(&p.result).with_placement(placement);
-    Registry::placement_verifiers().run(&ctx)
+    pass::run(analyze::PLACEMENT_VERIFIERS, &ctx)
 }
 
 #[test]
@@ -312,7 +315,7 @@ fn ipa301_fires_when_a_loop_outgrows_the_cache() {
         ..ConflictConfig::default()
     };
     let ctx = Context::program_only(&p.result.program).with_conflict(tiny);
-    let report = Registry::static_analyses().run(&ctx);
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx);
     assert!(
         report.with_code("IPA301").count() > 0,
         "{}",
@@ -327,7 +330,7 @@ fn ipa301_fires_when_a_loop_outgrows_the_cache() {
         ..ConflictConfig::default()
     };
     let ctx = Context::program_only(&p.result.program).with_conflict(huge);
-    let report = Registry::static_analyses().run(&ctx);
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx);
     assert_eq!(report.with_code("IPA301").count(), 0, "{}", report.render());
 }
 
@@ -337,7 +340,7 @@ fn ipa302_fires_on_aliased_concurrent_loops() {
     // Exactly one cache capacity apart: the loops contest the same sets.
     let aliased = concurrent_placement(&p, 2048);
     let ctx = Context::program_only(&p).with_placement(&aliased);
-    let report = Registry::static_analyses().run(&ctx);
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx);
     assert!(
         report.with_code("IPA302").count() > 0,
         "{}",
@@ -347,7 +350,7 @@ fn ipa302_fires_on_aliased_concurrent_loops() {
     // Adjacent in one cache frame: disjoint sets, nothing to report.
     let disjoint = concurrent_placement(&p, 192);
     let ctx = Context::program_only(&p).with_placement(&disjoint);
-    let report = Registry::static_analyses().run(&ctx);
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx);
     assert_eq!(report.with_code("IPA302").count(), 0, "{}", report.render());
 }
 
@@ -359,7 +362,7 @@ fn ipa303_fires_when_the_miss_bound_blows_the_threshold() {
     let ctx = Context::program_only(&p)
         .with_profile(&prof)
         .with_placement(&aliased);
-    let report = Registry::static_analyses().run(&ctx);
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx);
     assert!(
         report.with_code("IPA303").count() > 0,
         "{}",
@@ -371,7 +374,7 @@ fn ipa303_fires_when_the_miss_bound_blows_the_threshold() {
         miss_bound_warn: 1.0,
         ..ConflictConfig::default()
     };
-    let report = Registry::static_analyses().run(&ctx.with_conflict(lax));
+    let report = pass::run(analyze::STATIC_ANALYSES, &ctx.with_conflict(lax));
     assert_eq!(report.with_code("IPA303").count(), 0, "{}", report.render());
 }
 
@@ -399,7 +402,7 @@ fn advise_with(
     placement: &Placement,
 ) -> analyze::Report {
     let ctx = Context::of_result(&p.result).with_placement(placement);
-    Registry::advisors().run(&ctx)
+    pass::run(analyze::ADVISORS, &ctx)
 }
 
 /// The advisors' acceptance contract: the paper pipeline's own
