@@ -11,11 +11,10 @@
 //!    sends each run whole through `access_run`. Both go through the
 //!    same kernel, so the ratio is what run batching buys.
 //! 2. **replay** — the same trace delivered to a five-config
-//!    [`MultiLane`] sweep four ways: interpreted walk, interpreted walk
-//!    under a [`CaptureSink`] tee (capture overhead), [`RunBuffer`]
-//!    replay (the session's warm path), and replay into one cache; plus
-//!    replay into `serve_cold`'s six configs and Table 1's sixteen
-//!    fully associative ones.
+//!    [`MultiLane`] sweep three ways: interpreted walk (the session's
+//!    path), [`RunBuffer`] replay (perfbench's traced pass), and replay
+//!    into one cache; plus replay into `serve_cold`'s six configs and
+//!    Table 1's sixteen fully associative ones.
 //! 3. **table6_cold** — the full Table 6 pipeline through a fresh
 //!    storeless `SimSession`.
 //!
@@ -37,7 +36,7 @@ use impact_experiments::session::SimSession;
 use impact_layout::baseline;
 use impact_profile::ExecLimits;
 use impact_support::json::{Json, ToJson};
-use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
+use impact_trace::{RunBuffer, TraceGenerator};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -162,8 +161,7 @@ fn main() {
     }
 
     // Section 2: delivery-path rates for a five-size sweep at one block
-    // geometry (the Table 6 shape) — interpreted walk vs capture tee vs
-    // artifact replay.
+    // geometry (the Table 6 shape) — interpreted walk vs artifact replay.
     let w = impact_workloads::by_name("grep").expect("grep exists");
     let placement = baseline::natural(&w.program);
     let gen =
@@ -179,12 +177,6 @@ fn main() {
         let mut lanes = MultiLane::new(sweep.iter().copied());
         gen.stream(seed, &mut lanes);
         black_box(lanes.take_stats());
-    });
-    let capture_nanos = best_nanos(reps, || {
-        let mut lanes = MultiLane::new(sweep.iter().copied());
-        let mut buf = RunBuffer::new();
-        gen.stream(seed, &mut CaptureSink::new(&mut buf, &mut lanes));
-        black_box((lanes.take_stats(), buf.len()));
     });
     let replay_into = |configs: &[CacheConfig]| {
         best_nanos(reps, || {
@@ -219,7 +211,6 @@ fn main() {
     let ips = |nanos: u64| streamed as f64 * 1e9 / nanos as f64;
     let replay_rows: Vec<(&str, f64)> = vec![
         ("interpreted_stream_sweep5", ips(interp_nanos)),
-        ("interpreted_capture_sweep5", ips(capture_nanos)),
         ("artifact_replay_sweep5", ips(replay_nanos)),
         ("artifact_replay_direct_2k_64", ips(replay_one_nanos)),
         ("artifact_replay_serve_cold6", ips(serve_cold_nanos)),
@@ -232,12 +223,12 @@ fn main() {
     eprintln!(
         "  replay vs interpreted on the sweep: {replay_speedup:.2}x \
          (artifact: {} runs / {} KiB)",
-        artifact.len(),
+        artifact.runs().len(),
         artifact.bytes() / 1024,
     );
 
     // Section 3: the whole Table 6 pipeline, cold, through a fresh
-    // session. Rates come from the session's own sim-time accounting,
+    // session. Rates come from the session's own walk-time accounting,
     // matching `repro --metrics`.
     let budget = if fast {
         Budget::fast()
@@ -250,7 +241,7 @@ fn main() {
     let table6_cold = |session: &mut SimSession| {
         black_box(runner::run_tables(session, &prepared, &[6]));
         let m = session.metrics();
-        (m.instrs_per_sec(), m.instructions)
+        (m.interpreted_instrs_per_sec(), m.instructions)
     };
     let mut cold = (0.0f64, 0u64);
     for _ in 0..reps {
@@ -289,7 +280,10 @@ fn main() {
                     ),
                 ),
                 ("replay_vs_interpreted".into(), replay_speedup.to_json()),
-                ("artifact_runs".into(), (artifact.len() as u64).to_json()),
+                (
+                    "artifact_runs".into(),
+                    (artifact.runs().len() as u64).to_json(),
+                ),
                 ("artifact_bytes".into(), (artifact.bytes() as u64).to_json()),
             ]),
         ),

@@ -16,10 +16,9 @@
 //!   streamed vs. memo-served, instructions/sec, per-table timing) as
 //!   JSON; a summary always goes to stderr.
 //! * `--store DIR` attaches a persistent content-addressed store:
-//!   results and trace artifacts are written through, and a repeated
-//!   invocation is answered mostly from disk (`disk_served` in the
-//!   metrics) with byte-identical tables. New configs over a stored
-//!   trace replay its artifact instead of walking the interpreter.
+//!   results are written through, and a repeated invocation is answered
+//!   mostly from disk (`disk_served` in the metrics) with byte-identical
+//!   tables. New configs over a stored trace walk it again.
 //!
 //! All selected tables share one [`SimSession`], so every unique
 //! evaluation trace is streamed exactly once per run no matter how many

@@ -9,17 +9,22 @@
 //!   branch biases, placement addresses, seed, limits). The session
 //!   interns keys by it in memory, and the store names files by it on
 //!   disk.
-//! * [`artifact_cid`] / [`result_cid`] — derive the store keys for a
-//!   trace's captured [`RunBuffer`] and for one cache configuration's
-//!   finished statistics over it.
+//! * [`result_cid`] — derives the store key of one cache configuration's
+//!   finished statistics over a trace. The session stores only these.
+//! * [`artifact_cid`] — derives the store key of a trace's captured
+//!   [`RunBuffer`]. The session writes no artifacts: replaying a stored
+//!   buffer measured slower than walking the trace again. The key and
+//!   [`encode_artifact`] serve perfbench's traced restart pass, and
+//!   older stores keep their artifact entries, which `impact store`
+//!   still lists, verifies and collects.
 //!
 //! Payloads are little-endian `u64` sequences behind a one-byte kind tag
-//! ([`impact_store::kind`]); decoders validate the tag, the length, and
-//! the artifact's instruction sum, so a frame that passes the store's
-//! checksum but was written by a different (future) layout still decodes
-//! to `None` instead of garbage.
+//! ([`impact_store::kind`]); [`decode_result`] validates the tag and the
+//! length, so a frame that passes the store's checksum but was written by
+//! a different (future) layout still decodes to `None` instead of
+//! garbage.
 
-use impact_cache::{AccessSink, Associativity, CacheConfig, CacheStats, FillPolicy};
+use impact_cache::{Associativity, CacheConfig, CacheStats, FillPolicy};
 use impact_ir::{Program, Terminator};
 use impact_layout::Placement;
 use impact_profile::ExecLimits;
@@ -140,29 +145,6 @@ pub fn encode_artifact(buf: &RunBuffer) -> Vec<u8> {
     out
 }
 
-/// Reconstructs a run buffer, or `None` on any layout mismatch
-/// (wrong kind, short payload, trailing bytes, zero-length run, or an
-/// instruction total that disagrees with the runs).
-#[must_use]
-pub fn decode_artifact(payload: &[u8]) -> Option<RunBuffer> {
-    let mut r = Reader::new(payload, kind::ARTIFACT)?;
-    let instructions = r.u64()?;
-    let count = r.u64()?;
-    let mut buf = RunBuffer::new();
-    for _ in 0..count {
-        let start = r.u64()?;
-        let words = r.u64()?;
-        if words == 0 {
-            return None;
-        }
-        buf.access_run(start, words);
-    }
-    if !r.done() || buf.instructions() != instructions {
-        return None;
-    }
-    Some(buf)
-}
-
 /// Serializes one finished per-config result: kind tag, the five
 /// [`CacheStats`] counters, then the trace length.
 #[must_use]
@@ -229,6 +211,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impact_cache::AccessSink;
     use impact_layout::baseline;
 
     const LIMITS: ExecLimits = ExecLimits::capped(40_000);
@@ -306,29 +289,20 @@ mod tests {
         }
     }
 
+    /// perfbench's traced restart pass writes artifacts with this
+    /// layout: kind tag, instruction total, run count, then the runs.
     #[test]
-    fn artifact_codec_round_trips() {
-        let mut buf = RunBuffer::new();
+    fn artifact_encoding_is_pinned() {
+        let mut buf = RunBuffer::default();
         buf.access_run(0x40, 16);
         buf.access_run(0x1000, 3);
-        buf.access(0x2000);
         let payload = encode_artifact(&buf);
         assert_eq!(payload[0], kind::ARTIFACT);
-        let back = decode_artifact(&payload).expect("decode");
-        assert_eq!(back, buf);
-        assert_eq!(encode_artifact(&back), payload, "re-encode is identical");
-
-        // Damage: short payload, trailing bytes, run-count lie, bad kind.
-        assert!(decode_artifact(&payload[..payload.len() - 1]).is_none());
-        let mut long = payload.clone();
-        long.push(0);
-        assert!(decode_artifact(&long).is_none());
-        let mut lied = payload.clone();
-        lied[1] ^= 1; // instruction total no longer matches the runs
-        assert!(decode_artifact(&lied).is_none());
-        let mut wrong_kind = payload;
-        wrong_kind[0] = kind::RESULT;
-        assert!(decode_artifact(&wrong_kind).is_none());
+        let words: Vec<u64> = payload[1..]
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [19, 2, 0x40, 16, 0x1000, 3]);
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //!    ([`impact_support::parallel_map`]); each stream drives a single
 //!    [`MultiLane`] bank holding the key's config union plus any
 //!    attached sinks. With an on-disk store attached, a key whose
-//!    results are all stored is disk-served, and the store is the only
-//!    [`RunBuffer`] artifact tier: each work item replays the key's
-//!    persisted artifact when there is one, and otherwise walks under a
-//!    [`CaptureSink`] tee and persists what it captured. No buffer
-//!    outlives its work item, so at most `jobs` are live at once.
+//!    results are all stored is disk-served; every other key is walked
+//!    and its results are written through. The store holds results only:
+//!    replaying a stored [`RunBuffer`](impact_trace::RunBuffer) measured
+//!    slower than the walk it replaced, so no trace is stored.
 //!    Results are stored per key, in deterministic order — with one job
 //!    the execution is a plain serial loop.
 //! 3. **Read** — [`stats`](SimSession::stats),
@@ -35,8 +34,8 @@
 //!    demand needs a new session (with a store, it starts warm).
 //!
 //! [`SimMetrics`] exposes the observability layer: traces streamed vs.
-//! memo-served, instructions simulated, and per-table / per-simulation
-//! wall-clock with instructions-per-second rates.
+//! memo- and disk-served, instructions simulated, and per-table /
+//! per-simulation wall-clock with instructions-per-second rates.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -46,10 +45,10 @@ use std::time::Instant;
 use impact_cache::{AccessSink, CacheConfig, CacheStats, MultiLane};
 use impact_ir::Program;
 use impact_layout::Placement;
-use impact_profile::{ExecLimits, ExecSummary};
+use impact_profile::ExecLimits;
 use impact_store::{Cid, Store, StoreCounters};
 use impact_support::json::{Json, ToJson};
-use impact_trace::{CaptureSink, RunBuffer, TraceGenerator};
+use impact_trace::TraceGenerator;
 
 use crate::persist;
 
@@ -120,21 +119,17 @@ struct KeyEntry {
     /// Trace length, filled by execution.
     instructions: u64,
     /// Whether the walk stopped at a limit, for keys this session
-    /// interpreted; replays and disk-served results do not record it.
+    /// walked; disk-served results do not record it.
     truncated: Option<bool>,
 }
 
 /// How one [`SimRecord`]'s instructions were delivered to the sinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
-    /// The CFG interpreter walked the program (capturing the run-buffer
-    /// artifact into the attached store along the way, if any).
+    /// The CFG interpreter walked the program.
     Interpreted,
-    /// The key's [`RunBuffer`] artifact was loaded from the attached
-    /// store and replayed, no interpreter involved.
-    Replayed,
     /// Every config result was loaded from the attached on-disk
-    /// store: no interpreter, no replay, no trace stream at all.
+    /// store: no interpreter, no trace stream at all.
     DiskServed,
 }
 
@@ -144,7 +139,6 @@ impl SimMode {
     pub fn label(self) -> &'static str {
         match self {
             SimMode::Interpreted => "interpreted",
-            SimMode::Replayed => "replayed",
             SimMode::DiskServed => "disk_served",
         }
     }
@@ -166,7 +160,7 @@ pub struct SimRecord {
     pub instructions: u64,
     /// Wall-clock nanoseconds spent streaming.
     pub nanos: u64,
-    /// Interpreter walk or artifact replay.
+    /// Interpreter walk or disk-served results.
     pub mode: SimMode,
 }
 
@@ -200,10 +194,6 @@ pub struct SimMetrics {
     pub unique_traces: u64,
     /// Interpreter trace walks actually performed.
     pub traces_streamed: u64,
-    /// Artifact replays: deliveries served by loading the key's run
-    /// buffer from the on-disk store and replaying it instead of walking
-    /// the interpreter.
-    pub replays: u64,
     /// Key deliveries answered entirely from the on-disk store: every
     /// config result was loaded and verified, no trace stream.
     pub disk_served: u64,
@@ -220,19 +210,13 @@ pub struct SimMetrics {
     pub instructions: u64,
     /// Instructions delivered by interpreter walks.
     pub instructions_interpreted: u64,
-    /// Instructions delivered by artifact replays.
-    pub instructions_replayed: u64,
     /// Instructions whose simulation was avoided because the key was
     /// disk-served (trace length recorded with the stored results).
     pub instructions_disk_served: u64,
     /// Nanoseconds spent in interpreter walks (summed over threads).
     pub interp_nanos: u64,
-    /// Nanoseconds spent in artifact replays (summed over threads).
-    pub replay_nanos: u64,
     /// Nanoseconds spent loading and verifying disk-served results.
     pub disk_nanos: u64,
-    /// Total nanoseconds across streams (summed over threads).
-    pub sim_nanos: u64,
     /// Wall-clock nanoseconds inside `execute`, disk-served rounds
     /// included.
     pub wall_nanos: u64,
@@ -257,7 +241,6 @@ impl SimMetrics {
         self.requests += other.requests;
         self.unique_traces += other.unique_traces;
         self.traces_streamed += other.traces_streamed;
-        self.replays += other.replays;
         self.disk_served += other.disk_served;
         self.memo_key_hits += other.memo_key_hits;
         self.configs_requested += other.configs_requested;
@@ -265,23 +248,10 @@ impl SimMetrics {
         self.memo_served += other.memo_served;
         self.instructions += other.instructions;
         self.instructions_interpreted += other.instructions_interpreted;
-        self.instructions_replayed += other.instructions_replayed;
         self.instructions_disk_served += other.instructions_disk_served;
         self.interp_nanos += other.interp_nanos;
-        self.replay_nanos += other.replay_nanos;
         self.disk_nanos += other.disk_nanos;
-        self.sim_nanos += other.sim_nanos;
         self.wall_nanos += other.wall_nanos;
-    }
-
-    /// Aggregate delivered instructions per second (interpreted plus
-    /// replayed, over total sim time summed across threads).
-    #[must_use]
-    pub fn instrs_per_sec(&self) -> f64 {
-        per_sec(
-            self.instructions_interpreted + self.instructions_replayed,
-            self.sim_nanos,
-        )
     }
 
     /// Interpreter-walk instructions per second (0.0 when nothing was
@@ -289,13 +259,6 @@ impl SimMetrics {
     #[must_use]
     pub fn interpreted_instrs_per_sec(&self) -> f64 {
         per_sec(self.instructions_interpreted, self.interp_nanos)
-    }
-
-    /// Artifact-replay instructions per second (0.0 when nothing was
-    /// replayed — the division is guarded, never `NaN`/`inf`).
-    #[must_use]
-    pub fn replayed_instrs_per_sec(&self) -> f64 {
-        per_sec(self.instructions_replayed, self.replay_nanos)
     }
 
     /// Share of requested config results served from the memo (0.0
@@ -321,7 +284,6 @@ impl SimMetrics {
             ("requests", self.requests.to_json()),
             ("unique_traces", self.unique_traces.to_json()),
             ("traces_streamed", self.traces_streamed.to_json()),
-            ("replays", self.replays.to_json()),
             ("disk_served", self.disk_served.to_json()),
             ("memo_key_hits", self.memo_key_hits.to_json()),
             ("configs_requested", self.configs_requested.to_json()),
@@ -334,27 +296,16 @@ impl SimMetrics {
                 self.instructions_interpreted.to_json(),
             ),
             (
-                "instructions_replayed",
-                self.instructions_replayed.to_json(),
-            ),
-            (
                 "instructions_disk_served",
                 self.instructions_disk_served.to_json(),
             ),
             ("interp_nanos", self.interp_nanos.to_json()),
-            ("replay_nanos", self.replay_nanos.to_json()),
             ("disk_nanos", self.disk_nanos.to_json()),
             (
                 "interpreted_instrs_per_sec",
                 self.interpreted_instrs_per_sec().to_json(),
             ),
-            (
-                "replayed_instrs_per_sec",
-                self.replayed_instrs_per_sec().to_json(),
-            ),
-            ("sim_nanos", self.sim_nanos.to_json()),
             ("wall_nanos", self.wall_nanos.to_json()),
-            ("instrs_per_sec", self.instrs_per_sec().to_json()),
         ];
         let mut fields: Vec<(String, Json)> = fields
             .into_iter()
@@ -373,28 +324,13 @@ impl SimMetrics {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "sim: {} unique traces, {} streamed, {} replays, {} disk-served, {} memo key hits",
-            self.unique_traces,
-            self.traces_streamed,
-            self.replays,
-            self.disk_served,
-            self.memo_key_hits
+            "sim: {} unique traces, {} streamed, {} disk-served, {} memo key hits",
+            self.unique_traces, self.traces_streamed, self.disk_served, self.memo_key_hits
         );
         let _ = writeln!(
             out,
             "sim: {} config results requested, {} simulated, {} memo-served",
             self.configs_requested, self.configs_simulated, self.memo_served
-        );
-        // Per-mode accounting with guarded rates: a session where
-        // everything replays must report honest numbers, not a division
-        // by a near-zero interpreter time.
-        let _ = writeln!(
-            out,
-            "sim: interpreted {} instrs ({}), replayed {} ({})",
-            self.instructions_interpreted,
-            rate_label(self.interpreted_instrs_per_sec()),
-            self.instructions_replayed,
-            rate_label(self.replayed_instrs_per_sec()),
         );
         if let Some(store) = &self.store {
             let _ = writeln!(
@@ -410,12 +346,14 @@ impl SimMetrics {
                 store.bytes_written >> 10,
             );
         }
+        // The rate is guarded: a fully disk-served session reports "-",
+        // not a division by a zero walk time.
         let _ = write!(
             out,
-            "sim: {} instructions delivered in {:.2?} sim time ({:.2}M instr/s, {} jobs, {:.2?} wall)",
-            self.instructions_interpreted + self.instructions_replayed,
-            std::time::Duration::from_nanos(self.sim_nanos),
-            self.instrs_per_sec() / 1e6,
+            "sim: interpreted {} instrs in {:.2?} walk time ({}, {} jobs, {:.2?} wall)",
+            self.instructions_interpreted,
+            std::time::Duration::from_nanos(self.interp_nanos),
+            rate_label(self.interpreted_instrs_per_sec()),
             self.jobs,
             std::time::Duration::from_nanos(self.wall_nanos),
         );
@@ -482,15 +420,14 @@ pub struct SimSession {
     keys: Vec<KeyEntry>,
     /// Trace key → index into `keys`.
     by_cid: HashMap<Cid, usize>,
-    /// Attached persistent store: finished results and captured
-    /// artifacts are written through, and demands are answered from it
-    /// before any trace streams. The only artifact tier.
+    /// Attached persistent store: finished results are written through,
+    /// and demands are answered from it before any trace streams.
     store: Option<Arc<Store>>,
     /// Whether [`SimSession::execute`] has run.
     executed: bool,
     /// The counters and records, updated in place. Fields that follow
     /// from the session's state (`jobs`, `unique_traces`,
-    /// `memo_key_hits`, `sim_nanos` and `store`) stay zero here;
+    /// `memo_key_hits` and `store`) stay zero here;
     /// [`SimSession::counters`] fills them.
     metrics: SimMetrics,
 }
@@ -540,11 +477,10 @@ impl SimSession {
 
     /// Attaches a persistent content-addressed store. Demands are
     /// answered from it before any trace streams (counted as
-    /// [`SimMetrics::disk_served`]), stored artifacts replay in place of
-    /// re-interpretation, and every finished result and captured
-    /// artifact is written through — so a later session, in this process
-    /// or a new one, starts warm wherever this one (or any other sharing
-    /// the directory) left off.
+    /// [`SimMetrics::disk_served`]), and every finished result is written
+    /// through — so a later session, in this process or a new one, starts
+    /// warm wherever this one (or any other sharing the directory) left
+    /// off.
     #[must_use]
     pub fn with_store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
@@ -659,12 +595,8 @@ impl SimSession {
     /// with one job this is a plain serial loop.
     ///
     /// With a store attached, a key whose every config result is stored
-    /// is disk-served without a stream. Any other key **replays** its
-    /// persisted [`RunBuffer`] artifact (counted as
-    /// [`SimMetrics::replays`]) — bit-identical to a walk, at memcpy
-    /// speed — or, when none is stored, walks the CFG interpreter under
-    /// a capture tee and persists the artifact. Without a store every
-    /// delivery walks the interpreter.
+    /// is disk-served without a stream; every other key walks the CFG
+    /// interpreter and writes its results through.
     ///
     /// # Panics
     ///
@@ -677,13 +609,12 @@ impl SimSession {
         assert!(!self.executed, "{ONE_SHOT}");
         self.executed = true;
         let wall = Instant::now();
-        let store = self.store.clone();
         // Phase 1: pull the mutable pieces out of each key that the store
         // cannot answer outright.
         let mut taken: Vec<Work> = Vec::new();
         for (i, k) in self.keys.iter_mut().enumerate() {
             self.metrics.configs_simulated += k.configs.len() as u64;
-            if let Some(store) = &store {
+            if let Some(store) = &self.store {
                 let t0 = Instant::now();
                 if disk_serve(store, k) {
                     let nanos = t0.elapsed().as_nanos() as u64;
@@ -712,55 +643,42 @@ impl SimSession {
             taken.push((i, bank, sinks));
         }
 
-        // Phase 2: deliver each key's trace once, in parallel. All
-        // artifact work happens inside the key's own work item, so at
-        // most `jobs` run buffers are live at once. Work items carry
-        // shared references to their key's inputs so the closure never
-        // touches the (non-`Sync`) sink storage.
+        // Phase 2: walk each key's trace once, in parallel. Work items
+        // carry shared references to their key's inputs so the closure
+        // never touches the (non-`Sync`) sink storage.
         let work: Vec<_> = taken
             .into_iter()
             .map(|(i, bank, sinks)| {
                 let k = &self.keys[i];
-                (
-                    i,
-                    (&k.program, &k.placement, k.seed, k.limits, k.cid),
-                    bank,
-                    sinks,
-                )
+                (i, (&k.program, &k.placement, k.seed, k.limits), bank, sinks)
             })
             .collect();
         let results = impact_support::parallel_map(
             self.jobs,
             work,
-            |(i, (program, placement, seed, limits, cid), mut bank, mut sinks)| {
-                let mut fan = Fanout {
-                    bank: &mut bank,
-                    sinks: &mut sinks,
-                };
+            |(i, (program, placement, seed, limits), mut bank, mut sinks)| {
                 let gen = TraceGenerator::new(program, placement).with_limits(limits);
-                let (delivery, nanos) = stream_key(store.as_deref(), &gen, seed, &cid, &mut fan);
-                (i, bank, sinks, delivery, nanos)
+                let t0 = Instant::now();
+                let summary = gen.stream(
+                    seed,
+                    &mut Fanout {
+                        bank: &mut bank,
+                        sinks: &mut sinks,
+                    },
+                );
+                let nanos = t0.elapsed().as_nanos() as u64;
+                (i, bank, sinks, summary, nanos)
             },
         );
 
         // Phase 3: file results back, serially, in key order.
-        for (i, mut bank, sinks, delivery, nanos) in results {
+        for (i, mut bank, sinks, summary, nanos) in results {
             let k = &mut self.keys[i];
-            let (instructions, mode) = match delivery {
-                Delivery::Walked(summary) => {
-                    k.truncated = Some(summary.truncated);
-                    self.metrics.traces_streamed += 1;
-                    self.metrics.instructions_interpreted += summary.instructions;
-                    self.metrics.interp_nanos += nanos;
-                    (summary.instructions, SimMode::Interpreted)
-                }
-                Delivery::Replayed(instructions) => {
-                    self.metrics.replays += 1;
-                    self.metrics.instructions_replayed += instructions;
-                    self.metrics.replay_nanos += nanos;
-                    (instructions, SimMode::Replayed)
-                }
-            };
+            let instructions = summary.instructions;
+            k.truncated = Some(summary.truncated);
+            self.metrics.traces_streamed += 1;
+            self.metrics.instructions_interpreted += instructions;
+            self.metrics.interp_nanos += nanos;
             self.metrics.instructions += instructions;
             self.metrics.simulations.push(SimRecord {
                 trace: k.cid,
@@ -769,7 +687,7 @@ impl SimSession {
                 sinks: sinks.len() as u64,
                 instructions,
                 nanos,
-                mode,
+                mode: SimMode::Interpreted,
             });
             k.stats = bank.take_stats();
             for (slot, sink) in k.sinks.iter_mut().zip(sinks) {
@@ -779,7 +697,7 @@ impl SimSession {
             // Write-through: persist the finished results. Best-effort —
             // a full or read-only store disk degrades to cold behavior,
             // never to an error.
-            if let Some(store) = &store {
+            if let Some(store) = &self.store {
                 for (config, stats) in k.configs.iter().zip(&k.stats) {
                     let _ = store.put(
                         &persist::result_cid(&k.cid, config),
@@ -826,8 +744,8 @@ impl SimSession {
 
     /// Whether the walk of a request's key stopped at a limit (the
     /// instruction cap or the call-depth cap): `Some` when this session
-    /// interpreted the key, `None` when it replayed a stored artifact or
-    /// served stored results, which do not record it.
+    /// walked the key, `None` when it served stored results, which do not
+    /// record it.
     ///
     /// # Panics
     ///
@@ -890,54 +808,12 @@ impl SimSession {
             // Every request interns exactly once, and each intern either
             // adds a key or hits one.
             memo_key_hits: self.metrics.requests - self.keys.len() as u64,
-            sim_nanos: self.metrics.interp_nanos + self.metrics.replay_nanos,
             store: self.store.as_ref().map(|s| s.counters()),
             simulations: Vec::new(),
             tables: Vec::new(),
             ..self.metrics
         }
     }
-}
-
-/// How [`stream_key`] delivered a trace.
-enum Delivery {
-    /// The interpreter walked it, with this outcome.
-    Walked(ExecSummary),
-    /// A stored artifact of this many instructions was replayed.
-    Replayed(u64),
-}
-
-/// Streams one key's trace into `sink`, returning how it was delivered
-/// and the nanoseconds that took. With a store, the key's persisted
-/// artifact is replayed when present; otherwise the interpreter walks
-/// under a capture tee and the artifact is written through
-/// (best-effort). The buffer is dropped before returning.
-fn stream_key(
-    store: Option<&Store>,
-    gen: &TraceGenerator<'_>,
-    seed: u64,
-    cid: &Cid,
-    sink: &mut Fanout<'_>,
-) -> (Delivery, u64) {
-    let Some(store) = store else {
-        let t0 = Instant::now();
-        let summary = gen.stream(seed, sink);
-        let nanos = t0.elapsed().as_nanos() as u64;
-        return (Delivery::Walked(summary), nanos);
-    };
-    let acid = persist::artifact_cid(cid);
-    if let Some(buf) = store.get(&acid).and_then(|p| persist::decode_artifact(&p)) {
-        let t0 = Instant::now();
-        buf.replay(sink);
-        let nanos = t0.elapsed().as_nanos() as u64;
-        return (Delivery::Replayed(buf.instructions()), nanos);
-    }
-    let t0 = Instant::now();
-    let mut buf = RunBuffer::new();
-    let summary = gen.stream(seed, &mut CaptureSink::new(&mut buf, sink));
-    let nanos = t0.elapsed().as_nanos() as u64;
-    let _ = store.put(&acid, &persist::encode_artifact(&buf));
-    (Delivery::Walked(summary), nanos)
 }
 
 /// Attempts to answer every demand of `k` from the store, filling its
@@ -948,8 +824,7 @@ fn stream_key(
 fn disk_serve(store: &Store, k: &mut KeyEntry) -> bool {
     if !k.sinks.is_empty() || k.configs.is_empty() {
         // Sinks need the stream; a key with no configs has no stored
-        // result to read its trace length from, so the artifact path
-        // handles it.
+        // result to read its trace length from, so it walks.
         return false;
     }
     let mut instructions = None;
@@ -1116,9 +991,10 @@ mod tests {
     }
 
     /// Parallel work items of a second session over the same store each
-    /// load and replay their own key's artifact from disk.
+    /// walk their own key again: new configs are not on disk, and the
+    /// store holds no trace to replay.
     #[test]
-    fn parallel_late_demands_all_replay_from_disk() {
+    fn parallel_late_demands_all_walk_again() {
         let w = impact_workloads::by_name("wc").unwrap();
         let c1 = [CacheConfig::direct_mapped(2048, 64)];
         let c2 = [
@@ -1141,8 +1017,8 @@ mod tests {
             .collect();
         s.execute();
         let m = s.metrics();
-        assert_eq!(m.traces_streamed, 0, "no late demand walks");
-        assert_eq!(m.replays, 8);
+        assert_eq!(m.traces_streamed, 8, "every late demand walks");
+        assert_eq!(m.disk_served, 0);
         for (p, h) in placements.iter().zip(&late) {
             assert_eq!(s.stats(h), sim::simulate(&w.program, p, 13, LIMITS, &c2));
         }
@@ -1168,7 +1044,7 @@ mod tests {
             assert_eq!(m.traces_streamed, 1, "cold run interprets");
             assert_eq!(m.disk_served, 0);
             let store = m.store.expect("store counters present");
-            assert!(store.puts >= 3, "2 results + 1 artifact persisted");
+            assert_eq!(store.puts, 2, "2 results persisted, no artifact");
             assert!(s.truncated(&h).is_some(), "a walk records its outcome");
             s.counted(&h)
         };
@@ -1204,13 +1080,13 @@ mod tests {
         assert_eq!(bare, persist::trace_key(&w.program, &placement, 25, LIMITS));
     }
 
-    /// A new config over a known trace in a fresh session replays the
-    /// *persisted* artifact instead of re-interpreting.
+    /// A new config over a trace a first session stored walks again, and
+    /// the store holds results only: no run-buffer artifact is written.
     #[test]
-    fn fresh_session_replays_persisted_artifact() {
+    fn new_configs_over_a_stored_trace_walk() {
         let w = impact_workloads::by_name("cmp").unwrap();
         let placement = baseline::natural(&w.program);
-        let tmp = TempStore::new("artifact");
+        let tmp = TempStore::new("walk");
         {
             let mut s = SimSession::new().with_store(tmp.open());
             let _ = s.request(
@@ -1222,20 +1098,27 @@ mod tests {
             );
             s.execute();
         }
-        // Different config: its result is not on disk, but the trace
-        // artifact is.
+        // Different config: its result is not on disk, so the trace walks.
         let c2 = [CacheConfig::direct_mapped(1024, 64)];
-        let mut s = SimSession::new().with_store(tmp.open());
+        let store = tmp.open();
+        let mut s = SimSession::new().with_store(Arc::clone(&store));
         let h = s.request(&w.program, &placement, 22, LIMITS, &c2);
         s.execute();
         let m = s.metrics();
-        assert_eq!(m.traces_streamed, 0, "no interpreter walk");
-        assert_eq!(m.replays, 1);
-        assert_eq!(s.truncated(&h), None, "an artifact does not record it");
-        assert_eq!(m.instructions, m.instructions_replayed);
+        assert_eq!(m.traces_streamed, 1, "the new config walks");
+        assert_eq!(m.disk_served, 0);
+        assert!(s.truncated(&h).is_some(), "a walk records its outcome");
+        assert_eq!(m.instructions, m.instructions_interpreted);
         assert_eq!(
             s.stats(&h),
             sim::simulate(&w.program, &placement, 22, LIMITS, &c2)
+        );
+        let kinds = store.kind_histogram();
+        assert_eq!(kinds.get(&impact_store::kind::ARTIFACT), None);
+        assert_eq!(
+            kinds.get(&impact_store::kind::RESULT),
+            Some(&2),
+            "one result per config"
         );
     }
 
@@ -1287,8 +1170,7 @@ mod tests {
     }
 
     /// Sinks observe the raw stream, so a key with a pending sink is
-    /// never disk-served — but its persisted artifact still replaces the
-    /// interpreter walk.
+    /// never disk-served: it walks, even with every result stored.
     #[test]
     fn pending_sinks_disable_disk_serving() {
         let w = impact_workloads::by_name("cmp").unwrap();
@@ -1306,8 +1188,7 @@ mod tests {
         s.execute();
         let m = s.metrics();
         assert_eq!(m.disk_served, 0, "sink demands need the stream");
-        assert_eq!(m.replays, 1, "stream is the persisted artifact replay");
-        assert_eq!(m.traces_streamed, 0);
+        assert_eq!(m.traces_streamed, 1, "the sink rides a walk");
         let cache: Cache = s.take_sink(&sink);
         assert_eq!(cache.stats(), s.stats(&h)[0]);
     }
@@ -1355,7 +1236,6 @@ mod tests {
             requests: 2,
             unique_traces: 3,
             traces_streamed: 4,
-            replays: 5,
             disk_served: 6,
             memo_key_hits: 7,
             configs_requested: 8,
@@ -1363,12 +1243,9 @@ mod tests {
             memo_served: 10,
             instructions: 11,
             instructions_interpreted: 12,
-            instructions_replayed: 13,
             instructions_disk_served: 14,
             interp_nanos: 15,
-            replay_nanos: 16,
             disk_nanos: 17,
-            sim_nanos: 18,
             wall_nanos: 19,
             simulations: Vec::new(),
             tables: Vec::new(),
@@ -1379,7 +1256,6 @@ mod tests {
             requests: 200,
             unique_traces: 300,
             traces_streamed: 400,
-            replays: 500,
             disk_served: 600,
             memo_key_hits: 700,
             configs_requested: 800,
@@ -1387,12 +1263,9 @@ mod tests {
             memo_served: 1000,
             instructions: 1100,
             instructions_interpreted: 1200,
-            instructions_replayed: 1300,
             instructions_disk_served: 1400,
             interp_nanos: 1500,
-            replay_nanos: 1600,
             disk_nanos: 1700,
-            sim_nanos: 1800,
             wall_nanos: 1900,
             simulations: Vec::new(),
             tables: Vec::new(),
@@ -1414,6 +1287,6 @@ mod tests {
             assert_eq!(got.as_u64(), Some(want), "{name}");
             checked += 1;
         }
-        assert_eq!(checked, 19, "every integer counter field is checked");
+        assert_eq!(checked, 15, "every integer counter field is checked");
     }
 }

@@ -484,8 +484,8 @@ pub struct Simulated {
     /// The trace length.
     pub instructions: u64,
     /// Whether the walk stopped at the instruction or call-depth cap;
-    /// `None` when the trace was replayed or its results were served
-    /// from the store, which do not record it.
+    /// `None` when the results were served from the store, which does
+    /// not record it.
     pub truncated: Option<bool>,
 }
 
@@ -1162,14 +1162,50 @@ mod tests {
     #[test]
     fn metrics_endpoint_reflects_traffic() {
         let state = AppState::new(1);
-        state.metrics.record(Endpoint::Simulate, 200, 10);
+        let traffic = [
+            (Endpoint::Simulate, 200, 10),
+            (Endpoint::Simulate, 200, 30_000),
+            (Endpoint::Lint, 422, 700),
+            (Endpoint::Layout, 200, 2_000_000),
+            (Endpoint::Other, 404, 10),
+        ];
+        for (endpoint, status, micros) in traffic {
+            state.metrics.record(endpoint, status, micros);
+        }
         let (_, resp) = route(&state, &get("/metrics"));
         assert_eq!(resp.status, 200);
         let doc = body_json(&resp);
-        assert_eq!(doc.get("requests_total").and_then(Json::as_u64), Some(1));
+        let u64_at = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(u64_at(&doc, "requests_total"), traffic.len() as u64);
         assert!(doc.get("sim").unwrap().get("memo_hit_rate").is_some());
         let rc = doc.get("response_cache").unwrap();
         assert!(rc.get("hits").and_then(Json::as_u64).is_some());
         assert!(rc.get("budget_bytes").and_then(Json::as_u64).is_some());
+
+        // The global histogram is the per-endpoint histograms summed.
+        let Json::Obj(by_endpoint) = doc.get("latency_by_endpoint").unwrap() else {
+            panic!("latency_by_endpoint is an object")
+        };
+        let counts = |buckets: &Json| -> Vec<u64> {
+            let buckets = buckets.as_arr().unwrap();
+            buckets.iter().map(|b| u64_at(b, "count")).collect()
+        };
+        let mut summed = vec![0; crate::metrics::LATENCY_BUCKETS_US.len() + 1];
+        let mut sum_us = 0;
+        for (_, endpoint) in by_endpoint {
+            for (total, n) in summed
+                .iter_mut()
+                .zip(counts(endpoint.get("buckets").unwrap()))
+            {
+                *total += n;
+            }
+            sum_us += u64_at(endpoint, "sum_us");
+        }
+        assert_eq!(counts(doc.get("latency_us_buckets").unwrap()), summed);
+        assert_eq!(u64_at(&doc, "latency_us_sum"), sum_us);
+        assert_eq!(
+            u64_at(&doc, "latency_count"),
+            u64_at(&doc, "requests_total")
+        );
     }
 }

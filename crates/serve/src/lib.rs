@@ -32,8 +32,9 @@
 //!   [`SimSession`](impact_experiments::session::SimSession) of the
 //!   request's own ([`api::simulate`]), which delivers the trace once.
 //!   The server keeps no per-trace state: a repeated body is answered by
-//!   the response memo, and with `--store` a known trace is disk-served
-//!   or replayed. Twin `impact sim --json`.
+//!   the response memo, and with `--store` a request whose every config
+//!   result is stored is disk-served; any other request walks its trace.
+//!   Twin `impact sim --json`.
 //! - `POST /v1/analyze` — profile-free static analysis; twin: the entry
 //!   of `impact analyze --json`.
 //! - `POST /v1/advise` — placement scores and the layout advisors; twin:

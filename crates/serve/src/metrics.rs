@@ -75,10 +75,8 @@ pub struct Metrics {
     connections: AtomicU64,
     /// Requests dropped because the bytes never parsed as HTTP.
     read_errors: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    latency_sum_us: AtomicU64,
-    latency_count: AtomicU64,
-    /// Per-endpoint latency histograms (same bucket bounds).
+    /// Per-endpoint latency histograms; the global histogram is their
+    /// sum, taken at render time.
     endpoint_latency: [[AtomicU64; LATENCY_BUCKETS_US.len() + 1]; Endpoint::ALL.len()],
     endpoint_latency_sum_us: [AtomicU64; Endpoint::ALL.len()],
     queue_depth: AtomicU64,
@@ -110,9 +108,6 @@ impl Metrics {
             .iter()
             .position(|&b| micros <= b)
             .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.latency[bucket].fetch_add(1, Relaxed);
-        self.latency_sum_us.fetch_add(micros, Relaxed);
-        self.latency_count.fetch_add(1, Relaxed);
         self.endpoint_latency[endpoint as usize][bucket].fetch_add(1, Relaxed);
         self.endpoint_latency_sum_us[endpoint as usize].fetch_add(micros, Relaxed);
     }
@@ -183,7 +178,16 @@ impl Metrics {
                 })
                 .collect(),
         );
-        let buckets = render_buckets(&self.latency);
+        let histograms = self
+            .endpoint_latency
+            .each_ref()
+            .map(|h| h.each_ref().map(|c| c.load(Relaxed)));
+        let mut buckets = [0u64; LATENCY_BUCKETS_US.len() + 1];
+        for histogram in &histograms {
+            for (total, count) in buckets.iter_mut().zip(histogram) {
+                *total += count;
+            }
+        }
         let by_endpoint_latency = Json::Obj(
             Endpoint::ALL
                 .iter()
@@ -195,31 +199,24 @@ impl Metrics {
                         Json::Obj(vec![
                             (
                                 "buckets".to_string(),
-                                render_buckets(&self.endpoint_latency[e as usize]),
+                                render_buckets(&histograms[e as usize]),
                             ),
                             ("sum_us".to_string(), sum.to_json()),
                             ("count".to_string(), count.to_json()),
-                            (
-                                "mean_us".to_string(),
-                                if count == 0 {
-                                    0.0
-                                } else {
-                                    sum as f64 / count as f64
-                                }
-                                .to_json(),
-                            ),
+                            ("mean_us".to_string(), mean(sum, count)),
                         ]),
                     )
                 })
                 .collect(),
         );
-        let count = self.latency_count.load(Relaxed);
-        let sum = self.latency_sum_us.load(Relaxed);
+        let count = self.total_requests();
+        let sum: u64 = self
+            .endpoint_latency_sum_us
+            .iter()
+            .map(|s| s.load(Relaxed))
+            .sum();
         Json::Obj(vec![
-            (
-                "requests_total".to_string(),
-                self.total_requests().to_json(),
-            ),
+            ("requests_total".to_string(), count.to_json()),
             ("requests_by_endpoint".to_string(), by_endpoint),
             (
                 "responses_2xx".to_string(),
@@ -258,41 +255,41 @@ impl Metrics {
                 "queue_peak".to_string(),
                 self.queue_peak.load(Relaxed).to_json(),
             ),
-            ("latency_us_buckets".to_string(), buckets),
+            ("latency_us_buckets".to_string(), render_buckets(&buckets)),
             ("latency_by_endpoint".to_string(), by_endpoint_latency),
             ("latency_us_sum".to_string(), sum.to_json()),
             ("latency_count".to_string(), count.to_json()),
-            (
-                "latency_us_mean".to_string(),
-                if count == 0 {
-                    0.0
-                } else {
-                    sum as f64 / count as f64
-                }
-                .to_json(),
-            ),
+            ("latency_us_mean".to_string(), mean(sum, count)),
             ("sim".to_string(), Json::Obj(session.counter_fields())),
         ])
     }
 }
 
-/// Renders one histogram (shared bounds + overflow) as a JSON array.
-fn render_buckets(counts: &[AtomicU64; LATENCY_BUCKETS_US.len() + 1]) -> Json {
-    let mut buckets: Vec<Json> = Vec::with_capacity(counts.len());
-    for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-        buckets.push(Json::Obj(vec![
-            ("le_us".to_string(), bound.to_json()),
-            ("count".to_string(), counts[i].load(Relaxed).to_json()),
-        ]));
+/// `sum / count`, or 0.0 before the first request.
+fn mean(sum: u64, count: u64) -> Json {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
     }
-    buckets.push(Json::Obj(vec![
-        ("le_us".to_string(), Json::Null),
-        (
-            "count".to_string(),
-            counts[LATENCY_BUCKETS_US.len()].load(Relaxed).to_json(),
-        ),
-    ]));
-    Json::Arr(buckets)
+    .to_json()
+}
+
+/// Renders one histogram (shared bounds + overflow) as a JSON array.
+fn render_buckets(counts: &[u64; LATENCY_BUCKETS_US.len() + 1]) -> Json {
+    let bounds = LATENCY_BUCKETS_US.iter().map(ToJson::to_json);
+    Json::Arr(
+        bounds
+            .chain([Json::Null])
+            .zip(counts)
+            .map(|(le_us, count)| {
+                Json::Obj(vec![
+                    ("le_us".to_string(), le_us),
+                    ("count".to_string(), count.to_json()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]

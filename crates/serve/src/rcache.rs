@@ -6,12 +6,13 @@
 //! requests, on disk. This memo is the one in-memory tier. A repeated
 //! request would otherwise pay its whole handler again: decoding the
 //! JSON body, parsing the embedded program, hashing its trace key,
-//! walking or replaying the trace, and rendering the response document.
+//! walking the trace or reading its results from disk, and rendering the
+//! response document.
 //! All of that is a pure function of `(target, body)` for the POST
 //! endpoints — `/v1/lint`, `/v1/layout`, `/v1/simulate`, and
 //! `/v1/analyze` read nothing but the body, and their handlers are
 //! deterministic (a session's results are bit-identical whether the
-//! trace was interpreted, replayed or disk-served). So the reactor
+//! trace was walked or disk-served). So the reactor
 //! consults this cache *before* dispatching to a worker: a hit is
 //! serialized straight into the connection's write buffer, and the
 //! worker pool only ever sees novel bodies.

@@ -64,9 +64,9 @@ pub struct ServeConfig {
     /// Byte budget for the serving-layer response memo; `0` disables it.
     pub response_cache_bytes: usize,
     /// Root directory of the persistent content-addressed store; when
-    /// set, finished results and trace artifacts are written through and
-    /// a restarted server answers previously-seen simulate requests from
-    /// disk without re-streaming.
+    /// set, finished results are written through and a restarted server
+    /// answers previously-seen simulate requests from disk without
+    /// re-streaming.
     pub store_dir: Option<String>,
 }
 

@@ -7,10 +7,10 @@
 //! on every read — corrupt entries are quarantined, never served
 //! (see [`store::Store`]).
 //!
-//! The session layer (`impact-experiments`) persists trace `RunBuffer`
-//! artifacts and finished per-config results here so `impact serve
-//! --store` restarts warm and `repro --store` runs are incremental;
-//! this crate itself knows nothing about traces — it stores bytes.
+//! The session layer (`impact-experiments`) persists finished per-config
+//! results here so `impact serve --store` restarts warm and `repro
+//! --store` runs are incremental; this crate itself knows nothing about
+//! traces — it stores bytes.
 //!
 //! By workspace convention the first payload byte of every entry is a
 //! *kind tag* ([`kind`]), so `impact store ls` can label entries without
@@ -25,7 +25,8 @@ pub use store::{decode_frame, EntryInfo, GcReport, Store, StoreCounters, StoreSt
 
 /// Entry-kind tags: the first payload byte of every entry.
 pub mod kind {
-    /// A captured trace `RunBuffer` artifact.
+    /// A captured trace `RunBuffer` artifact. The session writes none;
+    /// older stores and perfbench's traced pass hold them.
     pub const ARTIFACT: u8 = 1;
     /// A finished per-config simulation result.
     pub const RESULT: u8 = 2;

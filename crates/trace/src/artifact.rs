@@ -16,11 +16,12 @@
 //! stream — not merely the same address stream. No coalescing, splitting
 //! or normalization happens on either side of the buffer.
 //!
-//! Capture either standalone ([`RunBuffer::capture`]) or as a tee on a
-//! live stream ([`CaptureSink`]) so the first simulation pass and the
-//! recording share one interpreter walk.
+//! The evaluation session does not store buffers: replaying one from
+//! disk measured slower than walking the trace again, so a session walks
+//! every trace it cannot disk-serve. Buffers remain for benchmarking the
+//! replay path and for perfbench's traced passes.
 
-use impact_cache::{AccessSink, WORD_BYTES};
+use impact_cache::AccessSink;
 use impact_profile::ExecSummary;
 
 use crate::TraceGenerator;
@@ -39,18 +40,12 @@ pub struct RunBuffer {
 }
 
 impl RunBuffer {
-    /// An empty buffer, ready to record.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Walks `gen` once under `input_seed`, recording the full run
     /// stream. Returns the buffer and the walk summary; the buffer
     /// covers exactly `summary.instructions` words.
     #[must_use]
     pub fn capture(gen: &TraceGenerator<'_>, input_seed: u64) -> (Self, ExecSummary) {
-        let mut buf = Self::new();
+        let mut buf = Self::default();
         let summary = gen.stream(input_seed, &mut buf);
         (buf, summary)
     }
@@ -67,18 +62,6 @@ impl RunBuffer {
     #[must_use]
     pub fn runs(&self) -> &[(u64, u64)] {
         &self.runs
-    }
-
-    /// Number of recorded runs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
     }
 
     /// Total instructions (words) the buffer covers.
@@ -100,47 +83,6 @@ impl AccessSink for RunBuffer {
         self.runs.push((addr, words));
         self.instructions += words;
     }
-}
-
-/// Tee: forwards a live stream to `inner` while recording it into a
-/// [`RunBuffer`], so capture costs no second interpreter walk.
-///
-/// ```
-/// use impact_cache::{AccessSink, Cache, CacheConfig};
-/// use impact_trace::{CaptureSink, RunBuffer};
-///
-/// let mut cache = Cache::new(CacheConfig::direct_mapped(2048, 64));
-/// let mut buf = RunBuffer::new();
-/// let mut tee = CaptureSink::new(&mut buf, &mut cache);
-/// tee.access_run(0, 16); // ... the live stream drives the tee ...
-/// assert_eq!(buf.runs(), &[(0, 16)]);
-/// ```
-#[derive(Debug)]
-pub struct CaptureSink<'a, S> {
-    buf: &'a mut RunBuffer,
-    inner: &'a mut S,
-}
-
-impl<'a, S: AccessSink> CaptureSink<'a, S> {
-    /// Wraps `inner`, recording everything it observes into `buf`.
-    pub fn new(buf: &'a mut RunBuffer, inner: &'a mut S) -> Self {
-        Self { buf, inner }
-    }
-}
-
-impl<S: AccessSink> AccessSink for CaptureSink<'_, S> {
-    fn access_run(&mut self, addr: u64, words: u64) {
-        self.buf.access_run(addr, words);
-        self.inner.access_run(addr, words);
-    }
-}
-
-/// Expands the buffer back to a per-word address iterator (tests and
-/// word-granular consumers; simulation should [`RunBuffer::replay`]).
-pub fn words(buf: &RunBuffer) -> impl Iterator<Item = u64> + '_ {
-    buf.runs()
-        .iter()
-        .flat_map(|&(a, n)| (0..n).map(move |i| a + i * WORD_BYTES))
 }
 
 #[cfg(test)]
@@ -171,7 +113,11 @@ mod tests {
         let gen = TraceGenerator::new(&p, &placement);
         let (buf, summary) = RunBuffer::capture(&gen, 11);
         assert_eq!(buf.instructions(), summary.instructions);
-        let expanded: Vec<u64> = words(&buf).collect();
+        let expanded: Vec<u64> = buf
+            .runs()
+            .iter()
+            .flat_map(|&(a, n)| (0..n).map(move |i| a + i * impact_cache::WORD_BYTES))
+            .collect();
         assert_eq!(expanded, gen.collect(11));
     }
 
@@ -190,35 +136,12 @@ mod tests {
         let mut sink = Runs(Vec::new());
         buf.replay(&mut sink);
         assert_eq!(sink.0, buf.runs());
-        assert!(!buf.is_empty());
-        assert_eq!(buf.len(), buf.runs().len());
-    }
-
-    #[test]
-    fn tee_records_while_forwarding() {
-        let p = program();
-        let placement = baseline::natural(&p);
-        let gen = TraceGenerator::new(&p, &placement);
-
-        // Drive a cache through the tee; the buffer must equal a
-        // standalone capture and the cache must equal a direct stream.
-        let cfg = impact_cache::CacheConfig::direct_mapped(512, 32);
-        let mut teed = impact_cache::Cache::new(cfg);
-        let mut buf = RunBuffer::new();
-        gen.stream(9, &mut CaptureSink::new(&mut buf, &mut teed));
-
-        let (standalone, _) = RunBuffer::capture(&gen, 9);
-        assert_eq!(buf, standalone);
-
-        let mut direct = impact_cache::Cache::new(cfg);
-        gen.stream(9, &mut direct);
-        assert_eq!(teed.take_stats(), direct.take_stats());
-        assert_eq!(teed.state_fingerprint(), direct.state_fingerprint());
+        assert!(!buf.runs().is_empty());
     }
 
     #[test]
     fn single_word_accesses_become_one_word_runs() {
-        let mut buf = RunBuffer::new();
+        let mut buf = RunBuffer::default();
         buf.access(8);
         buf.access_run(16, 4);
         assert_eq!(buf.runs(), &[(8, 1), (16, 4)]);

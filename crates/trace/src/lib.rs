@@ -47,7 +47,7 @@
 pub mod artifact;
 pub mod din;
 
-pub use artifact::{CaptureSink, RunBuffer};
+pub use artifact::RunBuffer;
 
 use impact_cache::{AccessSink, FnSink};
 use impact_ir::{BlockId, FuncId, Program, BYTES_PER_INSTR};

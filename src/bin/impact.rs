@@ -64,11 +64,10 @@
 //!   --sim-jobs N          accepted, no effect (one trace per simulate)
 //!   --cache-bytes N       response-memo byte budget; 0 off  (default 64 MiB)
 //!   --store DIR           persistent content-addressed result store:
-//!                         finished results and trace artifacts are
-//!                         written through; a restarted server answers
-//!                         previously-seen /v1/simulate bodies from disk,
-//!                         and new configs over a stored trace replay
-//!                         its artifact instead of walking it again
+//!                         finished results are written through; a
+//!                         restarted server answers previously-seen
+//!                         /v1/simulate bodies from disk, and new configs
+//!                         over a stored trace walk it again
 //!
 //! store options:
 //!   --max-bytes N     gc: evict oldest entries beyond this footprint

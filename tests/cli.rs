@@ -429,7 +429,7 @@ fn serve_with_store_restarts_warm() {
     let sim = doc.get("sim").expect("sim section");
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(0));
     assert_eq!(sim.get("disk_served").and_then(Json::as_u64), Some(1));
-    assert_eq!(sim.get("replays").and_then(Json::as_u64), Some(0));
+    assert!(sim.get("replays").is_none());
     assert!(sim.get("store_hits").and_then(Json::as_u64).unwrap() >= 2);
 
     drop(child.stdin.take());
