@@ -241,7 +241,7 @@ fn main() {
     let table6_cold = |session: &mut SimSession| {
         black_box(runner::run_tables(session, &prepared, &[6]));
         let m = session.metrics();
-        (m.interpreted_instrs_per_sec(), m.instructions)
+        (m.interpreted_instrs_per_sec(), m.instructions_interpreted)
     };
     let mut cold = (0.0f64, 0u64);
     for _ in 0..reps {

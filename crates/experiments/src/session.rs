@@ -206,8 +206,6 @@ pub struct SimMetrics {
     /// Config results deduplicated at plan time: a requested config
     /// already in its key's union, so it rides an existing simulation.
     pub memo_served: u64,
-    /// Total instructions of unique traces (each counted once).
-    pub instructions: u64,
     /// Instructions delivered by interpreter walks.
     pub instructions_interpreted: u64,
     /// Instructions whose simulation was avoided because the key was
@@ -246,7 +244,6 @@ impl SimMetrics {
         self.configs_requested += other.configs_requested;
         self.configs_simulated += other.configs_simulated;
         self.memo_served += other.memo_served;
-        self.instructions += other.instructions;
         self.instructions_interpreted += other.instructions_interpreted;
         self.instructions_disk_served += other.instructions_disk_served;
         self.interp_nanos += other.interp_nanos;
@@ -290,7 +287,6 @@ impl SimMetrics {
             ("configs_simulated", self.configs_simulated.to_json()),
             ("memo_served", self.memo_served.to_json()),
             ("memo_hit_rate", self.memo_hit_rate().to_json()),
-            ("instructions", self.instructions.to_json()),
             (
                 "instructions_interpreted",
                 self.instructions_interpreted.to_json(),
@@ -619,7 +615,6 @@ impl SimSession {
                 if disk_serve(store, k) {
                     let nanos = t0.elapsed().as_nanos() as u64;
                     self.metrics.disk_served += 1;
-                    self.metrics.instructions += k.instructions;
                     self.metrics.instructions_disk_served += k.instructions;
                     self.metrics.disk_nanos += nanos;
                     self.metrics.simulations.push(SimRecord {
@@ -679,7 +674,6 @@ impl SimSession {
             self.metrics.traces_streamed += 1;
             self.metrics.instructions_interpreted += instructions;
             self.metrics.interp_nanos += nanos;
-            self.metrics.instructions += instructions;
             self.metrics.simulations.push(SimRecord {
                 trace: k.cid,
                 seed: k.seed,
@@ -1057,7 +1051,6 @@ mod tests {
         assert_eq!(m.traces_streamed, 0, "warm run never streams");
         assert_eq!(m.disk_served, 1);
         assert_eq!(m.instructions_disk_served, cold_len);
-        assert_eq!(m.instructions, cold_len, "unique instructions counted");
         assert_eq!(m.simulations[0].mode, SimMode::DiskServed);
         assert!(m.wall_nanos > 0, "a disk-served round is timed");
         assert!(m.store.expect("counters").hits >= 2);
@@ -1108,7 +1101,7 @@ mod tests {
         assert_eq!(m.traces_streamed, 1, "the new config walks");
         assert_eq!(m.disk_served, 0);
         assert!(s.truncated(&h).is_some(), "a walk records its outcome");
-        assert_eq!(m.instructions, m.instructions_interpreted);
+        assert_eq!(m.instructions_disk_served, 0);
         assert_eq!(
             s.stats(&h),
             sim::simulate(&w.program, &placement, 22, LIMITS, &c2)
@@ -1241,7 +1234,6 @@ mod tests {
             configs_requested: 8,
             configs_simulated: 9,
             memo_served: 10,
-            instructions: 11,
             instructions_interpreted: 12,
             instructions_disk_served: 14,
             interp_nanos: 15,
@@ -1261,7 +1253,6 @@ mod tests {
             configs_requested: 800,
             configs_simulated: 900,
             memo_served: 1000,
-            instructions: 1100,
             instructions_interpreted: 1200,
             instructions_disk_served: 1400,
             interp_nanos: 1500,
@@ -1287,6 +1278,6 @@ mod tests {
             assert_eq!(got.as_u64(), Some(want), "{name}");
             checked += 1;
         }
-        assert_eq!(checked, 15, "every integer counter field is checked");
+        assert_eq!(checked, 14, "every integer counter field is checked");
     }
 }

@@ -6,10 +6,11 @@
 //! graphs* (basic-block and branch-arc execution counts).
 //!
 //! Here the program is an [`impact_ir::Program`] whose branches carry a
-//! stochastic behavior model, and an "input" is a seed. The
-//! [`walk::Walker`] interprets the program under a seed,
-//! emitting execution events; the [`Profiler`] runs it over several seeds
-//! and accumulates a [`Profile`].
+//! stochastic behavior model, and an "input" is a seed. An [`Image`]
+//! compiles the program into one flat array of blocks and interprets it
+//! under a seed; the [`Profiler`] walks it over several seeds, counting
+//! into flat per-block arrays, and builds one [`Profile`] from the counts
+//! after the last run.
 //!
 //! # Example
 //!
@@ -41,4 +42,4 @@ mod profiler;
 pub mod walk;
 
 pub use profiler::{FunctionProfile, Profile, ProfileSource, Profiler};
-pub use walk::{ExecLimits, ExecSummary, ExecVisitor, Transfer, TransferKind, Walker};
+pub use walk::{ExecLimits, ExecSummary, Image};

@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use impact_ir::{BlockId, FuncId, Function, Program, Terminator};
+use impact_ir::{BlockId, FuncId, Program, Terminator};
 
-use crate::walk::{ExecLimits, ExecSummary, ExecVisitor, Transfer, TransferKind, Walker};
+use crate::walk::{ExecLimits, ExecSummary, Image, Recorder};
 
 /// The weighted control graph of one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -90,12 +90,6 @@ impl Profile {
         self.funcs[func.index()].block_counts[block.index()]
     }
 
-    /// Execution count of an intra-function arc.
-    #[must_use]
-    pub fn arc_weight(&self, func: FuncId, from: BlockId, to: BlockId) -> u64 {
-        *self.funcs[func.index()].arcs.get(&(from, to)).unwrap_or(&0)
-    }
-
     /// Invocation count of a function (the node weight of the weighted
     /// call graph).
     #[must_use]
@@ -169,53 +163,45 @@ impl Profile {
     }
 }
 
-/// Dense execution counts of one function, indexed by block.
-struct FunctionCounts {
-    /// Executions per block.
+/// Flat execution counts of walks over an [`Image`].
+///
+/// Only what the walk decides is counted: a `Jump` transfers every time
+/// its block runs and a `Branch` falls through whenever it is not taken,
+/// since the walk checks its caps only after a transfer.
+struct Counts {
+    /// Executions per global block.
     blocks: Vec<u64>,
-    /// Times each block's `Call` terminator fired.
+    /// Per branch block, times its branch was taken.
+    taken: Vec<u64>,
+    /// Per call block, times it called.
     calls: Vec<u64>,
-    /// First successor slot of each block in `succ`: a `Jump` or `Call`
-    /// has one slot (for a call, its return continuation), a `Branch` two
-    /// (taken, not taken), a `Switch` one per target, and `Return` and
-    /// `Exit` none.
-    first_slot: Vec<usize>,
-    /// Executions per successor slot.
-    succ: Vec<u64>,
+    /// Per call block, times a return resumed after it.
+    resumed: Vec<u64>,
+    /// Per switch arm, times it was chosen.
+    arms: Vec<u64>,
 }
 
-impl FunctionCounts {
-    /// Zeroed counts for every function of `program`.
-    fn for_program(program: &Program) -> Vec<Self> {
-        program.functions().map(|(_, f)| Self::new(f)).collect()
-    }
-
-    fn new(func: &Function) -> Self {
-        let mut first_slot = Vec::with_capacity(func.block_count());
-        let mut slots = 0;
-        for (_, bb) in func.blocks() {
-            first_slot.push(slots);
-            slots += match bb.terminator() {
-                Terminator::Jump { .. } | Terminator::Call { .. } => 1,
-                Terminator::Branch { .. } => 2,
-                Terminator::Switch { targets } => targets.len(),
-                Terminator::Return | Terminator::Exit => 0,
-            };
-        }
+impl Counts {
+    /// Zeroed counts for the blocks and arms of `image`.
+    fn new(image: &Image) -> Self {
+        let blocks = vec![0; image.blocks()];
         Self {
-            blocks: vec![0; func.block_count()],
-            calls: vec![0; func.block_count()],
-            first_slot,
-            succ: vec![0; slots],
+            taken: blocks.clone(),
+            calls: blocks.clone(),
+            resumed: blocks.clone(),
+            blocks,
+            arms: vec![0; image.arms()],
         }
     }
 
-    /// Adds `other`, the counts of the same function, into these.
+    /// Adds `other`, counts over the same image, into these.
     fn add(&mut self, other: &Self) {
         for (a, b) in [
             (&mut self.blocks, &other.blocks),
+            (&mut self.taken, &other.taken),
             (&mut self.calls, &other.calls),
-            (&mut self.succ, &other.succ),
+            (&mut self.resumed, &other.resumed),
+            (&mut self.arms, &other.arms),
         ] {
             a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
         }
@@ -223,115 +209,84 @@ impl FunctionCounts {
 
     /// Zeroes every count.
     fn clear(&mut self) {
-        for v in [&mut self.blocks, &mut self.calls, &mut self.succ] {
+        for v in [
+            &mut self.blocks,
+            &mut self.taken,
+            &mut self.calls,
+            &mut self.resumed,
+            &mut self.arms,
+        ] {
             v.fill(0);
         }
     }
 }
 
-/// Visitor that counts a walk into per-function dense arrays.
-struct DenseVisitor<'a> {
-    program: &'a Program,
-    counts: &'a mut [FunctionCounts],
-    /// Shadow call stack of `(caller, calling block)` so that the
-    /// call-continuation arc is recorded only when the callee returns.
-    stack: Vec<(FuncId, BlockId)>,
-}
-
-impl<'a> DenseVisitor<'a> {
-    fn new(program: &'a Program, counts: &'a mut [FunctionCounts]) -> Self {
-        Self {
-            program,
-            counts,
-            stack: Vec::new(),
-        }
+impl Recorder for Counts {
+    #[inline]
+    fn block(&mut self, g: usize, _size: u32) {
+        self.blocks[g] += 1;
     }
-
-    fn count_slot(&mut self, func: FuncId, block: BlockId, offset: usize) {
-        let c = &mut self.counts[func.index()];
-        c.succ[c.first_slot[block.index()] + offset] += 1;
+    #[inline]
+    fn taken(&mut self, g: usize) {
+        self.taken[g] += 1;
     }
-}
-
-impl ExecVisitor for DenseVisitor<'_> {
-    fn block(&mut self, func: FuncId, block: BlockId) {
-        self.counts[func.index()].blocks[block.index()] += 1;
+    #[inline]
+    fn arm(&mut self, arm: usize) {
+        self.arms[arm] += 1;
     }
-
-    fn transfer(&mut self, t: Transfer) {
-        let (func, block) = (t.from_func, t.from_block);
-        match t.kind {
-            TransferKind::Jump | TransferKind::BranchTaken => self.count_slot(func, block, 0),
-            TransferKind::BranchNotTaken => self.count_slot(func, block, 1),
-            TransferKind::Switch => {
-                let Terminator::Switch { targets } =
-                    self.program.function(func).block(block).terminator()
-                else {
-                    unreachable!("a switch transfer leaves a switch block");
-                };
-                let (_, to) = t.to.expect("a switch always has a destination");
-                // A repeated target counts against its first slot; the
-                // arc map folds repeats into one key either way.
-                let slot = targets.iter().position(|&(b, _)| b == to);
-                self.count_slot(func, block, slot.expect("the chosen arm is a target"));
-            }
-            TransferKind::Call => {
-                // The continuation arc is counted on the matching Return;
-                // remember who called from where.
-                self.stack.push((func, block));
-                self.counts[func.index()].calls[block.index()] += 1;
-            }
-            TransferKind::Return => {
-                // The shadow stack mirrors the walker's, so a return pops
-                // exactly when it resumes a caller.
-                if let Some((caller, call_block)) = self.stack.pop() {
-                    self.count_slot(caller, call_block, 0);
-                }
-            }
-            TransferKind::Exit => {}
-        }
+    #[inline]
+    fn call(&mut self, g: usize) {
+        self.calls[g] += 1;
+    }
+    #[inline]
+    fn resume(&mut self, g: usize) {
+        self.resumed[g] += 1;
     }
 }
 
-/// Builds the [`Profile`] of `program` from its dense counts. Nonzero
+/// Builds the [`Profile`] of `program` from its flat counts. Nonzero
 /// counts only become map entries, and arcs that share a key (a repeated
 /// `Switch` target, or `taken == not_taken`) fold into one.
-fn build_profile(program: &Program, counts: Vec<FunctionCounts>) -> Profile {
+fn build_profile(program: &Program, counts: &Counts) -> Profile {
     fn add<K: Ord>(map: &mut BTreeMap<K, u64>, key: K, w: u64) {
         if w > 0 {
             *map.entry(key).or_insert(0) += w;
         }
     }
     let mut profile = Profile::empty_for(program);
-    for ((fid, func), c) in program.functions().zip(counts) {
+    let (mut g, mut arm) = (0, 0);
+    for (fid, func) in program.functions() {
+        let first = g;
         let mut arcs = BTreeMap::new();
         for (bid, bb) in func.blocks() {
-            let slots = &c.succ[c.first_slot[bid.index()]..];
+            let runs = counts.blocks[g];
             match bb.terminator() {
-                Terminator::Jump { target } => add(&mut arcs, (bid, *target), slots[0]),
+                Terminator::Jump { target } => add(&mut arcs, (bid, *target), runs),
                 Terminator::Branch {
                     taken, not_taken, ..
                 } => {
-                    add(&mut arcs, (bid, *taken), slots[0]);
-                    add(&mut arcs, (bid, *not_taken), slots[1]);
+                    add(&mut arcs, (bid, *taken), counts.taken[g]);
+                    add(&mut arcs, (bid, *not_taken), runs - counts.taken[g]);
                 }
                 Terminator::Switch { targets } => {
-                    for (&(to, _), &w) in targets.iter().zip(slots) {
-                        add(&mut arcs, (bid, to), w);
+                    for &(to, _) in targets {
+                        add(&mut arcs, (bid, to), counts.arms[arm]);
+                        arm += 1;
                     }
                 }
                 Terminator::Call { callee, ret_to } => {
-                    add(&mut arcs, (bid, *ret_to), slots[0]);
-                    let calls = c.calls[bid.index()];
+                    add(&mut arcs, (bid, *ret_to), counts.resumed[g]);
+                    let calls = counts.calls[g];
                     add(&mut profile.call_sites, (fid, bid), calls);
                     add(&mut profile.call_arcs, (fid, *callee), calls);
                     profile.funcs[callee.index()].invocations += calls;
                 }
                 Terminator::Return | Terminator::Exit => {}
             }
+            g += 1;
         }
         let f = &mut profile.funcs[fid.index()];
-        f.block_counts = c.blocks;
+        f.block_counts = counts.blocks[first..g].to_vec();
         f.arcs = arcs;
     }
     profile
@@ -447,14 +402,13 @@ impl Profiler {
     /// Profiles `program` over the configured seeds.
     #[must_use]
     pub fn profile(&self, program: &Program) -> Profile {
-        let mut counts = FunctionCounts::for_program(program);
+        let mut image = Image::new(program);
+        let mut counts = Counts::new(&image);
         let mut totals = ExecSummary::default();
-        let walker = Walker::new(program).with_limits(self.limits);
         for seed in self.seeds() {
-            let mut visitor = DenseVisitor::new(program, &mut counts);
-            totals += walker.run(seed, &mut visitor);
+            totals += image.run(seed, self.limits, &mut counts);
         }
-        self.finish(program, counts, totals)
+        self.finish(program, &counts, totals)
     }
 
     /// Profiles programs that differ only in block sizes, such as a
@@ -464,13 +418,13 @@ impl Profiler {
     ///
     /// Branch outcomes depend only on function names, blocks, terminators
     /// and the seed, so every member walks the same block sequence, and a
-    /// member's run is a prefix of the shared walk that ends at the event
+    /// member's run is a prefix of the shared walk that ends at the block
     /// where its own instruction count reaches the cap. The walk freezes a
-    /// member's counts and summary at that event, and ends when every
-    /// member is frozen, or where the program exits or the call depth cuts
-    /// every member alike. Programs that differ in anything the walker
-    /// reads (entry, names, block counts, terminators with their biases
-    /// and switch weights) are profiled one walk each.
+    /// member's counts and summary there, and ends when every member is
+    /// frozen, or where the program exits or the call depth cuts every
+    /// member alike. Programs that differ in anything the walk reads
+    /// (entry, names, block counts, terminators with their biases and
+    /// switch weights) are profiled one walk each.
     #[must_use]
     pub fn profile_family(&self, programs: &[&Program]) -> Vec<Profile> {
         let Some((&shape, rest)) = programs.split_first() else {
@@ -479,66 +433,38 @@ impl Profiler {
         if rest.is_empty() || !rest.iter().all(|p| same_walk(shape, p)) {
             return programs.iter().map(|p| self.profile(p)).collect();
         }
-        let mut members: Vec<Member> = programs
-            .iter()
-            .map(|p| Member {
-                sizes: p
-                    .functions()
-                    .map(|(_, f)| f.blocks().map(|(_, bb)| bb.instr_count()).collect())
-                    .collect(),
-                counts: FunctionCounts::for_program(shape),
-                totals: ExecSummary::default(),
-                frozen: false,
-            })
-            .collect();
+        let mut image = Image::new(shape);
+        let mut family = Family {
+            run: Counts::new(&image),
+            members: programs
+                .iter()
+                .map(|p| Member {
+                    sizes: p
+                        .functions()
+                        .flat_map(|(_, f)| f.blocks().map(|(_, bb)| bb.instr_count()))
+                        .collect(),
+                    counts: Counts::new(&image),
+                    totals: ExecSummary::default(),
+                    frozen: false,
+                })
+                .collect(),
+            cap: self.limits.max_instructions,
+        };
         // The shape walked is the family's widest program: each block has
         // its largest size over the members, so the walk's instruction
         // count bounds how far any member's count can have moved.
-        let mut funcs: Vec<Function> = shape.functions().map(|(_, f)| f.clone()).collect();
-        for (f, func) in funcs.iter_mut().enumerate() {
-            for b in 0..func.block_count() {
-                let widest = members.iter().map(|m| m.sizes[f][b]).max();
-                let widest = widest.expect("a family has members");
-                // One slot always belongs to the terminator.
-                func.block_mut(BlockId::new(b))
-                    .resize_body(widest as usize - 1);
-            }
+        for g in 0..image.blocks() {
+            let widest = family.members.iter().map(|m| m.sizes[g]).max();
+            image.set_size(g, widest.expect("a family has members"));
         }
-        let widest = Program::from_parts(funcs, shape.entry()).expect("resizing keeps the shape");
-        let mut run_counts = FunctionCounts::for_program(shape);
-        // The members' cap ends the walk through `done`, never its own.
-        let walker = Walker::new(&widest).with_limits(ExecLimits {
-            max_instructions: u64::MAX,
-            ..self.limits
-        });
         for seed in self.seeds() {
-            let mut visitor = FamilyVisitor {
-                dense: DenseVisitor::new(&widest, &mut run_counts),
-                members: &mut members,
-                cap: self.limits.max_instructions,
-                check_at: self.limits.max_instructions,
-            };
-            let summary = walker.run(seed, &mut visitor);
-            // Whoever the cap did not cut ran the whole walk.
-            for m in &mut members {
-                if !m.frozen {
-                    let instructions = m.instructions(&run_counts);
-                    m.freeze(
-                        &run_counts,
-                        ExecSummary {
-                            instructions,
-                            ..summary
-                        },
-                    );
-                }
-                m.frozen = false;
-            }
-            run_counts.iter_mut().for_each(FunctionCounts::clear);
+            let summary = image.run(seed, self.limits, &mut family);
+            family.end_run(summary);
         }
         programs
             .iter()
-            .zip(members)
-            .map(|(p, m)| self.finish(p, m.counts, m.totals))
+            .zip(family.members)
+            .map(|(p, m)| self.finish(p, &m.counts, m.totals))
             .collect()
     }
 
@@ -549,12 +475,7 @@ impl Profiler {
 
     /// The [`Profile`] of `program` from its counts and summed summaries
     /// over the configured runs.
-    fn finish(
-        &self,
-        program: &Program,
-        counts: Vec<FunctionCounts>,
-        totals: ExecSummary,
-    ) -> Profile {
+    fn finish(&self, program: &Program, counts: &Counts, totals: ExecSummary) -> Profile {
         let mut profile = build_profile(program, counts);
         profile.funcs[program.entry().index()].invocations += u64::from(self.runs);
         profile.runs = self.runs;
@@ -581,10 +502,10 @@ fn same_walk(a: &Program, b: &Program) -> bool {
 
 /// One member of a [`Profiler::profile_family`] walk.
 struct Member {
-    /// Instructions per block, indexed `[function][block]`.
-    sizes: Vec<Vec<u64>>,
+    /// Instructions per global block.
+    sizes: Vec<u64>,
     /// Counts summed over the runs so far.
-    counts: Vec<FunctionCounts>,
+    counts: Counts,
     /// Walk summaries summed over the runs so far.
     totals: ExecSummary,
     /// `true` once the current run has reached this member's cut.
@@ -592,57 +513,93 @@ struct Member {
 }
 
 impl Member {
-    /// This member's instructions over the blocks counted in `run_counts`.
-    fn instructions(&self, run_counts: &[FunctionCounts]) -> u64 {
-        self.sizes
-            .iter()
-            .zip(run_counts)
-            .map(|(sizes, c)| sizes.iter().zip(&c.blocks).map(|(s, n)| s * n).sum::<u64>())
-            .sum()
+    /// This member's instructions over the blocks counted in `run`.
+    fn instructions(&self, run: &Counts) -> u64 {
+        self.sizes.iter().zip(&run.blocks).map(|(s, n)| s * n).sum()
     }
 
     /// Ends this member's current run with `summary`: adds it and the
     /// run's counts so far.
-    fn freeze(&mut self, run_counts: &[FunctionCounts], summary: ExecSummary) {
-        for (acc, run) in self.counts.iter_mut().zip(run_counts) {
-            acc.add(run);
-        }
+    fn freeze(&mut self, run: &Counts, summary: ExecSummary) {
+        self.counts.add(run);
         self.totals += summary;
         self.frozen = true;
     }
 }
 
-/// Counts one walk of a family's widest program and freezes each member
-/// at the first check where its instructions reach the cap.
+/// Counts walks of a family's widest program and freezes each member at
+/// the first check where its instructions reach the cap.
 ///
 /// Summing every member's instructions per block would cost the walk one
 /// add per member. Instead, the walk's own count, of the widest sizes,
-/// grows at least as fast as any member's. At a check, each live member's
-/// count is recomputed from the run's block counts, and the next check
-/// waits until the walk's count has grown by the smallest headroom left:
-/// before then no member can reach the cap.
-struct FamilyVisitor<'a> {
-    dense: DenseVisitor<'a>,
-    members: &'a mut [Member],
+/// grows at least as fast as any member's, so the walk's cap is the first
+/// check. At a check, each live member's count is recomputed from the
+/// run's block counts, and the next check waits until the walk's count
+/// has grown by the smallest headroom left: before then no member can
+/// reach the cap.
+struct Family {
+    /// Counts of the current run.
+    run: Counts,
+    members: Vec<Member>,
     cap: u64,
-    /// The walk's instruction count at which the next check runs.
-    check_at: u64,
 }
 
-impl FamilyVisitor<'_> {
+impl Family {
+    /// Ends a run whose walk gave `summary`: whoever the cap did not cut
+    /// ran the whole walk.
+    fn end_run(&mut self, summary: ExecSummary) {
+        for m in &mut self.members {
+            if !m.frozen {
+                let instructions = m.instructions(&self.run);
+                m.freeze(
+                    &self.run,
+                    ExecSummary {
+                        instructions,
+                        ..summary
+                    },
+                );
+            }
+            m.frozen = false;
+        }
+        self.run.clear();
+    }
+}
+
+impl Recorder for Family {
+    #[inline]
+    fn block(&mut self, g: usize, size: u32) {
+        self.run.block(g, size);
+    }
+    #[inline]
+    fn taken(&mut self, g: usize) {
+        self.run.taken(g);
+    }
+    #[inline]
+    fn arm(&mut self, arm: usize) {
+        self.run.arm(arm);
+    }
+    #[inline]
+    fn call(&mut self, g: usize) {
+        self.run.call(g);
+    }
+    #[inline]
+    fn resume(&mut self, g: usize) {
+        self.run.resume(g);
+    }
+
     /// Freezes every live member whose instructions have reached the cap
-    /// and schedules the next check; `true` once every member is frozen.
+    /// and schedules the next check, unless every member is frozen.
     #[cold]
-    fn check(&mut self, so_far: &ExecSummary) -> bool {
+    fn at_cap(&mut self, so_far: &ExecSummary) -> Option<u64> {
         let (mut live, mut headroom) = (false, u64::MAX);
-        for m in &mut *self.members {
+        for m in &mut self.members {
             if m.frozen {
                 continue;
             }
-            let instructions = m.instructions(self.dense.counts);
+            let instructions = m.instructions(&self.run);
             if instructions >= self.cap {
                 m.freeze(
-                    self.dense.counts,
+                    &self.run,
                     ExecSummary {
                         instructions,
                         truncated: true,
@@ -654,22 +611,7 @@ impl FamilyVisitor<'_> {
                 headroom = headroom.min(self.cap - instructions);
             }
         }
-        self.check_at = so_far.instructions.saturating_add(headroom);
-        !live
-    }
-}
-
-impl ExecVisitor for FamilyVisitor<'_> {
-    fn block(&mut self, func: FuncId, block: BlockId) {
-        self.dense.block(func, block);
-    }
-
-    fn transfer(&mut self, transfer: Transfer) {
-        self.dense.transfer(transfer);
-    }
-
-    fn done(&mut self, so_far: &ExecSummary) -> bool {
-        so_far.instructions >= self.check_at && self.check(so_far)
+        live.then(|| so_far.instructions.saturating_add(headroom))
     }
 }
 
@@ -735,7 +677,7 @@ mod tests {
         let main = p.entry();
         // Arc call-block -> latch must equal the number of completed calls.
         assert_eq!(
-            prof.arc_weight(main, BlockId::new(1), BlockId::new(2)),
+            prof.function(main).arcs[&(BlockId::new(1), BlockId::new(2))],
             prof.totals.returns
         );
     }

@@ -1,28 +1,39 @@
-//! Property tests pinning the dense profiler, the family profiler and the
-//! tabled walker to the sparse reference definition.
+//! Property tests pinning the flat image walk, the profiler, the family
+//! profiler and the trace generator to the sparse reference definition.
 //!
-//! [`Profiler::profile`] counts into per-block arrays and builds its
-//! [`Profile`] once at the end; [`Profiler::profile_family`] walks a
-//! code-scaled family's shared shape once per seed and cuts each member
-//! at its own instruction cap; [`Walker::run`] tables branch
-//! probabilities once per walk. All must agree exactly with the
-//! [`reference`] module, which recomputes every branch probability and
-//! counts through the profile's maps, on:
+//! [`Image::walk`] steps through one array of blocks with integer branch
+//! thresholds set per seed; [`Profiler::profile`] counts its walks into
+//! flat arrays and builds its [`Profile`] once at the end;
+//! [`Profiler::profile_family`] walks a code-scaled family's shared shape
+//! once per seed and cuts each member at its own instruction cap;
+//! [`TraceGenerator::stream`] coalesces the walk's blocks into fetch runs.
+//! All must agree exactly with the [`reference`] module, which looks
+//! every block up by id, recomputes every branch probability, and counts
+//! through the profile's maps, on:
 //! - the ten workloads, their code-scaled variants and the extended set;
 //! - `check::forall`-generated synthetic specs;
 //! - random CFGs whose `Switch` and `Branch` targets repeat;
 //! - walks cut short by `max_instructions` and by `max_call_depth`;
 //! - families whose members differ in more than block sizes, which must
-//!   be walked one program at a time.
+//!   be walked one program at a time;
+//! - at full budget (ignored by default; CI runs it in release), every
+//!   benchmark's Step 1 profile and its table 9 family.
 
 mod reference;
 
-use impact_ir::{BlockId, BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator};
+use impact_cache::AccessSink;
+use impact_ir::{
+    BlockId, BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator, BYTES_PER_INSTR,
+};
+use impact_layout::baseline;
 use impact_layout::scale::scale_code;
-use impact_profile::{ExecLimits, ExecVisitor, Profile, Profiler, Transfer, Walker};
+use impact_profile::{ExecLimits, Image, Profile, Profiler};
 use impact_support::check::forall;
 use impact_support::Rng;
+use impact_trace::TraceGenerator;
 use impact_workloads::SyntheticSpec;
+
+use reference::{ExecVisitor, Transfer};
 
 /// Profiles `program` both ways, requires equal profiles and returns it.
 fn assert_matches_reference(
@@ -367,10 +378,7 @@ fn repeated_arms_fold_into_one_arc() {
     let from = |blk: BlockId| arcs.keys().filter(|&&(f, _)| f == blk).count();
     assert_eq!(from(head), 2, "the repeated switch arm folds: {arcs:?}");
     assert_eq!(from(a), 1, "taken == not_taken folds: {arcs:?}");
-    assert_eq!(
-        profile.arc_weight(main, a, latch),
-        profile.block_weight(main, a)
-    );
+    assert_eq!(arcs[&(a, latch)], profile.block_weight(main, a));
     assert!(arcs.values().all(|&w| w > 0), "no zero-count arcs");
 }
 
@@ -390,18 +398,91 @@ impl ExecVisitor for Events {
     }
 }
 
+/// Collects a trace's fetch runs.
+#[derive(Default)]
+struct Runs(Vec<(u64, u64)>);
+
+impl AccessSink for Runs {
+    fn access_run(&mut self, addr: u64, words: u64) {
+        self.0.push((addr, words));
+    }
+}
+
+/// The fetch runs of a block sequence under `placement`, by definition:
+/// every instruction's address in order, cut wherever the next address
+/// is not the word after the last.
+fn runs_of(
+    program: &Program,
+    placement: &impact_layout::Placement,
+    blocks: &[(FuncId, BlockId)],
+) -> Vec<(u64, u64)> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &(f, b) in blocks {
+        let base = placement.addr(f, b);
+        for i in 0..program.function(f).block(b).instr_count() {
+            let addr = base + i * BYTES_PER_INSTR;
+            match runs.last_mut() {
+                Some((start, words)) if *start + *words * BYTES_PER_INSTR == addr => *words += 1,
+                _ => runs.push((addr, 1)),
+            }
+        }
+    }
+    runs
+}
+
 #[test]
-fn tabled_walker_matches_reference_event_for_event() {
+fn image_walk_and_trace_match_reference_block_for_block() {
     forall(
         128,
         |rng| (gen_cfg(rng), rng.gen_below(1000)),
         |(program, seed)| {
             let l = limits(1_000, 8);
-            let (mut fast, mut slow) = (Events::default(), Events::default());
-            let fast_summary = Walker::new(program).with_limits(l).run(*seed, &mut fast);
-            let slow_summary = reference::walk(program, l, *seed, &mut slow);
-            assert_eq!(fast_summary, slow_summary);
-            assert_eq!(fast, slow);
+            let mut events = Events::default();
+            let summary = reference::walk(program, l, *seed, &mut events);
+            // The image numbers blocks function-major.
+            let first: Vec<usize> = program
+                .functions()
+                .scan(0, |n, (_, f)| {
+                    let first = *n;
+                    *n += f.block_count();
+                    Some(first)
+                })
+                .collect();
+            let global: Vec<usize> = events
+                .blocks
+                .iter()
+                .map(|&(f, b)| first[f.index()] + b.index())
+                .collect();
+            let mut walked = Vec::new();
+            let image_summary = Image::new(program).walk(*seed, l, |g, _| walked.push(g));
+            assert_eq!(image_summary, summary);
+            assert_eq!(walked, global);
+
+            let placement = baseline::random(program, *seed);
+            let mut runs = Runs::default();
+            let trace_summary = TraceGenerator::new(program, &placement)
+                .with_limits(l)
+                .stream(*seed, &mut runs);
+            assert_eq!(trace_summary, summary);
+            assert_eq!(runs.0, runs_of(program, &placement, &events.blocks));
         },
     );
+}
+
+/// Every benchmark at its spec's runs and cap: the Step 1 profile of its
+/// original, and the family profile of its code-scaled originals as
+/// table 9 walks them. Slow unoptimized; CI runs it in release.
+#[test]
+#[ignore = "full budget: run in release with --include-ignored"]
+fn full_budget_profiles_match_reference() {
+    for w in impact_workloads::all() {
+        let (runs, cap) = (w.spec.profile_runs, w.spec.max_dynamic_instrs);
+        let l = ExecLimits::capped(cap);
+        assert_matches_reference(&w.program, runs, 0, l);
+        let family: Vec<Program> = [0.5, 0.7, 1.1]
+            .iter()
+            .map(|&f| scale_code(&w.program, f))
+            .collect();
+        assert_family_matches_reference(&family, runs, 0, l);
+    }
 }

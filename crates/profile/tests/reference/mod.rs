@@ -1,12 +1,16 @@
-//! The sparse reference profiler: the definition the dense counting path
-//! in `src/` is checked against.
+//! The sparse reference walker and profiler: the definition the flat
+//! image walk and its counting in `src/` are checked against.
 //!
-//! It walks a program the plain way — recomputing each branch's
-//! input-shifted probability with [`BranchBias::effective`] on every
-//! dynamic branch — and counts into the [`Profile`]'s own `BTreeMap`s
-//! with one `entry` per transfer. It shares no walking or counting code
-//! with the crate: only the public event and profile types, so a bug in
-//! the fast path cannot hide behind the same bug in its oracle.
+//! It walks a program the plain way — looking each block up by function
+//! and block id, and recomputing each branch's input-shifted probability
+//! with [`BranchBias::effective`] and comparing it with a float draw on
+//! every dynamic branch — and reports every block and transfer as an
+//! event. Its profiler counts those events into the [`Profile`]'s own
+//! `BTreeMap`s with one `entry` per transfer. It shares no walking or
+//! counting code with the crate, only the public profile and summary
+//! types, so a bug in the fast path cannot hide behind the same bug in
+//! its oracle. It is also the bisect aid: its events say where a walk
+//! went wrong.
 //!
 //! Test crates include it with `mod reference;`.
 //!
@@ -15,11 +19,69 @@
 #![allow(dead_code)]
 
 use impact_ir::{BlockId, FuncId, Program, Terminator};
-use impact_profile::{ExecLimits, ExecSummary, ExecVisitor, Profile, Transfer, TransferKind};
+use impact_profile::{ExecLimits, ExecSummary, Profile};
 use impact_support::Rng;
 
+/// Kind of a dynamic control transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransferKind {
+    /// Unconditional jump.
+    Jump,
+    /// Conditional branch, taken arm.
+    BranchTaken,
+    /// Conditional branch, fall-through arm.
+    BranchNotTaken,
+    /// Multi-way switch dispatch.
+    Switch,
+    /// Function call.
+    Call,
+    /// Function return.
+    Return,
+    /// Program exit.
+    Exit,
+}
+
+impl TransferKind {
+    /// `true` for intra-function transfers (everything except
+    /// call/return/exit) — the paper's "control transfers other than
+    /// function call/return".
+    pub fn is_intra_function(self) -> bool {
+        matches!(
+            self,
+            TransferKind::Jump
+                | TransferKind::BranchTaken
+                | TransferKind::BranchNotTaken
+                | TransferKind::Switch
+        )
+    }
+}
+
+/// One dynamic control transfer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transfer {
+    /// Kind of transfer.
+    pub kind: TransferKind,
+    /// Function executing the transfer.
+    pub from_func: FuncId,
+    /// Block whose terminator transferred.
+    pub from_block: BlockId,
+    /// Destination, if execution continues: `(function, block)`. `None`
+    /// only for [`TransferKind::Exit`] and a `Return` that empties the
+    /// call stack.
+    pub to: Option<(FuncId, BlockId)>,
+}
+
+/// Observer of walk events, in execution order: `block` for every basic
+/// block entered, then `transfer` for its terminator.
+pub trait ExecVisitor {
+    /// Basic block `block` of `func` begins executing.
+    fn block(&mut self, func: FuncId, block: BlockId);
+    /// A control transfer fired.
+    fn transfer(&mut self, transfer: Transfer);
+}
+
 /// Runs `program` under `input_seed`, reporting events to `visitor`, with
-/// the same semantics as `Walker::run`.
+/// the same semantics as `Image::walk`.
 pub fn walk<V: ExecVisitor>(
     program: &Program,
     limits: ExecLimits,

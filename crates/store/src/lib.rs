@@ -189,7 +189,7 @@ mod tests {
         let mut cids = Vec::new();
         for i in 0u32..4 {
             let cid = Cid::of(&i.to_le_bytes());
-            store.put(&cid, &[i as u8; 100]).expect("put");
+            store.put(&cid, &[kind::RESULT; 100]).expect("put");
             cids.push(cid);
             // Distinct mtimes so eviction order is the commit order.
             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -206,6 +206,26 @@ mod tests {
         let report = store.gc(0);
         assert_eq!(report.removed, 3);
         assert_eq!(store.stat().entries, 0);
+    }
+
+    #[test]
+    fn gc_evicts_artifacts_before_older_results() {
+        let tmp = TempDir::new("gc-kinds");
+        let store = open(&tmp);
+        let put = |name: &str, kind: u8| {
+            let cid = Cid::of(name.as_bytes());
+            store.put(&cid, &[kind; 100]).expect("put");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            cid
+        };
+        let results = [put("r0", kind::RESULT), put("r1", kind::RESULT)];
+        let results_bytes = store.stat().bytes;
+        let artifacts = [put("a0", kind::ARTIFACT), put("a1", kind::ARTIFACT)];
+        let report = store.gc(results_bytes);
+        assert_eq!(report.removed, 2);
+        assert!(artifacts.iter().all(|c| !store.contains(c)));
+        assert!(results.iter().all(|c| store.contains(c)));
+        assert_eq!(report.kept_bytes, results_bytes);
     }
 
     #[test]

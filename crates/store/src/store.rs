@@ -267,8 +267,8 @@ impl Store {
 
     /// Reads the first payload byte of an entry without verifying the
     /// whole frame — the entry *kind tag* by the workspace's payload
-    /// convention. Diagnostic only (`impact store ls`); never used to
-    /// serve data.
+    /// convention. For listing (`impact store ls`) and for
+    /// [`Store::gc`]'s eviction order; never used to serve data.
     #[must_use]
     pub fn peek_kind(&self, cid: &Cid) -> Option<u8> {
         let mut f = std::fs::File::open(self.object_path(cid)).ok()?;
@@ -351,13 +351,17 @@ impl Store {
         report
     }
 
-    /// Evicts oldest-modified entries until the committed footprint is at
-    /// most `max_bytes`.
+    /// Evicts entries until the committed footprint is at most
+    /// `max_bytes`: run-buffer artifacts first, which nothing reads any
+    /// more, then results; oldest-modified first within each group.
     #[must_use]
     pub fn gc(&self, max_bytes: u64) -> GcReport {
         let mut entries = self.entries();
-        // Oldest first; key order breaks mtime ties deterministically.
-        entries.sort_by_key(|e| (e.modified, e.cid));
+        // Key order breaks mtime ties deterministically.
+        entries.sort_by_cached_key(|e| {
+            let live = self.peek_kind(&e.cid) != Some(crate::kind::ARTIFACT);
+            (live, e.modified, e.cid)
+        });
         let mut report = GcReport {
             scanned: entries.len() as u64,
             ..GcReport::default()

@@ -6,10 +6,11 @@
 //! applied to the cache simulator".
 //!
 //! [`TraceGenerator`] re-runs the same seeded interpreter used for
-//! profiling (`impact_profile::Walker`) over a *placed* program, emitting
-//! the byte address of every instruction fetch. Traces are streamed to a
-//! callback — they are never materialized, so multi-million-access
-//! simulations run in constant memory.
+//! profiling ([`impact_profile::Image`]) over a *placed* program, emitting
+//! the byte address of every instruction fetch from one address per
+//! global block. Traces are streamed to a callback — they are never
+//! materialized, so multi-million-access simulations run in constant
+//! memory.
 //!
 //! Use an **evaluation seed outside the profiling seed range** to mirror
 //! the paper's train/test split;
@@ -50,9 +51,9 @@ pub mod din;
 pub use artifact::RunBuffer;
 
 use impact_cache::{AccessSink, FnSink};
-use impact_ir::{BlockId, FuncId, Program, BYTES_PER_INSTR};
+use impact_ir::{Program, BYTES_PER_INSTR};
 use impact_layout::Placement;
-use impact_profile::{ExecLimits, ExecSummary, ExecVisitor, Transfer, Walker};
+use impact_profile::{ExecLimits, ExecSummary, Image};
 
 /// Streams the instruction fetch addresses of one program execution.
 #[derive(Debug)]
@@ -60,55 +61,6 @@ pub struct TraceGenerator<'a> {
     program: &'a Program,
     placement: &'a Placement,
     limits: ExecLimits,
-}
-
-/// Visitor coalescing executed blocks into sequential fetch *runs*.
-///
-/// Consecutive blocks whose placements fall through (the next block's
-/// base is exactly the end of the pending run) extend one run; a taken
-/// transfer to anywhere else flushes it. The sink therefore receives one
-/// `access_run` per straight-line stretch of the dynamic execution —
-/// orders of magnitude fewer calls than per-word emission, with an
-/// identical address stream.
-struct RunEmitter<'a, S> {
-    placement: &'a Placement,
-    program: &'a Program,
-    sink: &'a mut S,
-    /// Base address of the pending run (meaningful when `run_words > 0`).
-    run_start: u64,
-    /// Pending run length in instructions.
-    run_words: u64,
-}
-
-impl<S: AccessSink> RunEmitter<'_, S> {
-    fn flush(&mut self) {
-        if self.run_words > 0 {
-            self.sink.access_run(self.run_start, self.run_words);
-            self.run_words = 0;
-        }
-    }
-}
-
-impl<S: AccessSink> ExecVisitor for RunEmitter<'_, S> {
-    // Called once per dynamic block: keep it inside the walk's loop,
-    // where the compiler's size heuristics alone do not always put it.
-    #[inline]
-    fn block(&mut self, func: FuncId, block: BlockId) {
-        let base = self.placement.addr(func, block);
-        let instrs = self.program.function(func).block(block).instr_count();
-        if instrs == 0 {
-            return; // empty blocks fetch nothing and break no runs
-        }
-        if self.run_words > 0 && base == self.run_start + self.run_words * BYTES_PER_INSTR {
-            self.run_words += instrs; // fall-through: extend the run
-        } else {
-            self.flush();
-            self.run_start = base;
-            self.run_words = instrs;
-        }
-    }
-
-    fn transfer(&mut self, _t: Transfer) {}
 }
 
 impl<'a> TraceGenerator<'a> {
@@ -146,17 +98,35 @@ impl<'a> TraceGenerator<'a> {
     /// straight-line stretch (split only at taken transfers), covering
     /// exactly `summary.instructions` words in execution order.
     pub fn stream<S: AccessSink>(&self, input_seed: u64, sink: &mut S) -> ExecSummary {
-        let mut visitor = RunEmitter {
-            placement: self.placement,
-            program: self.program,
-            sink,
-            run_start: 0,
-            run_words: 0,
-        };
-        let summary = Walker::new(self.program)
-            .with_limits(self.limits)
-            .run(input_seed, &mut visitor);
-        visitor.flush();
+        // The base address of every block, by global block index.
+        let addrs: Vec<u64> = self
+            .program
+            .functions()
+            .flat_map(|(f, func)| func.blocks().map(move |(b, _)| self.placement.addr(f, b)))
+            .collect();
+        // The pending run: its base address and length in instructions.
+        // Consecutive blocks whose placements fall through (the next
+        // block's base is exactly the end of the pending run) extend one
+        // run, whatever transfer joined them; a move to anywhere else
+        // flushes it.
+        let (mut start, mut words) = (0, 0);
+        let summary = Image::new(self.program).walk(input_seed, self.limits, |g, size| {
+            let (base, instrs) = (addrs[g], u64::from(size));
+            if instrs == 0 {
+                return; // empty blocks fetch nothing and break no runs
+            }
+            if words > 0 && base == start + words * BYTES_PER_INSTR {
+                words += instrs;
+            } else {
+                if words > 0 {
+                    sink.access_run(start, words);
+                }
+                (start, words) = (base, instrs);
+            }
+        });
+        if words > 0 {
+            sink.access_run(start, words);
+        }
         summary
     }
 
@@ -172,7 +142,7 @@ impl<'a> TraceGenerator<'a> {
 
 #[cfg(test)]
 mod tests {
-    use impact_ir::{BranchBias, ProgramBuilder, Terminator};
+    use impact_ir::{BlockId, BranchBias, ProgramBuilder, Terminator};
     use impact_layout::baseline;
     use impact_layout::pipeline::{Pipeline, PipelineConfig};
     use impact_profile::Profiler;

@@ -5,7 +5,7 @@ use impact::cache::{AccessSink, Associativity, Cache, CacheConfig, FillPolicy};
 use impact::ir::{BlockId, BranchBias, FuncId, Instr, Program, ProgramBuilder, Terminator};
 use impact::layout::pipeline::{Pipeline, PipelineConfig};
 use impact::layout::{baseline, TraceSelector};
-use impact::profile::{ExecLimits, Profiler, Walker};
+use impact::profile::{ExecLimits, Image, Profiler};
 use impact::trace::TraceGenerator;
 use impact_support::check::forall;
 use impact_support::Rng;
@@ -125,21 +125,11 @@ fn walker_is_deterministic() {
         |rng| (gen_program(rng), rng.gen_below(1000)),
         |(program, seed)| {
             program.validate().unwrap();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            struct Rec<'v>(&'v mut Vec<(FuncId, BlockId)>);
-            impl impact::profile::ExecVisitor for Rec<'_> {
-                fn block(&mut self, f: FuncId, b: BlockId) {
-                    self.0.push((f, b));
-                }
-                fn transfer(&mut self, _t: impact::profile::Transfer) {}
-            }
-            Walker::new(program)
-                .with_limits(tight_limits())
-                .run(*seed, &mut Rec(&mut a));
-            Walker::new(program)
-                .with_limits(tight_limits())
-                .run(*seed, &mut Rec(&mut b));
+            let walk = |blocks: &mut Vec<usize>| {
+                Image::new(program).walk(*seed, tight_limits(), |g, _| blocks.push(g))
+            };
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            assert_eq!(walk(&mut a), walk(&mut b));
             assert_eq!(a, b);
         },
     );
