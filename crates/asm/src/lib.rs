@@ -23,9 +23,16 @@
 //! * Exactly one terminator per block: `jmp L`, `br T F p=P [spread=S]`,
 //!   `switch L*W L*W ...`, `call F -> L`, `ret`, `exit`.
 //! * `;` starts a comment; blank lines are ignored.
+//! * A program holds at most [`MAX_INSTRUCTIONS`] (2^20) body
+//!   instructions, summed over all its blocks with repeat counts
+//!   expanded. Past that, [`parse_program`] fails with
+//!   [`ParseErrorKind::TooManyInstructions`] before it allocates, so a
+//!   short text such as `ialu x4000000000` cannot exhaust memory.
 //!
 //! [`print_program`] and [`parse_program`] round-trip: parsing a printed
-//! program reproduces it exactly.
+//! program reproduces it exactly. The parser reads the text in one pass
+//! and reports the same [`ParseError`] for any text as the two-pass
+//! parser it replaced, which `tests/reference` keeps as its oracle.
 //!
 //! # Example
 //!
@@ -53,7 +60,7 @@
 mod parse;
 mod print;
 
-pub use parse::{parse_program, ParseError, ParseErrorKind};
+pub use parse::{parse_program, ParseError, ParseErrorKind, MAX_INSTRUCTIONS};
 pub use print::print_program;
 
 #[cfg(test)]

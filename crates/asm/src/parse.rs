@@ -1,10 +1,38 @@
-//! Text → program.
+//! Text → program, in one borrowing pass.
+//!
+//! The parser walks the text once, line by line, and splits each line
+//! into tokens in place. Labels and function names stay borrowed from
+//! the source until a [`Function`] is built. Each function's labels go
+//! into one table, which catches a duplicate label as it is defined and
+//! resolves the function's terminators at its closing `}`. A call's
+//! callee may be defined later in the text, so callees resolve at the
+//! end.
+//!
+//! Errors come out in the order of the two-pass parser this one
+//! replaced, which is kept as the test-only reference in
+//! `tests/reference`. A syntax error is returned at its line. A function
+//! named twice, an unknown label or callee, and an out-of-range branch
+//! probability are resolution errors. They are held until the text
+//! ends, so a syntax error later in the text still wins. Held errors are
+//! then reported in the reference's order: the duplicate function first,
+//! then each function's blocks in turn (a call's callee before its
+//! return label), then that function's `entry=` label.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::str::FromStr;
 
-use impact_ir::{BlockId, BranchBias, Instr, Program, ProgramBuilder, Terminator};
+use impact_ir::{BasicBlock, BlockId, BranchBias, FuncId, Function, Instr, Program, Terminator};
+
+/// The most body instructions a parsed program may hold, summed over
+/// all its blocks; the ten benchmarks hold 12,059 between them.
+///
+/// A repeat count (`ialu xN`) multiplies a few bytes of text into `N`
+/// instructions, so the parser checks the running total against this cap
+/// before it allocates for a line.
+pub const MAX_INSTRUCTIONS: usize = 1 << 20;
 
 /// What went wrong while parsing.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +82,8 @@ pub enum ParseErrorKind {
         /// The unclosed function's name.
         name: String,
     },
+    /// The blocks would hold more than [`MAX_INSTRUCTIONS`] instructions.
+    TooManyInstructions,
     /// The program parsed but failed structural validation.
     Invalid {
         /// The validation failure, rendered.
@@ -96,6 +126,10 @@ impl fmt::Display for ParseError {
             ParseErrorKind::UnclosedFunction { name } => {
                 write!(f, "function {name:?} is never closed with `}}`")
             }
+            ParseErrorKind::TooManyInstructions => write!(
+                f,
+                "program exceeds the limit of {MAX_INSTRUCTIONS} instructions"
+            ),
             ParseErrorKind::Invalid { detail } => write!(f, "invalid program: {detail}"),
         }
     }
@@ -107,44 +141,6 @@ fn err(line: usize, kind: ParseErrorKind) -> ParseError {
     ParseError { line, kind }
 }
 
-/// Parsed terminator with unresolved references.
-#[derive(Debug)]
-enum RawTerm {
-    Jmp(String),
-    Br {
-        taken: String,
-        not_taken: String,
-        p: f64,
-        spread: f64,
-    },
-    Switch(Vec<(String, u32)>),
-    Call {
-        callee: String,
-        ret_to: String,
-    },
-    Ret,
-    Exit,
-}
-
-#[derive(Debug)]
-struct RawBlock {
-    label: String,
-    body: Vec<Instr>,
-    term: Option<RawTerm>,
-    /// Line of the block label.
-    line: usize,
-    /// Line of the terminator (0 until seen).
-    term_line: usize,
-}
-
-#[derive(Debug)]
-struct RawFunc {
-    name: String,
-    entry: Option<String>,
-    blocks: Vec<RawBlock>,
-    line: usize,
-}
-
 /// Parses a program from its textual form; see the crate docs for the
 /// grammar.
 ///
@@ -152,376 +148,594 @@ struct RawFunc {
 ///
 /// Returns a [`ParseError`] carrying the offending line and a
 /// [`ParseErrorKind`] describing the problem, including structural
-/// validation failures after a syntactically successful parse.
+/// validation failures after a syntactically successful parse, and
+/// [`ParseErrorKind::TooManyInstructions`] past [`MAX_INSTRUCTIONS`].
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let (entry_name, funcs) = parse_raw(src)?;
-    build(&entry_name.0, entry_name.1, &funcs)
-}
-
-/// Pass 1: text → raw AST.
-#[allow(clippy::type_complexity)]
-fn parse_raw(src: &str) -> Result<((String, usize), Vec<RawFunc>), ParseError> {
-    let mut entry: Option<(String, usize)> = None;
-    let mut funcs: Vec<RawFunc> = Vec::new();
-    let mut current: Option<RawFunc> = None;
-
-    for (idx, raw_line) in src.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw_line.split(';').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-
-        if entry.is_none() {
-            // Must be the program header.
-            if tokens.len() == 2 && tokens[0] == "program" {
-                if let Some(name) = tokens[1].strip_prefix("entry=") {
-                    entry = Some((name.to_owned(), line_no));
-                    continue;
-                }
-            }
-            return Err(err(line_no, ParseErrorKind::MissingProgramHeader));
-        }
-
-        match (&mut current, tokens.as_slice()) {
-            (None, ["fn", name, rest @ .., "{"]) => {
-                let entry_label = match rest {
-                    [] => None,
-                    [one] => Some(
-                        one.strip_prefix("entry=")
-                            .ok_or_else(|| {
-                                err(
-                                    line_no,
-                                    ParseErrorKind::UnexpectedLine { text: line.into() },
-                                )
-                            })?
-                            .to_owned(),
-                    ),
-                    _ => {
-                        return Err(err(
-                            line_no,
-                            ParseErrorKind::UnexpectedLine { text: line.into() },
-                        ))
-                    }
-                };
-                current = Some(RawFunc {
-                    name: (*name).to_owned(),
-                    entry: entry_label,
-                    blocks: Vec::new(),
-                    line: line_no,
-                });
-            }
-            (Some(_), ["}"]) => {
-                let func = current.take().expect("matched Some");
-                if let Some(last) = func.blocks.last() {
-                    if last.term.is_none() {
-                        return Err(err(
-                            line_no,
-                            ParseErrorKind::MissingTerminator {
-                                label: last.label.clone(),
-                            },
-                        ));
-                    }
-                }
-                funcs.push(func);
-            }
-            (Some(func), [label_colon]) if label_colon.ends_with(':') => {
-                let label = label_colon.trim_end_matches(':').to_owned();
-                if func.blocks.iter().any(|b| b.label == label) {
-                    return Err(err(line_no, ParseErrorKind::DuplicateLabel { label }));
-                }
-                if let Some(prev) = func.blocks.last() {
-                    if prev.term.is_none() {
-                        return Err(err(
-                            line_no,
-                            ParseErrorKind::MissingTerminator {
-                                label: prev.label.clone(),
-                            },
-                        ));
-                    }
-                }
-                func.blocks.push(RawBlock {
-                    label,
-                    body: Vec::new(),
-                    term: None,
-                    line: line_no,
-                    term_line: 0,
-                });
-            }
-            (Some(func), tokens) => {
-                let block = func.blocks.last_mut().ok_or_else(|| {
-                    err(
-                        line_no,
-                        ParseErrorKind::UnexpectedLine { text: line.into() },
-                    )
-                })?;
-                if block.term.is_some() {
-                    return Err(err(line_no, ParseErrorKind::CodeAfterTerminator));
-                }
-                parse_statement(block, tokens, line_no)?;
-                if block.term.is_some() {
-                    block.term_line = line_no;
-                }
-            }
-            (None, _) => {
-                return Err(err(
-                    line_no,
-                    ParseErrorKind::UnexpectedLine { text: line.into() },
-                ))
-            }
-        }
-    }
-
-    if let Some(func) = current {
-        return Err(err(0, ParseErrorKind::UnclosedFunction { name: func.name }));
-    }
-    let entry = entry.ok_or_else(|| err(0, ParseErrorKind::MissingProgramHeader))?;
-    Ok((entry, funcs))
-}
-
-/// One instruction or terminator line inside a block.
-fn parse_statement(block: &mut RawBlock, tokens: &[&str], line: usize) -> Result<(), ParseError> {
-    let instr = |i: Instr, block: &mut RawBlock, rest: &[&str]| -> Result<(), ParseError> {
-        let count = match rest {
-            [] => 1,
-            [x] if x.starts_with('x') => x[1..]
-                .parse::<usize>()
-                .map_err(|_| err(line, ParseErrorKind::BadNumber { token: (*x).into() }))?,
-            _ => {
-                return Err(err(
-                    line,
-                    ParseErrorKind::UnexpectedLine {
-                        text: rest.join(" "),
-                    },
-                ))
-            }
+    let mut parser = Parser::default();
+    let (mut start, mut line) = (0, 0);
+    while start < src.len() {
+        line += 1;
+        let mut tokens = Tokens::new(src, start);
+        parser.line(line, &mut tokens)?;
+        // A line read to its end stops at its newline.
+        start = match src.as_bytes().get(tokens.pos) {
+            Some(b'\n') => tokens.pos + 1,
+            _ => src[tokens.pos..]
+                .find('\n')
+                .map_or(src.len(), |end| tokens.pos + end + 1),
         };
-        block.body.extend(std::iter::repeat_n(i, count));
-        Ok(())
-    };
-    let number = |token: &str| -> Result<f64, ParseError> {
-        token.parse::<f64>().map_err(|_| {
+    }
+    parser.finish()
+}
+
+/// The tokens of one line of `src`, split at whitespace exactly as
+/// `str::split_whitespace` splits them; they end at the line's `;`
+/// comment or its newline.
+#[derive(Clone)]
+struct Tokens<'a> {
+    src: &'a str,
+    /// Where the line starts.
+    start: usize,
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(src: &'a str, start: usize) -> Self {
+        Self {
+            src,
+            start,
+            pos: start,
+        }
+    }
+
+    /// The line before its comment, trimmed.
+    fn text(&self) -> &'a str {
+        let line = self.src[self.start..].split('\n').next().unwrap_or("");
+        line.split(';').next().unwrap_or("").trim()
+    }
+
+    /// The line's tokens after the first `skip`, joined by single spaces.
+    fn joined(&self, skip: usize) -> String {
+        let tokens: Vec<&str> = Tokens::new(self.src, self.start).skip(skip).collect();
+        tokens.join(" ")
+    }
+
+    /// Whether the non-ASCII character at `i` is whitespace, and its width.
+    fn wide(&self, i: usize) -> (bool, usize) {
+        let c = self.src[i..]
+            .chars()
+            .next()
+            .expect("the position is a character boundary");
+        (c.is_whitespace(), c.len_utf8())
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        // On ASCII, `char::is_whitespace` holds for space and `\t` to `\r`.
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        loop {
+            match bytes.get(i) {
+                Some(b' ' | b'\t' | 0x0b..=b'\r') => i += 1,
+                Some(0x80..) => match self.wide(i) {
+                    (true, width) => i += width,
+                    (false, _) => break,
+                },
+                _ => break,
+            }
+        }
+        let start = i;
+        loop {
+            match bytes.get(i) {
+                None | Some(b' ' | b'\t'..=b'\r' | b';') => break,
+                Some(0x80..) => match self.wide(i) {
+                    (false, width) => i += width,
+                    (true, _) => break,
+                },
+                Some(_) => i += 1,
+            }
+        }
+        self.pos = i;
+        (i > start).then(|| &self.src[start..i])
+    }
+}
+
+/// One function's label table: label → block index.
+///
+/// [`print_program`](crate::print_program) labels block `i` as `bbi`.
+/// While every block so far carries that label, the table holds them as
+/// one count, without hashing; from the first other label on, labels go
+/// into the map.
+#[derive(Default)]
+struct Labels<'a> {
+    /// Blocks `0..printed` are labeled `bb0`, `bb1`, ...
+    printed: usize,
+    other: HashMap<&'a str, usize>,
+}
+
+impl<'a> Labels<'a> {
+    fn get(&self, label: &str) -> Option<usize> {
+        match printed_index(label) {
+            Some(index) if index < self.printed => Some(index),
+            _ => self.other.get(label).copied(),
+        }
+    }
+
+    /// Labels block `index`, the next block; `false` if the label is
+    /// taken.
+    fn insert(&mut self, label: &'a str, index: usize) -> bool {
+        match printed_index(label) {
+            // Every block so far is printed, so the map is empty.
+            Some(printed) if printed == index && index == self.printed => {
+                self.printed += 1;
+                true
+            }
+            Some(printed) if printed < self.printed => false,
+            _ => self.other.insert(label, index).is_none(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.printed = 0;
+        self.other.clear();
+    }
+}
+
+/// `text` read by std's `from_str`; a failure names `token`, the text
+/// as written.
+fn number<T: FromStr>(text: &str, token: &str, line: usize) -> Result<T, ParseError> {
+    text.parse().map_err(|_| {
+        err(
+            line,
+            ParseErrorKind::BadNumber {
+                token: token.to_owned(),
+            },
+        )
+    })
+}
+
+/// `i` for a label spelled `bb` then `i` in decimal, without a sign or a
+/// leading zero.
+fn printed_index(label: &str) -> Option<usize> {
+    let digits = label.strip_prefix("bb")?.as_bytes();
+    if digits.is_empty() || digits.len() > 1 && digits[0] == b'0' {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |index, &digit| {
+        let digit = usize::from(digit.wrapping_sub(b'0'));
+        (digit < 10).then_some(())?;
+        index.checked_mul(10)?.checked_add(digit)
+    })
+}
+
+/// A terminator whose labels resolve at its function's `}`.
+enum RawTerm<'a> {
+    Jmp(&'a str),
+    Br {
+        taken: &'a str,
+        not_taken: &'a str,
+        p: f64,
+        spread: f64,
+    },
+    /// The arms at this range of [`Parser::arms`].
+    Switch(Range<usize>),
+    Call {
+        callee: &'a str,
+        ret_to: &'a str,
+    },
+    Ret,
+    Exit,
+}
+
+/// A block of the function being parsed.
+struct RawBlock<'a> {
+    label: &'a str,
+    /// Filled from [`Parser::body`] when the terminator arrives.
+    body: Vec<Instr>,
+    /// The terminator and its line, once seen.
+    term: Option<(RawTerm<'a>, usize)>,
+}
+
+/// The function between its `fn` line and its `}`.
+struct OpenFunc<'a> {
+    name: &'a str,
+    entry: Option<&'a str>,
+    line: usize,
+}
+
+/// A call terminator whose callee resolves once every function is
+/// named.
+struct Call<'a> {
+    func: usize,
+    block: usize,
+    callee: &'a str,
+    line: usize,
+}
+
+/// What the text has defined so far, and the function being read.
+#[derive(Default)]
+struct Parser<'a> {
+    /// The `program entry=` name and its line.
+    entry: Option<(&'a str, usize)>,
+    /// Every function name seen, with its id in definition order.
+    func_ids: HashMap<&'a str, FuncId>,
+    /// Resolved functions, in definition order, until an error is held.
+    funcs: Vec<Function>,
+    /// Body instructions so far, at most [`MAX_INSTRUCTIONS`].
+    total: usize,
+    /// The first function defined under a name already taken.
+    duplicate: Option<ParseError>,
+    /// The first resolution error, keyed by (function, block); a
+    /// function's `entry=` label keys after all its blocks.
+    unresolved: Option<((usize, usize), ParseError)>,
+    /// Calls in (function, block) order, their callees unchecked.
+    calls: Vec<Call<'a>>,
+    open: Option<OpenFunc<'a>>,
+    /// The open function's label table.
+    labels: Labels<'a>,
+    blocks: Vec<RawBlock<'a>>,
+    /// The body of the open function's last block, until its terminator.
+    body: Vec<Instr>,
+    /// The open function's switch arms, as (label, weight).
+    arms: Vec<(&'a str, u32)>,
+}
+
+impl<'a> Parser<'a> {
+    /// One line, read through `tokens`.
+    fn line(&mut self, line: usize, tokens: &mut Tokens<'a>) -> Result<(), ParseError> {
+        let Some(first) = tokens.next() else {
+            return Ok(());
+        };
+        let unexpected = |tokens: &Tokens| {
             err(
                 line,
-                ParseErrorKind::BadNumber {
-                    token: token.into(),
+                ParseErrorKind::UnexpectedLine {
+                    text: tokens.text().to_owned(),
                 },
             )
-        })
-    };
-
-    match tokens {
-        ["ialu", rest @ ..] => instr(Instr::IntAlu, block, rest),
-        ["fpalu", rest @ ..] => instr(Instr::FpAlu, block, rest),
-        ["load", rest @ ..] => instr(Instr::Load, block, rest),
-        ["store", rest @ ..] => instr(Instr::Store, block, rest),
-        ["nop", rest @ ..] => instr(Instr::Nop, block, rest),
-        ["jmp", target] => {
-            block.term = Some(RawTerm::Jmp((*target).to_owned()));
-            Ok(())
-        }
-        ["br", taken, not_taken, rest @ ..] => {
-            let mut p = None;
-            let mut spread = 0.0;
-            for field in rest {
-                if let Some(v) = field.strip_prefix("p=") {
-                    p = Some(number(v)?);
-                } else if let Some(v) = field.strip_prefix("spread=") {
-                    spread = number(v)?;
-                } else {
-                    return Err(err(
-                        line,
-                        ParseErrorKind::UnexpectedLine {
-                            text: (*field).to_owned(),
-                        },
-                    ));
+        };
+        if self.entry.is_none() {
+            if let ("program", Some(arg), None) = (first, tokens.next(), tokens.next()) {
+                if let Some(name) = arg.strip_prefix("entry=") {
+                    self.entry = Some((name, line));
+                    return Ok(());
                 }
             }
-            let p = p.ok_or_else(|| {
-                err(
-                    line,
-                    ParseErrorKind::UnexpectedLine {
-                        text: "br without p=".into(),
-                    },
-                )
-            })?;
-            block.term = Some(RawTerm::Br {
-                taken: (*taken).to_owned(),
-                not_taken: (*not_taken).to_owned(),
-                p,
-                spread,
-            });
-            Ok(())
+            return Err(err(line, ParseErrorKind::MissingProgramHeader));
         }
-        ["switch", arms @ ..] if !arms.is_empty() => {
-            let mut targets = Vec::with_capacity(arms.len());
-            for arm in arms {
-                let (label, weight) = arm.split_once('*').ok_or_else(|| {
-                    err(
-                        line,
-                        ParseErrorKind::UnexpectedLine {
-                            text: (*arm).to_owned(),
-                        },
-                    )
-                })?;
-                let w: u32 = weight.parse().map_err(|_| {
-                    err(
-                        line,
-                        ParseErrorKind::BadNumber {
-                            token: weight.into(),
-                        },
-                    )
-                })?;
-                targets.push((label.to_owned(), w));
+        if self.open.is_none() {
+            return match self.open_function(first, tokens, line) {
+                Some(()) => Ok(()),
+                None => Err(unexpected(tokens)),
+            };
+        }
+        if (first == "}" || first.ends_with(':')) && tokens.clone().next().is_none() {
+            return match first {
+                "}" => self.close(line),
+                _ => self.label(first.trim_end_matches(':'), line),
+            };
+        }
+        match self.blocks.last() {
+            None => Err(unexpected(tokens)),
+            Some(block) if block.term.is_some() => {
+                Err(err(line, ParseErrorKind::CodeAfterTerminator))
             }
-            block.term = Some(RawTerm::Switch(targets));
-            Ok(())
+            Some(_) => self.statement(first, tokens, line),
         }
-        ["call", callee, "->", ret_to] => {
-            block.term = Some(RawTerm::Call {
-                callee: (*callee).to_owned(),
-                ret_to: (*ret_to).to_owned(),
-            });
-            Ok(())
-        }
-        ["ret"] => {
-            block.term = Some(RawTerm::Ret);
-            Ok(())
-        }
-        ["exit"] => {
-            block.term = Some(RawTerm::Exit);
-            Ok(())
-        }
-        _ => Err(err(
-            line,
-            ParseErrorKind::UnexpectedLine {
-                text: tokens.join(" "),
-            },
-        )),
     }
-}
 
-/// Pass 2: raw AST → validated program.
-fn build(entry_name: &str, entry_line: usize, funcs: &[RawFunc]) -> Result<Program, ParseError> {
-    let mut pb = ProgramBuilder::new();
-    let mut func_ids = HashMap::new();
-    for f in funcs {
-        if func_ids.contains_key(f.name.as_str()) {
-            return Err(err(
-                f.line,
+    /// Opens the function of a `fn NAME [entry=LABEL] {` line; `None` for
+    /// any other line.
+    fn open_function(&mut self, first: &str, tokens: &mut Tokens<'a>, line: usize) -> Option<()> {
+        if first != "fn" {
+            return None;
+        }
+        let name = tokens.next()?;
+        let entry = match (tokens.next()?, tokens.next(), tokens.next()) {
+            ("{", None, _) => None,
+            (arg, Some("{"), None) => Some(arg.strip_prefix("entry=")?),
+            _ => return None,
+        };
+        let id = FuncId::new(self.func_ids.len());
+        if self.func_ids.insert(name, id).is_some() && self.duplicate.is_none() {
+            self.duplicate = Some(err(
+                line,
                 ParseErrorKind::DuplicateFunction {
-                    name: f.name.clone(),
+                    name: name.to_owned(),
                 },
             ));
         }
-        func_ids.insert(f.name.as_str(), pb.reserve(f.name.clone()));
+        self.open = Some(OpenFunc { name, entry, line });
+        Some(())
     }
 
-    for f in funcs {
-        let mut fb = pb.function_reserved(func_ids[f.name.as_str()]);
-        let mut labels: HashMap<&str, BlockId> = HashMap::new();
-        for b in &f.blocks {
-            labels.insert(b.label.as_str(), fb.block(b.body.clone()));
+    fn label(&mut self, label: &'a str, line: usize) -> Result<(), ParseError> {
+        if !self.labels.insert(label, self.blocks.len()) {
+            return Err(err(
+                line,
+                ParseErrorKind::DuplicateLabel {
+                    label: label.to_owned(),
+                },
+            ));
         }
-        let resolve = |label: &str, line: usize| -> Result<BlockId, ParseError> {
-            labels.get(label).copied().ok_or_else(|| {
-                err(
-                    line,
-                    ParseErrorKind::UnknownLabel {
-                        label: label.to_owned(),
-                    },
-                )
-            })
-        };
+        self.check_terminated(line)?;
+        self.blocks.push(RawBlock {
+            label,
+            body: Vec::new(),
+            term: None,
+        });
+        Ok(())
+    }
 
-        for b in &f.blocks {
-            let term = b.term.as_ref().ok_or_else(|| {
-                err(
-                    b.line,
-                    ParseErrorKind::MissingTerminator {
-                        label: b.label.clone(),
-                    },
-                )
-            })?;
-            let tl = b.term_line;
-            let t = match term {
-                RawTerm::Jmp(target) => Terminator::jump(resolve(target, tl)?),
+    /// Fails if the open function's last block has no terminator.
+    fn check_terminated(&self, line: usize) -> Result<(), ParseError> {
+        match self.blocks.last() {
+            Some(block) if block.term.is_none() => Err(err(
+                line,
+                ParseErrorKind::MissingTerminator {
+                    label: block.label.to_owned(),
+                },
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// One instruction or terminator line inside a block.
+    fn statement(
+        &mut self,
+        first: &str,
+        rest: &mut Tokens<'a>,
+        line: usize,
+    ) -> Result<(), ParseError> {
+        let unexpected = |text: String| err(line, ParseErrorKind::UnexpectedLine { text });
+        let instr = match first {
+            "ialu" => Some(Instr::IntAlu),
+            "fpalu" => Some(Instr::FpAlu),
+            "load" => Some(Instr::Load),
+            "store" => Some(Instr::Store),
+            "nop" => Some(Instr::Nop),
+            _ => None,
+        };
+        if let Some(instr) = instr {
+            let count = match rest.next() {
+                None => 1,
+                Some(token) => match (token.strip_prefix('x'), rest.next()) {
+                    (Some(digits), None) => number(digits, token, line)?,
+                    _ => return Err(unexpected(rest.joined(1))),
+                },
+            };
+            if count > MAX_INSTRUCTIONS - self.total {
+                return Err(err(line, ParseErrorKind::TooManyInstructions));
+            }
+            self.total += count;
+            self.body.resize(self.body.len() + count, instr);
+            return Ok(());
+        }
+
+        let term = match first {
+            "jmp" => match (rest.next(), rest.next()) {
+                (Some(target), None) => RawTerm::Jmp(target),
+                _ => return Err(unexpected(rest.joined(0))),
+            },
+            "br" => {
+                let (Some(taken), Some(not_taken)) = (rest.next(), rest.next()) else {
+                    return Err(unexpected(rest.joined(0)));
+                };
+                let mut p = None;
+                let mut spread = 0.0;
+                for field in rest.by_ref() {
+                    if let Some(v) = field.strip_prefix("p=") {
+                        p = Some(number(v, v, line)?);
+                    } else if let Some(v) = field.strip_prefix("spread=") {
+                        spread = number(v, v, line)?;
+                    } else {
+                        return Err(unexpected(field.to_owned()));
+                    }
+                }
+                let p = p.ok_or_else(|| unexpected("br without p=".to_owned()))?;
+                RawTerm::Br {
+                    taken,
+                    not_taken,
+                    p,
+                    spread,
+                }
+            }
+            "switch" => {
+                let start = self.arms.len();
+                for arm in rest.by_ref() {
+                    let (label, weight) = arm
+                        .split_once('*')
+                        .ok_or_else(|| unexpected(arm.to_owned()))?;
+                    self.arms.push((label, number(weight, weight, line)?));
+                }
+                if self.arms.len() == start {
+                    return Err(unexpected(rest.joined(0)));
+                }
+                RawTerm::Switch(start..self.arms.len())
+            }
+            "call" => match (rest.next(), rest.next(), rest.next(), rest.next()) {
+                (Some(callee), Some("->"), Some(ret_to), None) => RawTerm::Call { callee, ret_to },
+                _ => return Err(unexpected(rest.joined(0))),
+            },
+            "ret" | "exit" if rest.next().is_none() => {
+                if first == "ret" {
+                    RawTerm::Ret
+                } else {
+                    RawTerm::Exit
+                }
+            }
+            _ => return Err(unexpected(rest.joined(0))),
+        };
+        let block = self
+            .blocks
+            .last_mut()
+            .expect("statements only reach a function with a block");
+        block.body = self.body.clone();
+        block.term = Some((term, line));
+        self.body.clear();
+        Ok(())
+    }
+
+    /// Closes the open function at its `}` and, unless an error is
+    /// already held, resolves it.
+    fn close(&mut self, line: usize) -> Result<(), ParseError> {
+        self.check_terminated(line)?;
+        let open = self
+            .open
+            .take()
+            .expect("a `}` only closes an open function");
+        let func = self.func_ids.len() - 1;
+        if self.duplicate.is_none() && self.unresolved.is_none() {
+            match self.resolve(func, &open) {
+                Ok(function) => self.funcs.push(function),
+                Err(held) => self.unresolved = Some(held),
+            }
+        }
+        self.labels.clear();
+        self.blocks.clear();
+        self.arms.clear();
+        Ok(())
+    }
+
+    /// Builds the closed function `func`, resolving its labels through
+    /// its table: each block's terminator in turn, then the `entry=`
+    /// label. A failure comes back with its (function, block) key.
+    fn resolve(
+        &mut self,
+        func: usize,
+        open: &OpenFunc<'a>,
+    ) -> Result<Function, ((usize, usize), ParseError)> {
+        let labels = &self.labels;
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (index, block) in self.blocks.drain(..).enumerate() {
+            let (term, line) = block
+                .term
+                .expect("a closed function's blocks are terminated");
+            let fail = |kind| ((func, index), err(line, kind));
+            let at = |label: &str| {
+                labels.get(label).map(BlockId::new).ok_or_else(|| {
+                    fail(ParseErrorKind::UnknownLabel {
+                        label: label.to_owned(),
+                    })
+                })
+            };
+            let term = match term {
+                RawTerm::Jmp(target) => Terminator::jump(at(target)?),
                 RawTerm::Br {
                     taken,
                     not_taken,
                     p,
                     spread,
                 } => {
-                    if !(0.0..=1.0).contains(p) || *spread < 0.0 {
-                        return Err(err(
-                            tl,
-                            ParseErrorKind::BadNumber {
-                                token: format!("p={p} spread={spread}"),
-                            },
-                        ));
+                    // A NaN spread fails here too: `BranchBias::varying`
+                    // would panic on it.
+                    if !(0.0..=1.0).contains(&p) || spread.is_nan() || spread < 0.0 {
+                        return Err(fail(ParseErrorKind::BadNumber {
+                            token: format!("p={p} spread={spread}"),
+                        }));
                     }
-                    Terminator::branch(
-                        resolve(taken, tl)?,
-                        resolve(not_taken, tl)?,
-                        BranchBias::varying(*p, *spread),
-                    )
+                    Terminator::branch(at(taken)?, at(not_taken)?, BranchBias::varying(p, spread))
                 }
-                RawTerm::Switch(arms) => {
-                    let mut targets = Vec::with_capacity(arms.len());
-                    for (label, w) in arms {
-                        targets.push((resolve(label, tl)?, *w));
-                    }
-                    Terminator::Switch { targets }
-                }
+                RawTerm::Switch(arms) => Terminator::Switch {
+                    targets: self.arms[arms]
+                        .iter()
+                        .map(|&(label, weight)| Ok((at(label)?, weight)))
+                        .collect::<Result<_, _>>()?,
+                },
                 RawTerm::Call { callee, ret_to } => {
-                    let callee_id = func_ids.get(callee.as_str()).ok_or_else(|| {
-                        err(
-                            tl,
-                            ParseErrorKind::UnknownFunction {
-                                name: callee.clone(),
-                            },
-                        )
-                    })?;
-                    Terminator::call(*callee_id, resolve(ret_to, tl)?)
+                    // `finish` sets the callee, checking it before this
+                    // block's return label as the reference does.
+                    self.calls.push(Call {
+                        func,
+                        block: index,
+                        callee,
+                        line,
+                    });
+                    Terminator::call(FuncId::new(0), at(ret_to)?)
                 }
                 RawTerm::Ret => Terminator::Return,
                 RawTerm::Exit => Terminator::Exit,
             };
-            fb.terminate(labels[b.label.as_str()], t);
+            blocks.push(BasicBlock::new(block.body, term));
         }
-
-        if let Some(entry_label) = &f.entry {
-            let id = labels.get(entry_label.as_str()).ok_or_else(|| {
-                err(
-                    f.line,
-                    ParseErrorKind::UnknownLabel {
-                        label: entry_label.clone(),
-                    },
+        let entry = match open.entry {
+            None => BlockId::new(0),
+            Some(label) => labels.get(label).map(BlockId::new).ok_or_else(|| {
+                (
+                    (func, usize::MAX),
+                    err(
+                        open.line,
+                        ParseErrorKind::UnknownLabel {
+                            label: label.to_owned(),
+                        },
+                    ),
                 )
-            })?;
-            fb.set_entry(*id);
-        }
-        fb.finish();
+            })?,
+        };
+        Ok(Function::from_parts(open.name.to_owned(), blocks, entry))
     }
 
-    let entry_id = func_ids.get(entry_name).ok_or_else(|| {
-        err(
-            entry_line,
-            ParseErrorKind::UnknownFunction {
-                name: entry_name.to_owned(),
-            },
-        )
-    })?;
-    pb.set_entry(*entry_id);
-    pb.finish().map_err(|e| {
-        err(
-            0,
-            ParseErrorKind::Invalid {
-                detail: e.to_string(),
-            },
-        )
-    })
+    /// Reports the end of the text: what is unclosed, then the held
+    /// errors in order, then the callees, the entry function and
+    /// validation.
+    fn finish(mut self) -> Result<Program, ParseError> {
+        if let Some(open) = self.open {
+            return Err(err(
+                0,
+                ParseErrorKind::UnclosedFunction {
+                    name: open.name.to_owned(),
+                },
+            ));
+        }
+        let Some((entry, entry_line)) = self.entry else {
+            return Err(err(0, ParseErrorKind::MissingProgramHeader));
+        };
+        if let Some(duplicate) = self.duplicate {
+            return Err(duplicate);
+        }
+        let held = self.unresolved.as_ref().map(|(key, _)| *key);
+        for call in &self.calls {
+            if held.is_some_and(|key| (call.func, call.block) > key) {
+                break;
+            }
+            let Some(&callee) = self.func_ids.get(call.callee) else {
+                return Err(err(
+                    call.line,
+                    ParseErrorKind::UnknownFunction {
+                        name: call.callee.to_owned(),
+                    },
+                ));
+            };
+            if held.is_none() {
+                let block = self.funcs[call.func].block_mut(BlockId::new(call.block));
+                if let &Terminator::Call { ret_to, .. } = block.terminator() {
+                    block.set_terminator(Terminator::call(callee, ret_to));
+                }
+            }
+        }
+        if let Some((_, error)) = self.unresolved {
+            return Err(error);
+        }
+        let Some(&entry_id) = self.func_ids.get(entry) else {
+            return Err(err(
+                entry_line,
+                ParseErrorKind::UnknownFunction {
+                    name: entry.to_owned(),
+                },
+            ));
+        };
+        Program::from_parts(self.funcs, entry_id).map_err(|e| {
+            err(
+                0,
+                ParseErrorKind::Invalid {
+                    detail: e.to_string(),
+                },
+            )
+        })
+    }
 }
 
 #[cfg(test)]
@@ -664,5 +878,93 @@ mod tests {
             parse_program("program entry=main\nfn main {\n a:\n  jmp nowhere\n}\n").unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.to_string().contains("line 4"));
+    }
+
+    #[test]
+    fn an_empty_function_is_invalid_not_a_panic() {
+        let e = parse_program("program entry=main\nfn main {\n}\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert_eq!(
+            e.kind,
+            ParseErrorKind::Invalid {
+                detail: "function fn0 has no basic blocks".into()
+            }
+        );
+    }
+
+    #[test]
+    fn a_nan_spread_is_a_bad_number_not_a_panic() {
+        let e = parse_program("program entry=main\nfn main {\n a:\n  br a a p=0.5 spread=NaN\n}\n")
+            .unwrap_err();
+        assert_eq!(e.line, 4);
+        assert_eq!(
+            e.kind,
+            ParseErrorKind::BadNumber {
+                token: "p=0.5 spread=NaN".into()
+            }
+        );
+    }
+
+    #[test]
+    fn printed_and_other_labels_share_one_table() {
+        // `bb0` and `bb1` are held as a count, the rest in the map.
+        let p = parse_ok(
+            "program entry=main\nfn main {\n bb0:\n  jmp x\n bb1:\n  jmp bb3\n x:\n  jmp bb01\n \
+             bb3:\n  jmp bb1\n bb01:\n  exit\n}\n",
+        );
+        let f = p.function(p.entry());
+        let targets: Vec<usize> = f
+            .blocks()
+            .filter_map(|(_, b)| b.terminator().successors().first().map(|t| t.index()))
+            .collect();
+        assert_eq!(targets, [2, 3, 4, 1]);
+        // A label repeated in the count or in the map is a duplicate.
+        for labels in [
+            &["bb0", "bb1", "bb0"][..],
+            &["bb0", "x", "x"],
+            &["x", "bb1", "bb1"],
+        ] {
+            let blocks: String = labels.iter().map(|l| format!(" {l}:\n  ret\n")).collect();
+            let e = parse_program(&format!("program entry=main\nfn main {{\n{blocks}}}\n"))
+                .unwrap_err();
+            assert_eq!(
+                (e.line, e.kind),
+                (
+                    7,
+                    ParseErrorKind::DuplicateLabel {
+                        label: labels[2].into()
+                    }
+                ),
+                "{labels:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tokens_split_at_unicode_whitespace() {
+        // Vertical tab, no-break space and ideographic space separate
+        // tokens, as `str::split_whitespace` splits them.
+        let p = parse_ok(
+            "program\u{0B}entry=main\nfn main {\n b:\u{A0}\n  ialu\u{3000}x2\n  exit\n}\n",
+        );
+        assert_eq!(p.total_bytes(), 12);
+        let e = parse_program("program entry=main\nfn main {\n b:\n  ialu\u{1C}x2\n  exit\n}\n")
+            .unwrap_err();
+        assert_eq!(
+            e.kind,
+            ParseErrorKind::UnexpectedLine {
+                text: "ialu\u{1C}x2".into()
+            }
+        );
+    }
+
+    #[test]
+    fn the_instruction_cap_is_checked_before_allocating() {
+        let e = parse_program(
+            "program entry=main\nfn main {\n b:\n  ialu x18446744073709551615\n  exit\n}\n",
+        )
+        .unwrap_err();
+        assert_eq!((e.line, &e.kind), (4, &ParseErrorKind::TooManyInstructions));
+        assert!(e.to_string().contains(&MAX_INSTRUCTIONS.to_string()), "{e}");
     }
 }

@@ -874,6 +874,34 @@ mod tests {
     }
 
     #[test]
+    fn repeat_counts_past_the_program_size_cap_are_a_400() {
+        let state = AppState::new(1);
+        let program = |count: &str| {
+            format!("program entry=main\nfn main {{\n b:\n  ialu x{count}\n  exit\n}}\n")
+        };
+        // Either body would allocate 4 GB or more for its one block
+        // without the cap.
+        for count in ["4000000000", "18446744073709551615"] {
+            let body = format!(
+                r#"{{"program": {}, "configs": [{{"size": 2048}}]}}"#,
+                Json::Str(program(count)),
+            );
+            let (_, resp) = route(&state, &post("/v1/simulate", &body));
+            let text = String::from_utf8_lossy(&resp.body);
+            assert_eq!(resp.status, 400, "x{count}: {text}");
+            let limit = format!("limit of {} instructions", impact_asm::MAX_INSTRUCTIONS);
+            assert!(text.contains(&limit), "x{count}: {text}");
+        }
+        let under = (impact_asm::MAX_INSTRUCTIONS - 1).to_string();
+        let doc = parse_json(&format!(r#"{{"program": {}}}"#, Json::Str(program(&under)))).unwrap();
+        let (_, parsed, _) = decode_program(&doc).map_err(|r| r.status).unwrap();
+        assert_eq!(
+            parsed.total_bytes(),
+            4 * impact_asm::MAX_INSTRUCTIONS as u64
+        );
+    }
+
+    #[test]
     fn invalid_cache_configs_are_rejected() {
         let state = AppState::new(1);
         let body = format!(

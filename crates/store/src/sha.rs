@@ -7,9 +7,15 @@
 //! unstable — so keys and frame checksums use this fixed, specified
 //! function instead.
 //!
-//! Performance is a non-goal: the store hashes keys (a few hundred bytes
-//! of canonical program structure) and entry payloads (kilobytes), never
-//! the instruction stream itself.
+//! The store hashes keys and entry payloads, never the instruction
+//! stream itself. A trace key encodes every block's size, terminator and
+//! address, so it hashes kilobytes per program: 3.1–19.9 KB for the ten
+//! benchmarks, 17 KB and ~94 µs for cccp, at ~185 MB/s on a shared
+//! 2-vCPU host. Compression is most of that time: one bulk `update` over
+//! the same bytes takes 77–85 % of it, and encoding the fields takes
+//! ~5 %. The rest is the key writer's per-field 8-byte updates. The
+//! hardware SHA instructions would need `unsafe` and a second code path,
+//! so this stays one portable implementation.
 
 /// Streaming SHA-256 state.
 #[derive(Clone)]
