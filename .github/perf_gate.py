@@ -8,11 +8,15 @@ and the change under test as HEAD_DIR). For each gated workload it runs
 `perfbench/run.py` inside each tree, in pairs that alternate which side
 goes first, and prints every run. Each tree builds into its own
 `.bench_build`. The gate fails if any run is incorrect or reports a
-failed operation, or if HEAD's median `throughput_rps` falls below
-(1 - bound) times the base's median, where `bound` is the metric's bound
-in the base tree's BENCHMARK.json (so a change cannot loosen its own
-gate). Workloads, seed and length are fixed here on purpose: the gate
-takes no options.
+failed operation, or if, on any workload, HEAD's median of a gated
+metric is worse than the base's median by more than the metric's bound:
+below (1 - bound) times it where higher is better, above (1 + bound)
+times it where lower is better. `better` and `bound` come from the base
+tree's BENCHMARK.json (so a change cannot loosen its own gate). The
+gated metrics are throughput, p50 latency and peak RSS; `setup_s` is
+left out because it is bimodal from run to run, and `wall_s` because it
+is derived from throughput. Workloads, seed and length are fixed here on
+purpose: the gate takes no options.
 """
 
 import json
@@ -25,13 +29,15 @@ WORKLOADS = ("repro_cold", "serve_cold", "serve_warm", "serve_restart")
 PAIRS = 3
 SEED = 1
 SECONDS = 2
-METRIC = "throughput_rps"
+METRICS = ("throughput_rps", "latency_p50_ms", "peak_rss_mb")
 
 
-def bound(tree):
+def bounds(tree):
+    """Each gated metric's (better, bound) in `tree`'s BENCHMARK.json."""
     with open(os.path.join(tree, "BENCHMARK.json")) as f:
         doc = json.load(f)
-    return next(m["bound"] for m in doc["end_to_end"] if m["name"] == METRIC)
+    rows = {m["name"]: (m["better"], m["bound"]) for m in doc["end_to_end"]}
+    return {name: rows[name] for name in METRICS}
 
 
 def run(tree, workload):
@@ -53,10 +59,10 @@ def main():
     if len(sys.argv) != 3:
         raise SystemExit("usage: perf_gate.py BASE_DIR HEAD_DIR")
     trees = {"base": os.path.abspath(sys.argv[1]), "head": os.path.abspath(sys.argv[2])}
-    limit = bound(trees["base"])
+    limits = bounds(trees["base"])
     ok = True
     for workload in WORKLOADS:
-        rps = {"base": [], "head": []}
+        values = {side: {name: [] for name in METRICS} for side in trees}
         for pair in range(PAIRS):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
@@ -65,21 +71,32 @@ def main():
                     print(f"{workload} pair {pair + 1} {side}: perfbench failed", flush=True)
                     ok = False
                     continue
-                value = result["metrics"][METRIC]["value"]
-                rps[side].append(value)
-                print(f"{workload} pair {pair + 1} {side}: {METRIC} {value:.1f}"
+                shown = []
+                for name in METRICS:
+                    value = result["metrics"][name]["value"]
+                    values[side][name].append(value)
+                    shown.append(f"{name} {value:.6g}")
+                print(f"{workload} pair {pair + 1} {side}: {', '.join(shown)}"
                       f" correct {result['correct']} attempted {result['attempted']}"
                       f" failed {result['failed']}", flush=True)
                 if not result["correct"] or result["failed"] > 0:
                     ok = False
-        if not (rps["base"] and rps["head"]):
-            continue
-        base, head = statistics.median(rps["base"]), statistics.median(rps["head"])
-        floor = (1 - limit) * base
-        verdict = "ok" if head >= floor else "REGRESSION"
-        print(f"{workload}: median base {base:.1f}, head {head:.1f}, "
-              f"floor {floor:.1f} (bound {limit}) -> {verdict}", flush=True)
-        ok = ok and head >= floor
+        for name in METRICS:
+            if not (values["base"][name] and values["head"][name]):
+                continue
+            base = statistics.median(values["base"][name])
+            head = statistics.median(values["head"][name])
+            better, limit = limits[name]
+            if better == "higher":
+                word, edge = "floor", (1 - limit) * base
+                passed = head >= edge
+            else:
+                word, edge = "ceiling", (1 + limit) * base
+                passed = head <= edge
+            verdict = "ok" if passed else "REGRESSION"
+            print(f"{workload} {name}: median base {base:.6g}, head {head:.6g}, "
+                  f"{word} {edge:.6g} (bound {limit}) -> {verdict}", flush=True)
+            ok = ok and passed
     print("perf gate: " + ("pass" if ok else "FAIL"), flush=True)
     return 0 if ok else 1
 

@@ -62,17 +62,3 @@ mod print;
 
 pub use parse::{parse_program, ParseError, ParseErrorKind, MAX_INSTRUCTIONS};
 pub use print::print_program;
-
-#[cfg(test)]
-mod round_trip_tests {
-    use super::*;
-
-    #[test]
-    fn all_ten_benchmarks_round_trip() {
-        for w in impact_workloads::all() {
-            let text = print_program(&w.program);
-            let parsed = parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            assert_eq!(parsed, w.program, "{} did not round-trip", w.name);
-        }
-    }
-}

@@ -40,18 +40,16 @@ use crate::server::ServeConfig;
 /// Everything a request handler can reach: what each `/v1/simulate`
 /// builds its own [`SimSession`] from, and the service counters. No
 /// per-trace data lives here; repeats are answered by the response memo
-/// ([`AppState::rcache`]) or, with `--store`, from disk. The one lock a
-/// trace walk holds is `walk`, which guards no data.
+/// ([`AppState::rcache`]) or, with `--store`, from disk. A trace walks
+/// under no lock, so each worker (`--workers`) walks its own trace at
+/// once with the others; the counter total and the memo are locked only
+/// to fold in, read, get or put.
 pub struct AppState {
     /// Worker-thread cap of each request's session (`--sim-jobs`); no
     /// effect, since a session delivers one trace on one thread.
     sim_jobs: usize,
     /// The persistent store every request's session attaches.
     store: Option<Arc<Store>>,
-    /// Held by a session's `execute`, so one trace walks at a time: on
-    /// a 2-vCPU host, two concurrent walks ran faster but their
-    /// throughput swung with the host's load from run to run.
-    walk: Mutex<()>,
     /// Running total of every request session's counters. Locked only to
     /// fold a finished session in or to read, never while a trace walks.
     sim_total: Mutex<SimMetrics>,
@@ -79,7 +77,6 @@ impl AppState {
         Self {
             sim_jobs,
             store: None,
-            walk: Mutex::new(()),
             sim_total: Mutex::new(SimMetrics {
                 jobs: sim_jobs as u64,
                 ..SimMetrics::default()
@@ -490,8 +487,9 @@ pub struct Simulated {
 }
 
 /// Evaluates a simulate request in a session of its own: place, plan,
-/// execute once under the walk lock, read, then fold the session's
-/// counters into the service total.
+/// execute once, read, then fold the session's counters into the
+/// service total. The walk takes no lock, so concurrent requests walk
+/// on their own workers at once; only the fold locks the total.
 ///
 /// # Errors
 ///
@@ -509,11 +507,7 @@ pub fn simulate(state: &AppState, req: &SimulateRequest) -> Result<Simulated, Pi
         req.params.limits(),
         &req.configs,
     );
-    {
-        // A panicked walk leaves nothing behind the lock to repair.
-        let _walk = state.walk.lock().unwrap_or_else(PoisonError::into_inner);
-        session.execute();
-    }
+    session.execute();
     state.total().add(&session.counters());
     let (stats, instructions) = session.counted(&handle);
     Ok(Simulated {

@@ -3,7 +3,9 @@
 
 mod client;
 
+use std::sync::{mpsc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 use client::Client;
 use impact_asm::{parse_program, print_program};
@@ -13,6 +15,7 @@ use impact_layout::baseline;
 use impact_profile::ExecLimits;
 use impact_serve::http::Response;
 use impact_serve::{simulate_response_json, ServeConfig, Server};
+use impact_store::Store;
 use impact_support::json::{parse as parse_json, Json};
 
 fn start() -> Server {
@@ -33,6 +36,43 @@ fn simulate_body(program: &Json, seed: u64) -> String {
         r#"{{"program": {program}, "seed": {seed}, "max_instrs": 40000,
            "configs": [{{"size": 2048}}, {{"size": 512}}]}}"#
     )
+}
+
+/// The configs of [`simulate_body`].
+fn body_configs() -> [CacheConfig; 2] {
+    [
+        CacheConfig::direct_mapped(2048, 64),
+        CacheConfig::direct_mapped(512, 64),
+    ]
+}
+
+/// The `/v1/simulate` reply to a natural-layout body, rebuilt from a
+/// direct `SimSession` evaluation of the same request.
+fn direct_reply(text: &str, seed: u64, max_instrs: u64, configs: &[CacheConfig]) -> Vec<u8> {
+    let parsed = parse_program(text).unwrap();
+    let placement = baseline::natural(&parsed);
+    let limits = ExecLimits::capped(max_instrs);
+    let mut session = SimSession::new();
+    let handle = session.request(&parsed, &placement, seed, limits, configs);
+    session.execute();
+    let (stats, instructions) = session.counted(&handle);
+    let doc = simulate_response_json("natural", seed, configs, &stats, instructions);
+    Response::json(200, &doc).body
+}
+
+/// The `/metrics` `sim` object, scraped over HTTP.
+fn sim_metrics(client: &mut Client) -> Json {
+    let (status, body) = client.get("/metrics").unwrap();
+    assert_eq!(status, 200);
+    let doc = parse_json(std::str::from_utf8(&body).unwrap()).unwrap();
+    doc.get("sim").unwrap().clone()
+}
+
+/// A scratch store directory, unique to this process and `tag`.
+fn store_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("impact-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
@@ -107,23 +147,11 @@ fn simulate_is_bit_identical_to_direct_session_and_memoized() {
     let resp = client.post_json("/v1/simulate", &body).unwrap();
     assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
 
-    // Rebuild the expected body from a direct SimSession evaluation.
-    let parsed = parse_program(&text).unwrap();
-    let placement = baseline::natural(&parsed);
-    let configs = [
-        CacheConfig::direct_mapped(2048, 64),
-        CacheConfig::direct_mapped(512, 64),
-    ];
-    let limits = ExecLimits::capped(40_000);
-    let mut session = SimSession::new();
-    let handle = session.request(&parsed, &placement, 7, limits, &configs);
-    session.execute();
-    let (stats, instructions) = session.counted(&handle);
-    let expected = Response::json(
-        200,
-        &simulate_response_json("natural", 7, &configs, &stats, instructions),
+    assert_eq!(
+        resp.body,
+        direct_reply(&text, 7, 40_000, &body_configs()),
+        "service must be bit-identical"
     );
-    assert_eq!(resp.body, expected.body, "service must be bit-identical");
 
     // Re-evaluating the same exact body from several parallel clients
     // must not touch the evaluation engine again: the reactor answers
@@ -173,9 +201,6 @@ fn late_config_demand(store_dir: Option<String>) -> Json {
     .expect("bind ephemeral port");
     let text = program_text();
     let program = Json::Str(text.clone());
-    let parsed = parse_program(&text).unwrap();
-    let placement = baseline::natural(&parsed);
-    let limits = ExecLimits::capped(40_000);
     let mut client = Client::connect(server.addr()).unwrap();
     // The first demand walks the interpreter; the second is the same
     // trace key with another config, so the response memo misses and its
@@ -188,26 +213,17 @@ fn late_config_demand(store_dir: Option<String>) -> Json {
         let resp = client.post_json("/v1/simulate", &body).unwrap();
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let configs = [CacheConfig::direct_mapped(size, 64)];
-        let mut session = SimSession::new();
-        let handle = session.request(&parsed, &placement, 5, limits, &configs);
-        session.execute();
-        let (stats, instructions) = session.counted(&handle);
-        let expected = Response::json(
-            200,
-            &simulate_response_json("natural", 5, &configs, &stats, instructions),
-        );
-        assert_eq!(resp.body, expected.body, "size {size}: bit-identical");
+        let expected = direct_reply(&text, 5, 40_000, &configs);
+        assert_eq!(resp.body, expected, "size {size}: bit-identical");
     }
-    let (_, body) = client.get("/metrics").unwrap();
+    let sim = sim_metrics(&mut client);
     server.stop();
-    let doc = parse_json(std::str::from_utf8(&body).unwrap()).unwrap();
-    doc.get("sim").unwrap().clone()
+    sim
 }
 
 #[test]
 fn store_backed_repeat_config_demand_rewalks_the_trace() {
-    let dir = std::env::temp_dir().join(format!("impact-serve-late-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = store_dir("late");
     let sim = late_config_demand(Some(dir.to_str().unwrap().to_string()));
     let _ = std::fs::remove_dir_all(&dir);
     // The store holds results only: the late config is not on disk, so
@@ -221,6 +237,188 @@ fn store_backed_repeat_config_demand_rewalks_the_trace() {
 fn storeless_repeat_config_demand_rewalks_the_trace() {
     let sim = late_config_demand(None);
     assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(2));
+}
+
+/// One block that branches to itself with probability 1: its walk runs
+/// until the body's instruction cap stops it.
+const SPIN: &str =
+    "program entry=main\nfn main {\n  bb0:\n    br bb0 bb1 p=1\n  bb1:\n    ret\n}\n";
+
+/// About a second of walking [`SPIN`] in either build profile.
+const SPIN_INSTRS: u64 = if cfg!(debug_assertions) {
+    1 << 23
+} else {
+    1 << 26
+};
+
+#[test]
+fn a_long_walk_does_not_stall_a_short_simulate() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue_cap: 16,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+    let spin_configs = [CacheConfig::direct_mapped(2048, 64)];
+    let long = format!(
+        r#"{{"program": {}, "seed": 3, "max_instrs": {SPIN_INSTRS}, "configs": [{{"size": 2048}}]}}"#,
+        Json::Str(SPIN.to_string())
+    );
+    let text = program_text();
+    let short = simulate_body(&Json::Str(text.clone()), 9);
+
+    let (done, arrivals) = mpsc::channel();
+    thread::scope(|scope| {
+        let post = |label: &'static str, body: &str| {
+            let done = done.clone();
+            let body = body.to_string();
+            move || {
+                let mut client = Client::connect(addr).unwrap();
+                let resp = client.post_json("/v1/simulate", &body).unwrap();
+                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                done.send((label, resp.body)).unwrap();
+            }
+        };
+        scope.spawn(post("long", &long));
+        // Once the reactor has queued the long body, an idle worker takes
+        // it and starts walking; only then does the short body go out.
+        let queued = || {
+            let doc = server.state().metrics.to_json(&Default::default());
+            doc.get("queue_peak").and_then(Json::as_u64) >= Some(1)
+        };
+        while !queued() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread::sleep(Duration::from_millis(50));
+        scope.spawn(post("short", &short));
+    });
+    drop(done);
+    let arrivals: Vec<_> = arrivals.iter().collect();
+    server.stop();
+
+    let order: Vec<_> = arrivals.iter().map(|(label, _)| *label).collect();
+    assert_eq!(
+        order,
+        ["short", "long"],
+        "the short simulate waited for the long walk"
+    );
+    let expected_short = direct_reply(&text, 9, 40_000, &body_configs());
+    let expected_long = direct_reply(SPIN, 3, SPIN_INSTRS, &spin_configs);
+    assert_eq!(arrivals[0].1, expected_short);
+    assert_eq!(arrivals[1].1, expected_long);
+}
+
+#[test]
+fn concurrent_simulates_equal_the_direct_session() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue_cap: 64,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+    let texts: Vec<String> = ["cmp", "wc", "tee"]
+        .iter()
+        .map(|w| print_program(&impact_workloads::by_name(w).unwrap().program))
+        .collect();
+    let programs: Vec<Json> = texts.iter().map(|t| Json::Str(t.clone())).collect();
+    // 32 distinct seeds, eight per client; the seed picks the workload.
+    let replies: Vec<(u64, Vec<u8>)> = thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                let programs = &programs;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    (c * 8..c * 8 + 8)
+                        .map(|seed| {
+                            let body = simulate_body(&programs[seed as usize % 3], seed);
+                            let resp = client.post_json("/v1/simulate", &body).unwrap();
+                            assert_eq!(resp.status, 200);
+                            (seed, resp.body)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    assert_eq!(replies.len(), 32);
+    let mut instructions = 0;
+    for (seed, body) in &replies {
+        let text = &texts[*seed as usize % 3];
+        let expected = direct_reply(text, *seed, 40_000, &body_configs());
+        assert_eq!(body, &expected, "seed {seed}: bit-identical");
+        let doc = parse_json(std::str::from_utf8(body).unwrap()).unwrap();
+        instructions += doc.get("instructions").and_then(Json::as_u64).unwrap();
+    }
+    let sim = sim_metrics(&mut Client::connect(addr).unwrap());
+    server.stop();
+    assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(32));
+    assert_eq!(
+        sim.get("instructions_interpreted").and_then(Json::as_u64),
+        Some(instructions)
+    );
+}
+
+#[test]
+fn concurrent_identical_simulates_share_one_store() {
+    let dir = store_dir("concurrent");
+    let config = ServeConfig {
+        workers: 2,
+        queue_cap: 64,
+        store_dir: Some(dir.to_str().unwrap().to_string()),
+        ..ServeConfig::default()
+    };
+    let text = program_text();
+    let body = simulate_body(&Json::Str(text.clone()), 21);
+
+    // Four clients post one body at once: whichever walk, every reply is
+    // the same bytes, and concurrent puts of one key leave one entry.
+    let server = Server::start(config.clone()).expect("bind ephemeral port");
+    let addr = server.addr();
+    let start = Barrier::new(4);
+    let replies: Vec<Vec<u8>> = thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let (start, body) = (&start, &body);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    start.wait();
+                    let resp = client.post_json("/v1/simulate", body).unwrap();
+                    assert_eq!(resp.status, 200);
+                    resp.body
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    server.stop();
+    let expected = direct_reply(&text, 21, 40_000, &body_configs());
+    for reply in &replies {
+        assert_eq!(reply, &expected, "every concurrent reply is bit-identical");
+    }
+    let report = Store::open(&dir).unwrap().verify();
+    assert!(report.checked >= 1);
+    assert_eq!(
+        report.ok, report.checked,
+        "quarantined {:?}",
+        report.quarantined
+    );
+
+    // A restarted server answers the body from disk, to the same bytes.
+    let server = Server::start(config).expect("bind ephemeral port");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client.post_json("/v1/simulate", &body).unwrap();
+    assert_eq!(resp.body, expected);
+    let sim = sim_metrics(&mut client);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(sim.get("traces_streamed").and_then(Json::as_u64), Some(0));
+    assert!(sim.get("disk_served").and_then(Json::as_u64) >= Some(1));
 }
 
 #[test]
